@@ -7,23 +7,23 @@ preset at every rate in RATE_GRID, with TRIAL_SEEDS and the preset's
 reference window PRESET_MK. The data is an independent realization of the
 preset, TUNING_SEED, so the checks score a different one. A rate's score is
 the mean of the trial-averaged |residual| curve over the whole stream, the
-same score the checks use. A diverged rate scores inf, and ties go to the
-smaller rate.
+same score the checks use; the search itself is experiment.grid_search with
+that score, so a diverged rate scores inf and ties go to the smaller rate.
 
 stdout gets the settings as comment lines followed by the RATES table, in
 the form tests/test_acceptance.py holds them, so a diff against the test
-shows any change in either. stderr gets every rate's score as it is
-computed. A full search is 264 runs of 30 trials and takes about 20
+shows any change in either. stderr gets every rate's score, one rule at a
+time. A full search is 264 runs of 30 trials and takes about 20
 minutes on one core.
 
     PYTHONPATH=src python3 scripts/acceptance_rates.py
 """
 
-import math
 import sys
 from dataclasses import replace
+from functools import partial
 
-from streamarima.experiment import DivergedError, RunSpec, run_stream, tail_mean
+from streamarima.experiment import RunSpec, grid_search, tail_mean
 from streamarima.model import ModelConfig
 from streamarima.optimizers import BASELINE_NAMES
 from streamarima.synthetic import generate, preset
@@ -34,14 +34,7 @@ RAMP_LENGTH = 2000.0
 RATE_GRID = (5e-4, 1e-3, 2e-3, 5e-3, 1e-2, 2e-2, 5e-2, 0.1, 0.2, 0.5, 1.0)
 PRESET_MK = {1: 5, 2: 10, 3: 10}
 ALL_NAMES = BASELINE_NAMES + ("combined",)
-
-
-def stream_score(spec: RunSpec, series) -> float:
-    """Whole-stream mean of the trial-averaged curve; inf if the run diverges."""
-    try:
-        return tail_mean(run_stream(spec, series).mean, 1.0)
-    except DivergedError:
-        return math.inf
+STREAM_MEAN = partial(tail_mean, fraction=1.0)
 
 
 def best_rates(setting: int) -> dict[str, float]:
@@ -55,12 +48,10 @@ def best_rates(setting: int) -> dict[str, float]:
     )
     chosen = {}
     for name in ALL_NAMES:
-        scores = []
-        for rate in RATE_GRID:
-            score = stream_score(replace(base, optimizer=name, learning_rate=rate), series)
-            scores.append((score, rate))
-            print(f"preset {setting} {name:9s} lr {rate:<7g} {score:.6f}", file=sys.stderr)
-        chosen[name] = min(scores)[1]
+        spec = replace(base, optimizer=name)
+        chosen[name], results = grid_search(spec, series, RATE_GRID, score=STREAM_MEAN)
+        for r in results:
+            print(f"preset {setting} {name:9s} lr {r.rate:<7g} {r.tail:.6f}", file=sys.stderr)
     return chosen
 
 

@@ -23,6 +23,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .experiment import (
+    DivergedError,
     ResidualCurve,
     RunSpec,
     compare_optimizers,
@@ -72,16 +73,13 @@ def write_text_atomic(path: Path, text: str) -> None:
 
 def curve_csv(curve: ResidualCurve) -> str:
     trials = curve.per_trial.shape[0]
-    cols = ["t", "r_mean"]
+    header = ["t", "r_mean"]
+    columns = [curve.mean.tolist()]
     if trials > 1:
-        cols += [f"r_{i}" for i in range(trials)]
-    lines = [",".join(cols)]
-    for j in range(curve.indices.size):
-        row = [str(int(curve.indices[j])), repr(float(curve.mean[j]))]
-        if trials > 1:
-            row += [repr(float(curve.per_trial[i, j])) for i in range(trials)]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+        header += [f"r_{i}" for i in range(trials)]
+        columns += curve.per_trial.tolist()
+    rows = zip(map(str, map(int, curve.indices.tolist())), *(map(repr, c) for c in columns))
+    return "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
 
 
 def series_csv(series: TimeSeries) -> str:
@@ -299,10 +297,9 @@ def _cmd_grid(args) -> int:
     return 0
 
 
-def _reproduce_synth(args, fid: int) -> int:
-    cfg = SYNTH_FIGURES[fid]
+def _run_figure(args, fid: int, cfg: dict, data) -> int:
+    """Run every optimizer on a canned configuration and write its files."""
     trials = args.trials if args.trials is not None else cfg["trials"]
-    series = generate(preset(cfg["preset"], seed=args.data_seed))
     spec = RunSpec(
         model=ModelConfig(mk=cfg["mk"], d=cfg["d"]),
         optimizer="combined",
@@ -310,7 +307,7 @@ def _reproduce_synth(args, fid: int) -> int:
         ramp_length=cfg["ramp"],
         trial_seeds=_trial_seeds(args.seed, trials),
     )
-    curves = compare_optimizers(spec, series, ALL_OPTIMIZERS)
+    curves = compare_optimizers(spec, data, ALL_OPTIMIZERS)
     out_dir = Path(args.out_dir)
     for name, curve in curves.items():
         path = _resolve_out(str(out_dir / f"config{fid}_{name}.csv"))
@@ -319,35 +316,25 @@ def _reproduce_synth(args, fid: int) -> int:
     write_text_atomic(svg_path, _svg_from_curves(curves, args.smooth, title=f"configuration {fid}"))
     print(f"wrote {len(curves)} curve files and {svg_path}")
     return 0
+
+
+def _reproduce_synth(args, fid: int) -> int:
+    cfg = SYNTH_FIGURES[fid]
+    series = generate(preset(cfg["preset"], seed=args.data_seed))
+    return _run_figure(args, fid, cfg, series)
 
 
 def _reproduce_batched(args, fid: int) -> int:
     cfg = BATCH_FIGURES[fid]
     if args.data is None:
         raise ValueError(f"configuration {fid} needs --data pointing at a batch directory")
-    trials = args.trials if args.trials is not None else cfg["trials"]
     limit = args.limit if args.limit is not None else cfg["limit"]
     batches = load_batch_dir(args.data, cfg["fmt"], channel=args.channel, limit=limit)
     if cfg["repeat"] > 1:
         batches = list(batches) * cfg["repeat"]
     if not args.no_normalize:
         batches = normalize_batches(batches)
-    spec = RunSpec(
-        model=ModelConfig(mk=cfg["mk"], d=cfg["d"]),
-        optimizer="combined",
-        learning_rate=cfg["lr"],
-        ramp_length=cfg["ramp"],
-        trial_seeds=_trial_seeds(args.seed, trials),
-    )
-    curves = compare_optimizers(spec, batches, ALL_OPTIMIZERS)
-    out_dir = Path(args.out_dir)
-    for name, curve in curves.items():
-        path = _resolve_out(str(out_dir / f"config{fid}_{name}.csv"))
-        write_text_atomic(path, curve_csv(curve))
-    svg_path = _resolve_out(str(out_dir / f"config{fid}.svg"))
-    write_text_atomic(svg_path, _svg_from_curves(curves, args.smooth, title=f"configuration {fid}"))
-    print(f"wrote {len(curves)} curve files and {svg_path}")
-    return 0
+    return _run_figure(args, fid, cfg, batches)
 
 
 def _reproduce_sweep(args) -> int:
@@ -392,7 +379,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, DivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -3,9 +3,11 @@
 A run is specified once (model shape, optimizer, rate, trial seeds) and
 replayed over a fixed data realization; trials differ only in the model's
 coefficient initialization seed, so every curve is an average over inits
-on identical data. Residual curves are absolute residuals, per sample or
-per batch, and divergence (a non-finite residual) aborts a run cleanly
-instead of poisoning downstream aggregation.
+on identical data. One kernel advances every trial of a run together over
+lag features computed once per series; a batched run is the same kernel
+over the concatenated batches. Residual curves are absolute residuals, per
+sample or per batch, and divergence (a non-finite residual) aborts a run
+cleanly instead of poisoning downstream aggregation.
 """
 
 from __future__ import annotations
@@ -14,9 +16,10 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .model import ArimaModel, ModelConfig
-from .optimizers import OPTIMIZERS, Optimizer, make_optimizer
+from .optimizers import OPTIMIZERS, make_optimizer
 from .series import MicroBatch, TimeSeries, estimate_normalization
 
 TAIL_FRACTION = 0.1
@@ -40,10 +43,12 @@ class RunSpec:
         if self.optimizer not in OPTIMIZERS:
             known = ", ".join(sorted(OPTIMIZERS))
             raise ValueError(f"unknown optimizer {self.optimizer!r}, expected one of: {known}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if len(self.trial_seeds) == 0:
             raise ValueError("at least one trial seed is required")
+        if self.optimizer == "combined" and self.ramp_length is None:
+            raise ValueError("combined optimizer requires ramp_length")
 
     @property
     def trials(self) -> int:
@@ -68,47 +73,68 @@ class ResidualCurve:
             raise ValueError("per_trial width does not match curve length")
 
 
-def _build_optimizer(spec: RunSpec) -> Optimizer:
-    if spec.optimizer == "combined":
-        if spec.ramp_length is None:
-            raise ValueError("combined optimizer requires ramp_length")
-        return make_optimizer(
-            "combined", spec.model.mk, spec.learning_rate, ramp_length=spec.ramp_length
-        )
-    return make_optimizer(spec.optimizer, spec.model.mk, spec.learning_rate)
+def _kernel(spec: RunSpec, values: np.ndarray) -> np.ndarray:
+    """Forecasts of every trial past the first mk + d samples, all trials at once.
 
-
-def _stream_trial(spec: RunSpec, values: np.ndarray, seed: int) -> np.ndarray:
-    model = ArimaModel(replace(spec.model, seed=seed))
-    opt = _build_optimizer(spec)
-    out = np.empty(values.size - spec.model.window)
-    pos = 0
+    Coefficients and optimizer state are (trials, mk) arrays. Lag row j holds
+    the d-th differences of ``values[j : j + mk + d]``, newest first: a
+    strided view, never an n x mk copy. A diverged trial runs on as non-finite.
+    """
+    model, window = spec.model, spec.model.window
+    diffs = np.diff(values, n=model.d) if model.d else values
+    feats = sliding_window_view(diffs, model.mk)[:-1, ::-1]
+    levels = (np.diff(values, n=i) if i else values for i in range(model.d))
+    integ = sum(level[window - 1 - i : -1] for i, level in enumerate(levels))
+    actual = values[window:]
+    gamma = np.stack([ArimaModel(replace(model, seed=s)).gamma for s in spec.trial_seeds])
+    hyper = {"ramp_length": spec.ramp_length} if spec.optimizer == "combined" else {}
+    opt = make_optimizer(spec.optimizer, model.mk, spec.learning_rate, **hyper)
+    forecasts = np.empty((spec.trials, actual.size))
     with np.errstate(all="ignore"):
-        for x in values:
-            pred = model.learn_step(opt, x)
-            if pred is None:
-                continue
-            r = abs(pred.residual)
-            if not math.isfinite(r):
-                raise DivergedError(
-                    f"run diverged at sample {model.samples_seen - 1} "
-                    f"(optimizer {spec.optimizer}, rate {spec.learning_rate:g})"
-                )
-            out[pos] = r
-            pos += 1
-    return out
+        for j, f in enumerate(feats):
+            value = gamma @ f
+            if model.d:
+                value += integ[j]
+            forecasts[:, j] = value
+            gamma = opt.step(gamma, (2.0 * (value - actual[j]))[:, None] * f)
+    return forecasts
+
+
+def _residuals(spec: RunSpec, forecasts: np.ndarray, values: np.ndarray, starts=None):
+    """|forecast - actual| in place; raise for the first trial that diverged.
+
+    ``starts`` marks batch starts (None for a stream); divergence counts only
+    at scored positions, and each batch leaves its first mk + d unscored.
+    """
+    window = spec.model.window
+    with np.errstate(all="ignore"):
+        resid = np.abs(np.subtract(forecasts, values[window:], out=forecasts), out=forecasts)
+    scored = np.ones(values.size, dtype=bool)
+    for s in () if starts is None else starts:
+        scored[s : s + window] = False
+    bad = ~np.isfinite(resid) & scored[window:]
+    if bad.any():
+        trial = int(bad.any(axis=1).argmax())
+        k = int(bad[trial].argmax()) + window
+        where = f"at sample {k}"
+        if starts is not None:
+            pos = int(np.searchsorted(starts, k, side="right")) - 1
+            where = f"in batch {pos} at offset {k - starts[pos]}"
+        raise DivergedError(
+            f"run diverged {where} (optimizer {spec.optimizer}, "
+            f"rate {spec.learning_rate:g}, trial seed {spec.trial_seeds[trial]})"
+        )
+    return resid
 
 
 def run_stream(spec: RunSpec, series: TimeSeries) -> ResidualCurve:
     """Per-sample run over one contiguous series, averaged over trials."""
-    if len(series) <= spec.model.window:
-        raise ValueError(
-            f"series of length {len(series)} is too short for mk + d = {spec.model.window}"
-        )
-    per_trial = np.stack([_stream_trial(spec, series.values, s) for s in spec.trial_seeds])
-    indices = series.start_index + np.arange(spec.model.window, len(series))
+    window = spec.model.window
+    if len(series) <= window:
+        raise ValueError(f"series of length {len(series)} is too short for mk + d = {window}")
+    per_trial = _residuals(spec, _kernel(spec, series.values), series.values)
     return ResidualCurve(
-        indices=indices,
+        indices=series.start_index + np.arange(window, len(series)),
         mean=per_trial.mean(axis=0),
         per_trial=per_trial,
         granularity="sample",
@@ -143,48 +169,19 @@ class BatchRecord:
     scored: np.ndarray
 
 
-def _batched_trial(
-    spec: RunSpec, batches: list[MicroBatch], seed: int, details: bool = False
-) -> tuple[np.ndarray, list[BatchRecord]]:
+def _batched(spec: RunSpec, batches: list[MicroBatch]):
+    """Batch starts, the concatenated stream, and the kernel's forecasts over it."""
     window = spec.model.window
+    if not batches:
+        raise ValueError("no batches to run")
     for b in batches:
         if len(b) <= window:
             raise ValueError(
                 f"batch {b.batch_index} has {len(b)} samples, need more than mk + d = {window}"
             )
-    model = ArimaModel(replace(spec.model, seed=seed))
-    opt = _build_optimizer(spec)
-    residuals = np.empty(len(batches))
-    records = []
-    with np.errstate(all="ignore"):
-        for pos, batch in enumerate(batches):
-            values = batch.samples.values
-            preds = np.full(values.size, np.nan)
-            scored = []
-            for i, x in enumerate(values):
-                pred = model.learn_step(opt, x)
-                if pred is None:
-                    continue
-                preds[i] = pred.value
-                if i >= window:
-                    r = abs(pred.residual)
-                    if not math.isfinite(r):
-                        raise DivergedError(
-                            f"run diverged in batch {pos} at offset {i} "
-                            f"(optimizer {spec.optimizer}, rate {spec.learning_rate:g})"
-                        )
-                    scored.append(r)
-            residuals[pos] = float(np.mean(scored))
-            if details:
-                records.append(
-                    BatchRecord(
-                        batch_index=pos,
-                        predictions=preds,
-                        actuals=values.copy(),
-                        scored=np.asarray(scored),
-                    )
-                )
-    return residuals, records
+    starts = np.cumsum([0] + [len(b) for b in batches[:-1]])
+    values = np.concatenate([b.samples.values for b in batches])
+    return starts, values, _kernel(spec, values)
 
 
 def run_batched(spec: RunSpec, batches: list[MicroBatch]) -> ResidualCurve:
@@ -193,8 +190,11 @@ def run_batched(spec: RunSpec, batches: list[MicroBatch]) -> ResidualCurve:
     Only the residual metric restarts at each batch boundary: the first
     mk + d positions of every batch are fed to the model but not scored.
     """
+    starts, values, forecasts = _batched(spec, batches)
+    resid = _residuals(spec, forecasts, values, starts)
+    window = spec.model.window
     per_trial = np.stack(
-        [_batched_trial(spec, batches, s)[0] for s in spec.trial_seeds]
+        [resid[:, s : s + len(b) - window].mean(axis=1) for s, b in zip(starts, batches)], axis=1
     )
     return ResidualCurve(
         indices=np.arange(len(batches)),
@@ -208,7 +208,17 @@ def run_batched_details(
     spec: RunSpec, batches: list[MicroBatch], seed: int
 ) -> list[BatchRecord]:
     """Single-trial batched run returning full per-batch traces."""
-    return _batched_trial(spec, batches, seed, details=True)[1]
+    spec = replace(spec, trial_seeds=(seed,))
+    starts, values, forecasts = _batched(spec, batches)
+    window = spec.model.window
+    # forecast k is of sample k + window; the stream's first window samples have none.
+    # concatenate copies the forecasts before _residuals overwrites them.
+    preds = np.concatenate([np.full(window, np.nan), forecasts[0]])
+    resid = _residuals(spec, forecasts, values, starts)
+    return [
+        BatchRecord(pos, preds[s:e], values[s:e], resid[0, s : e - window])
+        for pos, (s, e) in enumerate(zip(starts, starts + [len(b) for b in batches]))
+    ]
 
 
 def run_data(spec: RunSpec, data) -> ResidualCurve:
@@ -259,40 +269,41 @@ def compare_optimizers(
     spec: RunSpec, data, optimizers: tuple[str, ...]
 ) -> dict[str, ResidualCurve]:
     """Run several optimizers over the same data and seeds."""
-    curves = {}
-    for name in optimizers:
-        curves[name] = run_data(replace(spec, optimizer=name), data)
-    return curves
+    return {name: run_data(replace(spec, optimizer=name), data) for name in optimizers}
+
+
+def _scored_run(spec: RunSpec, data, score=tail_mean) -> tuple[float, ResidualCurve | None]:
+    """Score of a run's averaged curve and the curve; a diverged run scores inf."""
+    try:
+        curve = run_data(spec, data)
+    except DivergedError:
+        return math.inf, None
+    return score(curve.mean), curve
 
 
 @dataclass(frozen=True)
 class RateResult:
     rate: float
-    tail: float
+    tail: float  # the rate's score, the tail-window mean by default
     diverged: bool
 
 
 def grid_search(
-    spec: RunSpec, data, rate_grid
+    spec: RunSpec, data, rate_grid, score=tail_mean
 ) -> tuple[float, list[RateResult]]:
-    """Pick the learning rate with the lowest tail-window mean residual.
+    """Pick the learning rate whose averaged curve has the lowest score.
 
-    Diverged rates score infinity; ties go to the smaller rate; a grid
-    where everything diverges is an error.
+    ``score`` maps the trial-averaged curve to a number (default: its
+    tail-window mean). Diverged rates score infinity; ties go to the
+    smaller rate; a grid where everything diverges is an error.
     """
     rates = [float(r) for r in rate_grid]
     if not rates:
         raise ValueError("rate grid is empty")
     if any(r <= 0 for r in rates):
         raise ValueError("learning rates must be > 0")
-    results = []
-    for rate in rates:
-        candidate = replace(spec, learning_rate=rate)
-        try:
-            curve = run_data(candidate, data)
-            results.append(RateResult(rate, tail_mean(curve.mean), False))
-        except DivergedError:
-            results.append(RateResult(rate, float("inf"), True))
+    runs = [_scored_run(replace(spec, learning_rate=r), data, score) for r in rates]
+    results = [RateResult(r, value, curve is None) for r, (value, curve) in zip(rates, runs)]
     stable = [r for r in results if not r.diverged]
     if not stable:
         raise ValueError("no stable rate: every candidate in the grid diverged")
@@ -322,19 +333,12 @@ def sweep_lambda(
     ramps = [float(r) for r in lambda_grid]
     if not ramps:
         raise ValueError("ramp grid is empty")
-    entries = []
-    for ramp in ramps:
-        candidate = replace(spec, optimizer="combined", ramp_length=ramp)
-        entries.append(_sweep_entry(f"combined_lambda_{ramp:g}", candidate, data))
-    for name in baselines:
-        candidate = replace(spec, optimizer=name, ramp_length=None)
-        entries.append(_sweep_entry(name, candidate, data))
-    return entries
+    runs = [(f"combined_lambda_{r:g}", replace(spec, optimizer="combined", ramp_length=r))
+            for r in ramps]
+    runs += [(name, replace(spec, optimizer=name, ramp_length=None)) for name in baselines]
+    return [_sweep_entry(label, candidate, data) for label, candidate in runs]
 
 
 def _sweep_entry(label: str, spec: RunSpec, data) -> SweepEntry:
-    try:
-        curve = run_data(spec, data)
-        return SweepEntry(label, tail_mean(curve.mean), False, curve)
-    except DivergedError:
-        return SweepEntry(label, float("inf"), True, None)
+    value, curve = _scored_run(spec, data)
+    return SweepEntry(label, value, curve is None, curve)

@@ -8,9 +8,14 @@ Every optimizer exposes the same two calls:
 
 Deltas never depend on the coefficient values themselves, only on the
 gradient history, so steps are translation equivariant.
+
+Coefficients and gradients may carry leading axes, one row per trial: state
+starts as zeros of shape ``(dim,)`` and broadcasts on the first step.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -35,15 +40,15 @@ class Optimizer:
     def __init__(self, dim: int, learning_rate: float):
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
-        if learning_rate <= 0.0:
-            raise ValueError(f"learning_rate must be > 0, got {learning_rate}")
+        if not (math.isfinite(learning_rate) and learning_rate > 0.0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {learning_rate}")
         self.dim = int(dim)
         self.learning_rate = float(learning_rate)
         self.step_count = 0
 
     def _check_grad(self, grad) -> np.ndarray:
         grad = np.asarray(grad, dtype=np.float64)
-        if grad.shape != (self.dim,):
+        if grad.shape[-1:] != (self.dim,):
             raise ValueError(f"gradient shape {grad.shape} does not match dim {self.dim}")
         return grad
 
@@ -52,7 +57,7 @@ class Optimizer:
 
     def step(self, coeffs, grad) -> np.ndarray:
         coeffs = np.asarray(coeffs, dtype=np.float64)
-        if coeffs.shape != (self.dim,):
+        if coeffs.shape[-1:] != (self.dim,):
             raise ValueError(f"coefficient shape {coeffs.shape} does not match dim {self.dim}")
         return coeffs - self.update_direction(grad)
 

@@ -10,7 +10,8 @@ import sys
 import numpy as np
 import pytest
 
-from streamarima.cli import main
+from streamarima.cli import curve_csv, main
+from streamarima.experiment import ResidualCurve
 from streamarima.synthetic import GeneratorSpec, generate
 
 
@@ -111,6 +112,38 @@ def test_run_errors_exit_nonzero(tmp_path, small_csv, capsys):
         "run", "--data", tmp_path / "missing.csv", "--optimizer", "basic", "--out", out,
     ) == 1
     assert "no such file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--lr", "50"),  # diverges
+        ("--lr", "nan"),
+        ("--lr", "inf"),
+    ],
+)
+def test_divergence_and_non_finite_rates_fail_closed(tmp_path, small_csv, capsys, flags):
+    out = tmp_path / "x.csv"
+    code = run_cli("run", "--data", small_csv, "--optimizer", "basic", *flags, "--out", out)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+def test_curve_csv_bytes_are_per_cell_repr(trials):
+    cells = [0.1, 1 / 3, 5e-324, 1e-300, 2.5e16, 123456.789, 0.0, 7.0]
+    per_trial = np.array([[c * (k + 1) for c in cells] for k in range(trials)])
+    curve = ResidualCurve(np.arange(4, 12), per_trial.mean(axis=0), per_trial, "sample")
+    header = "t,r_mean" + ("".join(f",r_{k}" for k in range(trials)) if trials > 1 else "")
+    rows = []
+    for j in range(len(cells)):
+        row = [str(j + 4), repr(float(curve.mean[j]))]
+        if trials > 1:
+            row += [repr(float(per_trial[k, j])) for k in range(trials)]
+        rows.append(",".join(row))
+    assert curve_csv(curve) == "\n".join([header, *rows]) + "\n"
 
 
 def test_unknown_arguments_exit_with_usage_error(small_csv):

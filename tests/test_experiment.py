@@ -1,7 +1,11 @@
 """Harness tests: residual metric, streaming vs batched runs, search loops."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamarima.experiment import (
     DivergedError,
@@ -19,7 +23,8 @@ from streamarima.experiment import (
     tail_mean,
     window_mean,
 )
-from streamarima.model import ModelConfig
+from streamarima.model import ArimaModel, ModelConfig
+from streamarima.optimizers import OPTIMIZERS, make_optimizer
 from streamarima.series import MicroBatch, TimeSeries, make_microbatches
 from streamarima.synthetic import GeneratorSpec, generate
 
@@ -147,6 +152,92 @@ def test_diverged_run_raises(short_series):
         run_stream(spec_for(lr=1e12), short_series)
 
 
+def test_divergence_names_first_diverging_trial(short_series):
+    # at lr 1e12 every trial diverges; the error names the first one
+    spec = spec_for(lr=1e12, seeds=(4, 5))
+    with pytest.raises(DivergedError, match=r"at sample \d+ .*rate 1e\+12, trial seed 4\)"):
+        run_stream(spec, short_series)
+    batches = make_microbatches(short_series, 100)
+    with pytest.raises(DivergedError, match=r"in batch 0 at offset \d+ .*trial seed 4\)"):
+        run_batched(spec, batches)
+    with pytest.raises(DivergedError, match="trial seed 5"):
+        run_batched_details(spec, batches, seed=5)
+    # only scored positions count: with mk = 3, offset 3 is a batch's first
+    with pytest.raises(DivergedError, match=r"in batch \d+ at offset 3 "):
+        run_batched(spec, make_microbatches(short_series, 5))
+
+
+# ------------------------------------------- kernel against learn_step
+
+
+def per_sample_forecasts(spec, values):
+    """Forecasts of a learn_step loop, one model and optimizer per trial."""
+    rows = []
+    for seed in spec.trial_seeds:
+        model = ArimaModel(replace(spec.model, seed=seed))
+        hyper = {"ramp_length": spec.ramp_length} if spec.optimizer == "combined" else {}
+        opt = make_optimizer(spec.optimizer, spec.model.mk, spec.learning_rate, **hyper)
+        preds = (model.learn_step(opt, x) for x in values)
+        rows.append([p.value for p in preds if p is not None])
+    return np.array(rows)
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_kernel_matches_per_sample_learn_step(data):
+    mk = data.draw(st.integers(1, 12), label="mk")
+    d = data.draw(st.integers(0, 2), label="d")
+    spec = RunSpec(
+        model=ModelConfig(mk=mk, d=d),
+        optimizer=data.draw(st.sampled_from(sorted(OPTIMIZERS)), label="optimizer"),
+        learning_rate=data.draw(st.sampled_from([1e-3, 3e-3]), label="lr"),
+        ramp_length=data.draw(st.floats(1.0, 60.0), label="ramp"),
+        trial_seeds=tuple(
+            data.draw(st.lists(st.integers(0, 999), min_size=1, max_size=4, unique=True))
+        ),
+    )
+    sizes = data.draw(
+        st.lists(st.integers(mk + d + 1, mk + d + 40), min_size=1, max_size=5), label="batches"
+    )
+    values = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).normal(size=sum(sizes))
+    want = per_sample_forecasts(spec, values)
+    window = mk + d
+    resid = np.abs(want - values[window:])
+
+    got = run_stream(spec, TimeSeries(values))
+    np.testing.assert_allclose(got.per_trial, resid, rtol=1e-12, atol=1e-12)
+
+    starts = np.cumsum([0] + sizes[:-1])
+    batches = [
+        MicroBatch(TimeSeries(values[s : s + n], int(s)), k)
+        for k, (s, n) in enumerate(zip(starts, sizes))
+    ]
+    per_batch = [resid[:, s : s + n - window].mean(axis=1) for s, n in zip(starts, sizes)]
+    curve = run_batched(spec, batches)
+    np.testing.assert_allclose(curve.per_trial, np.stack(per_batch, axis=1), rtol=1e-12, atol=1e-12)
+
+    records = run_batched_details(spec, batches, seed=spec.trial_seeds[0])
+    preds = np.concatenate([r.predictions for r in records])
+    assert np.isnan(preds[:window]).all() and not np.isnan(preds[window:]).any()
+    np.testing.assert_allclose(preds[window:], want[0], rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("optimizer", sorted(OPTIMIZERS))
+def test_trial_rows_are_bitwise_independent_of_other_trials(optimizer):
+    values = generate(GeneratorSpec(alpha=(0.6, -0.3), length=300, seed=3, burn_in=50))
+    for mk, d in ((1, 0), (5, 1), (40, 2)):
+        spec = RunSpec(
+            model=ModelConfig(mk=mk, d=d),
+            optimizer=optimizer,
+            learning_rate=1e-3,
+            ramp_length=100.0,
+            trial_seeds=(3, 0, 7, 11),
+        )
+        together = run_stream(spec, values).per_trial
+        alone = run_stream(replace(spec, trial_seeds=(7,)), values).per_trial
+        np.testing.assert_array_equal(together[2], alone[0])
+
+
 def test_tail_mean():
     assert tail_mean(np.arange(10.0)) == pytest.approx(9.0)
     assert tail_mean(np.arange(10.0), 0.25) == pytest.approx(8.0)  # ceil(2.5) = 3
@@ -247,8 +338,9 @@ def test_sweep_lambda_labels_and_baselines(short_series):
 def test_runspec_validation():
     with pytest.raises(ValueError, match="unknown optimizer"):
         spec_for(optimizer="sgd")
-    with pytest.raises(ValueError, match="learning_rate"):
-        spec_for(lr=-0.1)
+    for bad in (-0.1, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="learning_rate"):
+            spec_for(lr=bad)
     with pytest.raises(ValueError, match="trial seed"):
         spec_for(seeds=())
     assert spec_for(seeds=(0, 1, 2)).trials == 3

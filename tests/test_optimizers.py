@@ -398,6 +398,22 @@ def test_update_ignores_coefficient_values():
             assert np.array_equal(a.update_direction(g), b.update_direction(g))
 
 
+@pytest.mark.parametrize("name", BASELINE_NAMES + ("combined",))
+def test_rows_step_like_separate_optimizers(name):
+    # state broadcasts from (dim,) to (rows, dim), one row per trial
+    rng = np.random.default_rng(6)
+    hyper = {"ramp_length": 3.0} if name == "combined" else {}
+    together = make_optimizer(name, 3, LR, **hyper)
+    alone = [make_optimizer(name, 3, LR, **hyper) for _ in range(4)]
+    coeffs = rng.normal(size=(4, 3))
+    rows = [c.copy() for c in coeffs]
+    for _ in range(6):
+        grads = rng.normal(size=(4, 3))
+        coeffs = together.step(coeffs, grads)
+        rows = [opt.step(r, g) for opt, r, g in zip(alone, rows, grads)]
+        np.testing.assert_array_equal(coeffs, np.stack(rows))
+
+
 # ------------------------------------------------------------ validation
 
 
@@ -415,8 +431,9 @@ def test_make_optimizer_rejects_unknown_name():
 def test_constructor_validation():
     with pytest.raises(ValueError, match="dim"):
         make_optimizer("basic", 0, LR)
-    with pytest.raises(ValueError, match="learning_rate"):
-        make_optimizer("basic", 2, 0.0)
+    for bad in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="learning_rate"):
+            make_optimizer("basic", 2, bad)
     with pytest.raises(ValueError, match="momentum"):
         make_optimizer("momentum", 2, LR, momentum=1.0)
     with pytest.raises(ValueError, match="eps"):
