@@ -4,102 +4,41 @@ The package covers the full loop: synthetic or file-based data, an online
 AR model over differenced history, seven gradient-descent update rules
 plus a blended AMSGrad-to-Momentum optimizer, and an experiment harness
 with residual curves, sweeps and deterministic CSV/SVG output.
+
+The names below are the entry points; everything else is importable from
+its submodule.
 """
 
 from .experiment import (
     DivergedError,
-    ResidualCurve,
     RunSpec,
-    SweepEntry,
-    batch_residual,
     compare_optimizers,
     grid_search,
-    normalize_batches,
     run_batched,
     run_stream,
     sweep_lambda,
     tail_mean,
-    window_mean,
 )
-from .ingest import load_batch_dir, parse_batch_file
-from .model import ArimaModel, ModelConfig, Prediction, forecast
-from .optimizers import (
-    AMSGrad,
-    Adagrad,
-    Adam,
-    BASELINE_NAMES,
-    Basic,
-    Combined,
-    Momentum,
-    Nesterov,
-    OPTIMIZERS,
-    RMSProp,
-    blend,
-    make_optimizer,
-)
-from .series import (
-    MicroBatch,
-    NormalizationParams,
-    TimeSeries,
-    difference,
-    make_microbatches,
-    normalize,
-    undifference_check,
-)
-from .synthetic import (
-    CoefficientShift,
-    GeneratorSpec,
-    gaussian_innovations,
-    generate,
-    generate_raw,
-    preset,
-)
+from .ingest import load_batch_dir
+from .model import ArimaModel, ModelConfig
+from .optimizers import make_optimizer
+from .synthetic import generate, preset
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AMSGrad",
-    "Adagrad",
-    "Adam",
     "ArimaModel",
-    "BASELINE_NAMES",
-    "Basic",
-    "CoefficientShift",
-    "Combined",
     "DivergedError",
-    "GeneratorSpec",
-    "MicroBatch",
     "ModelConfig",
-    "Momentum",
-    "Nesterov",
-    "NormalizationParams",
-    "OPTIMIZERS",
-    "Prediction",
-    "ResidualCurve",
-    "RMSProp",
     "RunSpec",
-    "SweepEntry",
-    "TimeSeries",
-    "batch_residual",
-    "blend",
     "compare_optimizers",
-    "difference",
-    "forecast",
-    "gaussian_innovations",
     "generate",
-    "generate_raw",
     "grid_search",
     "load_batch_dir",
-    "make_microbatches",
     "make_optimizer",
-    "normalize",
-    "normalize_batches",
-    "parse_batch_file",
     "preset",
     "run_batched",
     "run_stream",
     "sweep_lambda",
     "tail_mean",
-    "undifference_check",
-    "window_mean",
 ]

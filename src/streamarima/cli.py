@@ -19,7 +19,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+import tempfile
+from functools import partial
 from pathlib import Path
 
 from .experiment import (
@@ -41,17 +42,20 @@ from .synthetic import generate, preset
 
 OUT_DIR_ENV = "STREAMARIMA_OUT_DIR"
 ALL_OPTIMIZERS = BASELINE_NAMES + ("combined",)
-LAMBDA_GRID = (100.0, 500.0, 1000.0, 2000.0, 3000.0, 5000.0, 10000.0)
+LAMBDA_GRID = ",".join(f"{g:g}" for g in (100, 500, 1000, 2000, 3000, 5000, 10000))
 
-SYNTH_FIGURES = {
-    1: dict(preset=1, mk=5, d=0, lr=5e-2, ramp=2000.0, trials=30),
-    2: dict(preset=2, mk=10, d=0, lr=5e-2, ramp=2000.0, trials=30),
-    3: dict(preset=3, mk=10, d=0, lr=5e-2, ramp=2000.0, trials=30),
-}
-BATCH_FIGURES = {
-    4: dict(fmt="bearing", mk=300, d=0, lr=5e-3, ramp=102400.0, trials=10, limit=1, repeat=40),
-    5: dict(fmt="bearing", mk=300, d=0, lr=5e-3, ramp=102400.0, trials=10, limit=40, repeat=1),
-    6: dict(fmt="csv", mk=60, d=1, lr=1e-2, ramp=102400.0, trials=10, limit=None, repeat=1),
+# Canned configurations, as the flags of the explicit command each stands
+# for: `sweep-lambda` when it has a grid, else `run` once per optimizer.
+# A preset configuration generates its series with --data-seed; the others
+# read the batch directory given as --data.
+CONFIGS = {
+    1: dict(preset=1, mk=5, lr=5e-2, ramp=2000.0, trials=30),
+    2: dict(preset=2, mk=10, lr=5e-2, ramp=2000.0, trials=30),
+    3: dict(preset=3, mk=10, lr=5e-2, ramp=2000.0, trials=30),
+    4: dict(format="bearing", limit=1, repeat=40, mk=300, lr=5e-3, ramp=102400.0, trials=10),
+    5: dict(format="bearing", limit=40, mk=300, lr=5e-3, ramp=102400.0, trials=10),
+    6: dict(mk=60, d=1, lr=1e-2, ramp=102400.0, trials=10),
+    7: dict(preset=2, mk=10, lr=5e-2, grid=LAMBDA_GRID, trials=30),
 }
 
 
@@ -66,9 +70,23 @@ def _resolve_out(path_str: str) -> Path:
 
 
 def write_text_atomic(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    """Write ``text`` to a fresh temporary file beside ``path``, then rename it over ``path``.
+
+    The temporary name is unique, so two runs writing the same path never
+    share it, and it is removed if anything fails before the rename.
+    """
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        # mkstemp creates the file private; give it the mode a plain open would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def curve_csv(curve: ResidualCurve) -> str:
@@ -107,29 +125,34 @@ def _svg_from_curves(curves: dict[str, ResidualCurve], smooth: int, title: str) 
     for label, curve in curves.items():
         window = smooth if curve.granularity == "sample" else 1
         plotted[label] = smooth_curve(curve.indices, curve.mean, window)
-    any_curve = next(iter(curves.values()))
-    x_label = "sample" if any_curve.granularity == "sample" else "batch"
+    # with no curves (every run diverged) render_svg reports the error
+    batched = any(curve.granularity == "batch" for curve in curves.values())
+    x_label = "batch" if batched else "sample"
     return render_svg(plotted, title=title, x_label=x_label, y_label="mean |residual|")
 
 
-def _trial_seeds(base: int, trials: int) -> tuple[int, ...]:
-    return tuple(base + i for i in range(trials))
+def _reject_batch_flags(args) -> None:
+    given = [flag for flag, value, default in (
+        ("--format", args.format, "csv"), ("--channel", args.channel, 0),
+        ("--limit", args.limit, None), ("--repeat", args.repeat, 1),
+    ) if value != default]
+    if given:
+        raise ValueError(f"{', '.join(given)}: valid only when --data is a batch directory")
 
 
 def _load_data(args):
     """A directory is a batch source; a file is a single-column CSV series."""
     path = Path(args.data)
     if path.is_dir():
-        batches = load_batch_dir(
-            path, args.format, channel=args.channel, limit=args.limit
-        )
-        if args.repeat > 1:
-            batches = list(batches) * args.repeat
+        if args.repeat < 1:
+            raise ValueError(f"--repeat must be >= 1, got {args.repeat}")
+        batches = load_batch_dir(path, args.format, channel=args.channel, limit=args.limit)
         if args.normalize is not False:
             batches = normalize_batches(batches)
-        return batches
+        return batches * args.repeat
     if not path.exists():
         raise ValueError(f"{path}: no such file or directory")
+    _reject_batch_flags(args)
     series = parse_batch_file(path, "csv").samples
     if args.normalize is True:
         series, _ = normalize(series)
@@ -185,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-lambda", help="ramp sweep for the combined optimizer")
     _add_data_flags(p)
     _add_model_flags(p, trials_default=1)
-    p.add_argument("--grid", default=",".join(f"{g:g}" for g in LAMBDA_GRID),
+    p.add_argument("--grid", default=LAMBDA_GRID,
                    help="comma-separated ramp lengths")
     p.add_argument("--out", required=True, help="sweep summary CSV path")
     p.add_argument("--svg", default=None, help="optional SVG plot path")
@@ -225,15 +248,32 @@ def _parse_floats(text: str, what: str) -> list[float]:
     return values
 
 
-def _spec_from_args(args) -> RunSpec:
-    cfg = ModelConfig(mk=args.mk, d=args.d)
+def _spec_from_args(args, optimizer: str, ramp: float | None) -> RunSpec:
     return RunSpec(
-        model=cfg,
-        optimizer=args.optimizer,
+        model=ModelConfig(mk=args.mk, d=args.d),
+        optimizer=optimizer,
         learning_rate=args.lr,
-        ramp_length=args.ramp,
-        trial_seeds=_trial_seeds(args.seed, args.trials),
+        ramp_length=ramp,
+        trial_seeds=tuple(args.seed + i for i in range(args.trials)),
     )
+
+
+def _write_outputs(args, files: dict, curves: dict[str, ResidualCurve],
+                   title: str = "") -> list[Path]:
+    """Write ``files`` (path to a function that renders its text) and, when
+    ``args.svg`` is set, the plot of ``curves``; return the paths, the plot's last.
+
+    The plot is rendered before the first write, so a plot that cannot be
+    drawn leaves no file behind. Each file's text is rendered just before
+    it is written, so only one is held at a time.
+    """
+    if args.svg:
+        svg = _svg_from_curves(curves, args.smooth, title)
+        files = {**files, args.svg: lambda: svg}
+    paths = [_resolve_out(p) for p in files]
+    for path, render in zip(paths, files.values()):
+        write_text_atomic(path, render())
+    return paths
 
 
 def _cmd_synth(args) -> int:
@@ -246,44 +286,32 @@ def _cmd_synth(args) -> int:
 
 def _cmd_run(args) -> int:
     data = _load_data(args)
-    spec = _spec_from_args(args)
-    curve = run_data(spec, data)
-    out = _resolve_out(args.out)
-    write_text_atomic(out, curve_csv(curve))
-    print(f"wrote {curve.indices.size} curve points to {out}")
+    curve = run_data(_spec_from_args(args, args.optimizer, args.ramp), data)
+    paths = _write_outputs(args, {args.out: partial(curve_csv, curve)}, {args.optimizer: curve})
+    print(f"wrote {curve.indices.size} curve points to {paths[0]}")
     if args.svg:
-        svg_path = _resolve_out(args.svg)
-        svg = _svg_from_curves({args.optimizer: curve}, args.smooth, title="")
-        write_text_atomic(svg_path, svg)
-        print(f"wrote plot to {svg_path}")
+        print(f"wrote plot to {paths[-1]}")
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    data = _load_data(args)
+    return _sweep(args, _load_data(args), title="")
+
+
+def _sweep(args, data, title: str) -> int:
     grid = _parse_floats(args.grid, "ramp grid")
-    base = RunSpec(
-        model=ModelConfig(mk=args.mk, d=args.d),
-        optimizer="combined",
-        learning_rate=args.lr,
-        ramp_length=grid[0],
-        trial_seeds=_trial_seeds(args.seed, args.trials),
-    )
-    entries = sweep_lambda(base, data, grid)
-    out = _resolve_out(args.out)
-    write_text_atomic(out, sweep_csv(entries))
-    print(f"wrote {len(entries)} sweep entries to {out}")
+    entries = sweep_lambda(_spec_from_args(args, "combined", grid[0]), data, grid)
+    curves = {e.label: e.curve for e in entries if e.curve is not None}
+    paths = _write_outputs(args, {args.out: partial(sweep_csv, entries)}, curves, title)
+    print(f"wrote {len(entries)} sweep entries to {paths[0]}")
     if args.svg:
-        curves = {e.label: e.curve for e in entries if e.curve is not None}
-        svg_path = _resolve_out(args.svg)
-        write_text_atomic(svg_path, _svg_from_curves(curves, args.smooth, title=""))
-        print(f"wrote plot to {svg_path}")
+        print(f"wrote plot to {paths[-1]}")
     return 0
 
 
 def _cmd_grid(args) -> int:
     data = _load_data(args)
-    spec = _spec_from_args(args)
+    spec = _spec_from_args(args, args.optimizer, args.ramp)
     rates = _parse_floats(args.rates, "rate grid")
     best, results = grid_search(spec, data, rates)
     for r in results:
@@ -297,74 +325,32 @@ def _cmd_grid(args) -> int:
     return 0
 
 
-def _run_figure(args, fid: int, cfg: dict, data) -> int:
-    """Run every optimizer on a canned configuration and write its files."""
-    trials = args.trials if args.trials is not None else cfg["trials"]
-    spec = RunSpec(
-        model=ModelConfig(mk=cfg["mk"], d=cfg["d"]),
-        optimizer="combined",
-        learning_rate=cfg["lr"],
-        ramp_length=cfg["ramp"],
-        trial_seeds=_trial_seeds(args.seed, trials),
-    )
-    curves = compare_optimizers(spec, data, ALL_OPTIMIZERS)
-    out_dir = Path(args.out_dir)
-    for name, curve in curves.items():
-        path = _resolve_out(str(out_dir / f"config{fid}_{name}.csv"))
-        write_text_atomic(path, curve_csv(curve))
-    svg_path = _resolve_out(str(out_dir / f"config{fid}.svg"))
-    write_text_atomic(svg_path, _svg_from_curves(curves, args.smooth, title=f"configuration {fid}"))
-    print(f"wrote {len(curves)} curve files and {svg_path}")
-    return 0
-
-
-def _reproduce_synth(args, fid: int) -> int:
-    cfg = SYNTH_FIGURES[fid]
-    series = generate(preset(cfg["preset"], seed=args.data_seed))
-    return _run_figure(args, fid, cfg, series)
-
-
-def _reproduce_batched(args, fid: int) -> int:
-    cfg = BATCH_FIGURES[fid]
-    if args.data is None:
-        raise ValueError(f"configuration {fid} needs --data pointing at a batch directory")
-    limit = args.limit if args.limit is not None else cfg["limit"]
-    batches = load_batch_dir(args.data, cfg["fmt"], channel=args.channel, limit=limit)
-    if cfg["repeat"] > 1:
-        batches = list(batches) * cfg["repeat"]
-    if not args.no_normalize:
-        batches = normalize_batches(batches)
-    return _run_figure(args, fid, cfg, batches)
-
-
-def _reproduce_sweep(args) -> int:
-    trials = args.trials if args.trials is not None else 30
-    series = generate(preset(2, seed=args.data_seed))
-    base = RunSpec(
-        model=ModelConfig(mk=10, d=0),
-        optimizer="combined",
-        learning_rate=5e-2,
-        ramp_length=LAMBDA_GRID[0],
-        trial_seeds=_trial_seeds(args.seed, trials),
-    )
-    entries = sweep_lambda(base, series, LAMBDA_GRID)
-    out_dir = Path(args.out_dir)
-    out = _resolve_out(str(out_dir / "config7_sweep.csv"))
-    write_text_atomic(out, sweep_csv(entries))
-    curves = {e.label: e.curve for e in entries if e.curve is not None}
-    svg_path = _resolve_out(str(out_dir / "config7.svg"))
-    write_text_atomic(svg_path, _svg_from_curves(curves, args.smooth, title="configuration 7"))
-    print(f"wrote {out} and {svg_path}")
-    return 0
-
-
 def _cmd_reproduce(args) -> int:
+    """Run a canned configuration as the explicit command it stands for."""
     fid = args.figure
-    if fid in SYNTH_FIGURES:
-        return _reproduce_synth(args, fid)
-    if fid in BATCH_FIGURES:
-        return _reproduce_batched(args, fid)
-    return _reproduce_sweep(args)
+    cfg = {"format": "csv", "repeat": 1, "d": 0, "grid": None, **CONFIGS[fid]}
+    for flag in ("limit", "trials"):
+        if getattr(args, flag) is not None:
+            cfg[flag] = getattr(args, flag)
+    base = Path(args.out_dir) / f"config{fid}"
+    run = argparse.Namespace(**{**vars(args), **cfg}, svg=f"{base}.svg",
+                             normalize=False if args.no_normalize else None)
+    if "preset" in cfg:
+        _reject_batch_flags(run)
+        data = generate(preset(cfg["preset"], seed=args.data_seed))
+    elif args.data is None or not Path(args.data).is_dir():
+        raise ValueError(f"configuration {fid} needs --data pointing at a batch directory")
+    else:
+        data = _load_data(run)
+    title = f"configuration {fid}"
+    if run.grid:
+        run.out = f"{base}_sweep.csv"
+        return _sweep(run, data, title)
+    curves = compare_optimizers(_spec_from_args(run, "combined", run.ramp), data, ALL_OPTIMIZERS)
+    files = {f"{base}_{name}.csv": partial(curve_csv, curve) for name, curve in curves.items()}
+    paths = _write_outputs(run, files, curves, title)
+    print(f"wrote {len(curves)} curve files and {paths[-1]}")
+    return 0
 
 
 def main(argv=None) -> int:
@@ -378,6 +364,9 @@ def main(argv=None) -> int:
         "reproduce": _cmd_reproduce,
     }
     try:
+        # --smooth only shapes the plot, but a bad value fails even without one
+        if getattr(args, "smooth", 1) < 1:
+            raise ValueError(f"--smooth must be >= 1, got {args.smooth}")
         return handlers[args.command](args)
     except (ValueError, OSError, DivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,11 +13,23 @@ be chronological order for these layouts.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 from .series import MicroBatch, TimeSeries
 
 FORMATS = ("bearing", "csv")
+
+
+def _sample(path: Path, text: str, lineno: int) -> float:
+    """One finite sample, or an error naming the file and the row."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValueError(f"{path}: malformed value {text!r} in row {lineno}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{path}: non-finite value {text!r} in row {lineno}")
+    return value
 
 
 def _parse_bearing(path: Path, channel: int) -> list[float]:
@@ -34,12 +46,7 @@ def _parse_bearing(path: Path, channel: int) -> list[float]:
                     f"{path}: row {lineno} has {len(fields)} columns, "
                     f"channel {channel} is out of range"
                 )
-            try:
-                values.append(float(fields[channel]))
-            except ValueError:
-                raise ValueError(
-                    f"{path}: malformed value {fields[channel]!r} in row {lineno}"
-                ) from None
+            values.append(_sample(path, fields[channel], lineno))
     if not values:
         raise ValueError(f"{path}: file contains no samples")
     return values
@@ -57,12 +64,7 @@ def _parse_csv_column(path: Path) -> list[float]:
             text = line.strip()
             if not text:
                 continue
-            try:
-                values.append(float(text))
-            except ValueError:
-                raise ValueError(
-                    f"{path}: malformed value {text!r} in row {lineno}"
-                ) from None
+            values.append(_sample(path, text, lineno))
     if not values:
         raise ValueError(f"{path}: file contains no samples")
     return values

@@ -83,16 +83,10 @@ class ArimaModel:
         self.gamma = rng.uniform(config.init_lo, config.init_hi, config.mk)
         self._hist = np.empty(config.window)
         self._filled = 0
-        self.samples_seen = 0
 
     @property
     def warm(self) -> bool:
         return self._filled == self.config.window
-
-    @property
-    def history(self) -> np.ndarray:
-        """Copy of the raw observations currently held, oldest first."""
-        return self._hist[: self._filled].copy()
 
     def _push(self, x: float) -> None:
         if self._filled < self.config.window:
@@ -101,7 +95,6 @@ class ArimaModel:
         else:
             self._hist[:-1] = self._hist[1:]
             self._hist[-1] = x
-        self.samples_seen += 1
 
     @staticmethod
     def _check_sample(actual) -> float:

@@ -6,6 +6,11 @@ Every optimizer exposes the same two calls:
   that a step would subtract from the coefficients,
 * ``step(coeffs, grad)`` returns ``coeffs - update_direction(grad)``.
 
+A rule is a declaration: its ``name``, the ``hyperparameters`` it accepts
+(defaults in ``DEFAULTS``), the ``state`` arrays it keeps, and ``_delta(grad)``.
+``Optimizer`` validates the arguments, zero-allocates the state, checks the
+gradient and counts steps once for all of them.
+
 Deltas never depend on the coefficient values themselves, only on the
 gradient history, so steps are translation equivariant.
 
@@ -19,41 +24,52 @@ import math
 
 import numpy as np
 
-DEFAULT_MOMENTUM = 0.9
-DEFAULT_RHO = 0.9
-DEFAULT_BETA1 = 0.9
-DEFAULT_BETA2 = 0.999
-DEFAULT_EPS = 1e-8
+# Every hyperparameter a rule can accept, with its default. ``eps`` must be
+# > 0; the decay rates must lie in [0, 1).
+DEFAULTS = {"momentum": 0.9, "rho": 0.9, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8}
 
 
-def _check_unit_interval(name: str, value: float) -> float:
-    if not (0.0 <= value < 1.0):
+def _check_hyperparameter(name: str, value: float) -> float:
+    if name == "eps":
+        if not value > 0.0:
+            raise ValueError(f"eps must be > 0, got {value}")
+    elif not (0.0 <= value < 1.0):
         raise ValueError(f"{name} must lie in [0, 1), got {value}")
     return float(value)
 
 
 class Optimizer:
-    """Base class holding the step count and shared validation."""
+    """Base class: argument validation, state allocation and the step count."""
 
     name = "base"
+    hyperparameters: tuple[str, ...] = ()
+    state: tuple[str, ...] = ()
 
-    def __init__(self, dim: int, learning_rate: float):
+    def __init__(self, dim: int, learning_rate: float, **hyper):
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
         if not (math.isfinite(learning_rate) and learning_rate > 0.0):
             raise ValueError(f"learning_rate must be finite and > 0, got {learning_rate}")
+        for key in hyper:
+            if key not in self.hyperparameters:
+                raise TypeError(f"{type(self).__name__} got an unexpected keyword argument {key!r}")
         self.dim = int(dim)
         self.learning_rate = float(learning_rate)
         self.step_count = 0
+        for key in self.hyperparameters:
+            setattr(self, key, _check_hyperparameter(key, hyper.get(key, DEFAULTS[key])))
+        for key in self.state:
+            setattr(self, key, np.zeros(dim))
 
-    def _check_grad(self, grad) -> np.ndarray:
+    def _delta(self, grad: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def update_direction(self, grad) -> np.ndarray:
         grad = np.asarray(grad, dtype=np.float64)
         if grad.shape[-1:] != (self.dim,):
             raise ValueError(f"gradient shape {grad.shape} does not match dim {self.dim}")
-        return grad
-
-    def update_direction(self, grad) -> np.ndarray:
-        raise NotImplementedError
+        self.step_count += 1
+        return self._delta(grad)
 
     def step(self, coeffs, grad) -> np.ndarray:
         coeffs = np.asarray(coeffs, dtype=np.float64)
@@ -67,9 +83,7 @@ class Basic(Optimizer):
 
     name = "basic"
 
-    def update_direction(self, grad) -> np.ndarray:
-        grad = self._check_grad(grad)
-        self.step_count += 1
+    def _delta(self, grad):
         return self.learning_rate * grad
 
 
@@ -77,15 +91,10 @@ class Momentum(Optimizer):
     """Heavy-ball velocity: v <- mu*v + lr*grad, delta = v."""
 
     name = "momentum"
+    hyperparameters = ("momentum",)
+    state = ("velocity",)
 
-    def __init__(self, dim, learning_rate, momentum: float = DEFAULT_MOMENTUM):
-        super().__init__(dim, learning_rate)
-        self.momentum = _check_unit_interval("momentum", momentum)
-        self.velocity = np.zeros(dim)
-
-    def update_direction(self, grad) -> np.ndarray:
-        grad = self._check_grad(grad)
-        self.step_count += 1
+    def _delta(self, grad):
         self.velocity = self.momentum * self.velocity + self.learning_rate * grad
         return self.velocity.copy()
 
@@ -94,15 +103,10 @@ class Nesterov(Optimizer):
     """Look-ahead momentum: v <- mu*v + lr*grad, delta = mu*v + lr*grad."""
 
     name = "nesterov"
+    hyperparameters = ("momentum",)
+    state = ("velocity",)
 
-    def __init__(self, dim, learning_rate, momentum: float = DEFAULT_MOMENTUM):
-        super().__init__(dim, learning_rate)
-        self.momentum = _check_unit_interval("momentum", momentum)
-        self.velocity = np.zeros(dim)
-
-    def update_direction(self, grad) -> np.ndarray:
-        grad = self._check_grad(grad)
-        self.step_count += 1
+    def _delta(self, grad):
         self.velocity = self.momentum * self.velocity + self.learning_rate * grad
         return self.momentum * self.velocity + self.learning_rate * grad
 
@@ -111,17 +115,10 @@ class Adagrad(Optimizer):
     """Per-coordinate scaling by the running sum of squared gradients."""
 
     name = "adagrad"
+    hyperparameters = ("eps",)
+    state = ("accum",)
 
-    def __init__(self, dim, learning_rate, eps: float = DEFAULT_EPS):
-        super().__init__(dim, learning_rate)
-        if eps <= 0.0:
-            raise ValueError(f"eps must be > 0, got {eps}")
-        self.eps = float(eps)
-        self.accum = np.zeros(dim)
-
-    def update_direction(self, grad) -> np.ndarray:
-        grad = self._check_grad(grad)
-        self.step_count += 1
+    def _delta(self, grad):
         self.accum = self.accum + grad * grad
         return self.learning_rate * grad / (np.sqrt(self.accum) + self.eps)
 
@@ -130,18 +127,10 @@ class RMSProp(Optimizer):
     """Adagrad with an exponentially decaying squared-gradient average."""
 
     name = "rmsprop"
+    hyperparameters = ("rho", "eps")
+    state = ("sq_avg",)
 
-    def __init__(self, dim, learning_rate, rho: float = DEFAULT_RHO, eps: float = DEFAULT_EPS):
-        super().__init__(dim, learning_rate)
-        self.rho = _check_unit_interval("rho", rho)
-        if eps <= 0.0:
-            raise ValueError(f"eps must be > 0, got {eps}")
-        self.eps = float(eps)
-        self.sq_avg = np.zeros(dim)
-
-    def update_direction(self, grad) -> np.ndarray:
-        grad = self._check_grad(grad)
-        self.step_count += 1
+    def _delta(self, grad):
         self.sq_avg = self.rho * self.sq_avg + (1.0 - self.rho) * grad * grad
         return self.learning_rate * grad / (np.sqrt(self.sq_avg) + self.eps)
 
@@ -150,27 +139,10 @@ class Adam(Optimizer):
     """First and second moment estimates, both bias corrected."""
 
     name = "adam"
+    hyperparameters = ("beta1", "beta2", "eps")
+    state = ("m", "v")
 
-    def __init__(
-        self,
-        dim,
-        learning_rate,
-        beta1: float = DEFAULT_BETA1,
-        beta2: float = DEFAULT_BETA2,
-        eps: float = DEFAULT_EPS,
-    ):
-        super().__init__(dim, learning_rate)
-        self.beta1 = _check_unit_interval("beta1", beta1)
-        self.beta2 = _check_unit_interval("beta2", beta2)
-        if eps <= 0.0:
-            raise ValueError(f"eps must be > 0, got {eps}")
-        self.eps = float(eps)
-        self.m = np.zeros(dim)
-        self.v = np.zeros(dim)
-
-    def update_direction(self, grad) -> np.ndarray:
-        grad = self._check_grad(grad)
-        self.step_count += 1
+    def _delta(self, grad):
         t = self.step_count
         self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
         self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
@@ -187,34 +159,25 @@ class AMSGrad(Optimizer):
     """
 
     name = "amsgrad"
+    hyperparameters = ("beta1", "beta2", "eps")
+    state = ("m", "v", "v_max")
 
-    def __init__(
-        self,
-        dim,
-        learning_rate,
-        beta1: float = DEFAULT_BETA1,
-        beta2: float = DEFAULT_BETA2,
-        eps: float = DEFAULT_EPS,
-    ):
-        super().__init__(dim, learning_rate)
-        self.beta1 = _check_unit_interval("beta1", beta1)
-        self.beta2 = _check_unit_interval("beta2", beta2)
-        if eps <= 0.0:
-            raise ValueError(f"eps must be > 0, got {eps}")
-        self.eps = float(eps)
-        self.m = np.zeros(dim)
-        self.v = np.zeros(dim)
-        self.v_max = np.zeros(dim)
-
-    def update_direction(self, grad) -> np.ndarray:
-        grad = self._check_grad(grad)
-        self.step_count += 1
+    def _delta(self, grad):
         t = self.step_count
         self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
         self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
         self.v_max = np.maximum(self.v_max, self.v)
         m_hat = self.m / (1.0 - self.beta1**t)
         return self.learning_rate * m_hat / (np.sqrt(self.v_max) + self.eps)
+
+
+def _mix(w: float, a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``a`` for w <= 0, ``m`` for w >= 1, the affine mix in between."""
+    if w <= 0.0:
+        return a.copy()
+    if w >= 1.0:
+        return m.copy()
+    return (1.0 - w) * a + w * m
 
 
 def blend(t: int, ramp_length: float, a: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -231,12 +194,7 @@ def blend(t: int, ramp_length: float, a: np.ndarray, m: np.ndarray) -> np.ndarra
     m = np.asarray(m, dtype=np.float64)
     if a.shape != m.shape:
         raise ValueError(f"direction shapes differ: {a.shape} vs {m.shape}")
-    w = t / ramp_length
-    if w <= 0.0:
-        return a.copy()
-    if w >= 1.0:
-        return m.copy()
-    return (1.0 - w) * a + w * m
+    return _mix(t / ramp_length, a, m)
 
 
 class Combined(Optimizer):
@@ -246,35 +204,25 @@ class Combined(Optimizer):
     shared learning rate, advances both every step, and applies the blended
     update direction. The blend weight uses the pre-increment step count,
     so the very first step is pure AMSGrad and every step from
-    ``ramp_length`` onward is pure Momentum.
+    ``ramp_length`` onward is pure Momentum. ``momentum`` goes to the
+    Momentum rule, every other hyperparameter to AMSGrad.
     """
 
     name = "combined"
 
-    def __init__(
-        self,
-        dim,
-        learning_rate,
-        ramp_length: float,
-        momentum: float = DEFAULT_MOMENTUM,
-        beta1: float = DEFAULT_BETA1,
-        beta2: float = DEFAULT_BETA2,
-        eps: float = DEFAULT_EPS,
-    ):
+    def __init__(self, dim, learning_rate, ramp_length: float,
+                 momentum: float = DEFAULTS["momentum"], **hyper):
         super().__init__(dim, learning_rate)
         if not ramp_length > 0.0:
             raise ValueError(f"ramp_length must be > 0, got {ramp_length}")
         self.ramp_length = float(ramp_length)
-        self.amsgrad = AMSGrad(dim, learning_rate, beta1=beta1, beta2=beta2, eps=eps)
+        self.amsgrad = AMSGrad(dim, learning_rate, **hyper)
         self.momentum = Momentum(dim, learning_rate, momentum=momentum)
 
-    def update_direction(self, grad) -> np.ndarray:
-        grad = self._check_grad(grad)
+    def _delta(self, grad):
         a = self.amsgrad.update_direction(grad)
         m = self.momentum.update_direction(grad)
-        h = blend(self.step_count, self.ramp_length, a, m)
-        self.step_count += 1
-        return h
+        return _mix((self.step_count - 1) / self.ramp_length, a, m)
 
 
 OPTIMIZERS: dict[str, type[Optimizer]] = {

@@ -3,8 +3,6 @@
 Conventions used throughout:
 
 * series values are float64 and oldest-first,
-* differencing is plain ``np.diff`` semantics: the d-th difference of a
-  length-n series has length n - d,
 * normalization is the affine map of the observed [min, max] onto a
   target interval, [-1, 1] unless stated otherwise.
 """
@@ -68,7 +66,7 @@ class MicroBatch:
 
 @dataclass(frozen=True)
 class NormalizationParams:
-    """Frozen affine map used to normalize a series and to invert it later.
+    """Frozen affine map used to normalize a series.
 
     ``degenerate`` marks a constant input, where the map collapses every
     sample onto the midpoint of the target interval.
@@ -95,47 +93,6 @@ class NormalizationParams:
         # endpoints and interior points cannot escape [target_lo, target_hi]
         frac = (values - self.observed_min) / (self.observed_max - self.observed_min)
         return self.target_lo + frac * (self.target_hi - self.target_lo)
-
-    def invert(self, values: np.ndarray) -> np.ndarray:
-        values = _as_float_array(values)
-        if self.degenerate:
-            return np.full_like(values, self.observed_min)
-        frac = (values - self.target_lo) / (self.target_hi - self.target_lo)
-        return self.observed_min + frac * (self.observed_max - self.observed_min)
-
-
-def difference(series: TimeSeries, d: int) -> TimeSeries:
-    """Return the d-th order difference of ``series``.
-
-    The result starts at ``start_index + d``, the position of the first
-    sample whose d-th difference is defined.
-    """
-    if d < 0:
-        raise ValueError(f"difference order must be >= 0, got {d}")
-    if len(series) <= d:
-        raise ValueError(
-            f"series of length {len(series)} is too short for difference order {d}"
-        )
-    if d == 0:
-        return series
-    return TimeSeries(np.diff(series.values, n=d), series.start_index + d)
-
-
-def undifference_check(original: TimeSeries, diffed: TimeSeries, d: int, tol: float = 1e-12) -> bool:
-    """Verify that ``diffed`` integrates back to ``original``.
-
-    Reconstructs the series level by level from the first sample at each
-    difference order and compares against ``original`` elementwise.
-    """
-    if d < 0:
-        raise ValueError(f"difference order must be >= 0, got {d}")
-    if len(original) != len(diffed) + d:
-        raise ValueError("length mismatch between original and differenced series")
-    current = diffed.values
-    for level in range(d - 1, -1, -1):
-        seed = np.diff(original.values, n=level)[0] if level > 0 else original.values[0]
-        current = np.concatenate(([seed], seed + np.cumsum(current)))
-    return bool(np.all(np.abs(current - original.values) <= tol))
 
 
 def estimate_normalization(

@@ -13,6 +13,7 @@ so a reimplementation in another language can match the stream bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,8 +57,8 @@ class GeneratorSpec:
             raise ValueError("at least one autoregressive coefficient is required")
         if self.length < 1:
             raise ValueError(f"length must be >= 1, got {self.length}")
-        if self.noise_std < 0:
-            raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         if self.burn_in < 0:
             raise ValueError(f"burn_in must be >= 0, got {self.burn_in}")
 

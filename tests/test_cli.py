@@ -4,13 +4,20 @@ Most calls go through ``main(argv)`` in process; one test drives the real
 ``python -m streamarima`` entry point to cover the installed script path.
 """
 
+import contextlib
+import io
+import math
+import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from streamarima.cli import curve_csv, main
+from streamarima.cli import ALL_OPTIMIZERS, curve_csv, main, write_text_atomic
 from streamarima.experiment import ResidualCurve
 from streamarima.synthetic import GeneratorSpec, generate
 
@@ -113,6 +120,13 @@ def test_run_errors_exit_nonzero(tmp_path, small_csv, capsys):
     ) == 1
     assert "no such file" in capsys.readouterr().err
 
+    # batch-directory flags are rejected for a series file, not ignored
+    assert run_cli(
+        "run", "--data", small_csv, "--optimizer", "basic", "--format", "bearing", "--out", out,
+    ) == 1
+    assert "--format: valid only when --data is a batch directory" in capsys.readouterr().err
+    assert not out.exists()
+
 
 @pytest.mark.parametrize(
     "flags",
@@ -129,6 +143,18 @@ def test_divergence_and_non_finite_rates_fail_closed(tmp_path, small_csv, capsys
     assert code == 1
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert not out.exists()
+
+
+def test_sweep_plot_with_every_run_diverged_fails_closed(tmp_path, small_csv, capsys):
+    out = tmp_path / "sweep.csv"
+    code = run_cli(
+        "sweep-lambda", "--data", small_csv, "--grid", "5", "--lr", "1e300",
+        "--mk", 3, "--out", out, "--svg", tmp_path / "sweep.svg",
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: no curves to plot\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("trials", [1, 3])
@@ -207,3 +233,94 @@ def test_module_entry_point(tmp_path, small_csv):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+# Numeric flags with values each must reject. Values go in as --flag=value,
+# so argparse cannot mistake a negative number for an option.
+INVALID = {
+    "--mk": st.integers(max_value=0),
+    "--d": st.integers(max_value=-1),
+    "--trials": st.integers(max_value=0),
+    "--seed": st.integers(max_value=-1),
+    "--lr": st.floats(max_value=0.0) | st.sampled_from([math.nan, math.inf]),
+    "--lambda": st.floats(max_value=0.0) | st.just(math.nan),
+    "--smooth": st.integers(max_value=0),
+    "--repeat": st.integers(max_value=0),
+    "--limit": st.integers(max_value=0),
+    "--channel": st.integers(max_value=-1),
+    "--data-seed": st.integers(max_value=-1),
+}
+DATA_FLAGS = ("--repeat", "--limit", "--channel")
+MODEL_FLAGS = ("--mk", "--d", "--trials", "--seed", "--lr")
+COMMANDS = {
+    "run": (["--optimizer", "combined", "--lambda", "50", "--out", "{out}/c.csv", "--svg", "{out}/c.svg"],
+            MODEL_FLAGS + DATA_FLAGS + ("--lambda", "--smooth")),
+    "sweep-lambda": (["--grid", "5,20", "--out", "{out}/s.csv", "--svg", "{out}/s.svg"],
+                     MODEL_FLAGS + DATA_FLAGS + ("--smooth",)),
+    "grid-search": (["--optimizer", "combined", "--lambda", "50", "--rates", "0.01,0.05",
+                     "--out", "{out}/g.csv"], MODEL_FLAGS + DATA_FLAGS + ("--lambda",)),
+    "reproduce": (["2", "--out-dir", "{out}"], ("--trials", "--seed", "--data-seed", "--smooth", "--limit", "--channel")),
+}
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_invalid_numeric_flag_fails_closed(small_csv, batch_dir, data):
+    command = data.draw(st.sampled_from(sorted(COMMANDS)))
+    base, flags = COMMANDS[command]
+    flag = data.draw(st.sampled_from(flags))
+    value = data.draw(INVALID[flag])
+    argv = [command, *base]
+    if command != "reproduce":
+        source = data.draw(st.sampled_from(["file", "dir"]))
+        argv += ["--mk", "3"]
+        argv += ["--data", str(small_csv)] if source == "file" else [
+            "--data", str(batch_dir), "--format", "bearing"]
+    argv.append(f"{flag}={value}")
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out:
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([arg.format(out=out) for arg in argv])
+        written = os.listdir(out)
+    lines = err.getvalue().splitlines()
+    assert code != 0, argv
+    assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+    assert written == [], argv
+
+
+def test_reproduce_is_the_explicit_commands(tmp_path):
+    # configuration 2: synth --preset 2 --seed 7, then one run per rule;
+    # configuration 7: sweep-lambda over the same series
+    canned = tmp_path / "canned"
+    assert run_cli("reproduce", 2, "--trials", 2, "--out-dir", canned) == 0
+    assert run_cli("reproduce", 7, "--trials", 2, "--out-dir", canned) == 0
+    series = tmp_path / "s2.csv"
+    assert run_cli("synth", "--preset", 2, "--seed", 7, "--out", series) == 0
+    model = ["--data", series, "--mk", 10, "--lr", 0.05, "--trials", 2]
+    for name in ALL_OPTIMIZERS:
+        out = tmp_path / f"{name}.csv"
+        assert run_cli("run", *model, "--optimizer", name, "--lambda", 2000, "--out", out) == 0
+        assert out.read_bytes() == (canned / f"config2_{name}.csv").read_bytes(), name
+    out = tmp_path / "sweep.csv"
+    assert run_cli("sweep-lambda", *model, "--out", out) == 0
+    assert out.read_bytes() == (canned / "config7_sweep.csv").read_bytes()
+
+
+def test_write_text_atomic_uses_a_fresh_temp_file(tmp_path, monkeypatch):
+    other = tmp_path / "out.csv.tmp"  # e.g. a concurrent writer's file
+    other.write_text("other\n")
+    target = tmp_path / "out.csv"
+    write_text_atomic(target, "a\n")
+    assert target.read_text() == "a\n"
+    assert other.read_text() == "other\n"
+    umask = os.umask(0)
+    os.umask(umask)
+    assert target.stat().st_mode & 0o777 == 0o666 & ~umask
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        write_text_atomic(tmp_path / "new.csv", "b\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "out.csv.tmp"]

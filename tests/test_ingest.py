@@ -36,6 +36,16 @@ def test_bearing_malformed_value_names_row(tmp_path):
         parse_batch_file(f, "bearing")
 
 
+@pytest.mark.parametrize(
+    "fmt, text, row",
+    [("bearing", "0.1\nnan\n0.3\n", 2), ("csv", "value\n0.5\n0.25\n-inf\n", 4)],
+)
+def test_non_finite_value_names_file_and_row(tmp_path, fmt, text, row):
+    f = write(tmp_path / "b.txt", text)
+    with pytest.raises(ValueError, match=rf"b\.txt: non-finite value '.*' in row {row}$"):
+        parse_batch_file(f, fmt)
+
+
 def test_bearing_empty_file(tmp_path):
     f = write(tmp_path / "b.txt", "\n\n")
     with pytest.raises(ValueError, match="no samples"):

@@ -108,8 +108,8 @@ def test_history_eviction_keeps_last_window():
     xs = np.arange(10.0)
     for x in xs:
         model.learn_step(opt, x)
-    np.testing.assert_array_equal(model.history, xs[-4:])
-    assert model.samples_seen == 10
+    # the forecast sees exactly the last mk + d samples
+    assert model.predict() == forecast(model.gamma, xs[-4:], 1)
 
 
 def test_learn_step_updates_match_manual_sgd():
@@ -121,7 +121,7 @@ def test_learn_step_updates_match_manual_sgd():
     model.learn_step(opt, -0.2)
 
     gamma = model.gamma.copy()
-    hist = model.history
+    hist = np.array([0.5, -0.2])
     actual = 0.7
     pred = model.learn_step(opt, actual)
 

@@ -434,10 +434,22 @@ def test_constructor_validation():
     for bad in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="learning_rate"):
             make_optimizer("basic", 2, bad)
-    with pytest.raises(ValueError, match="momentum"):
-        make_optimizer("momentum", 2, LR, momentum=1.0)
-    with pytest.raises(ValueError, match="eps"):
-        make_optimizer("adam", 2, LR, eps=0.0)
+    for name, hyper, match in [
+        ("momentum", {"momentum": 1.0}, "momentum"),
+        ("rmsprop", {"rho": -0.1}, "rho"),
+        ("adam", {"eps": 0.0}, "eps"),
+        ("amsgrad", {"beta2": float("nan")}, "beta2"),
+        ("adagrad", {"eps": float("nan")}, "eps"),
+        # combined hands momentum to its Momentum rule and the rest to AMSGrad
+        ("combined", {"ramp_length": 5.0, "momentum": 1.0}, "momentum"),
+        ("combined", {"ramp_length": 5.0, "beta1": 1.0}, "beta1"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            make_optimizer(name, 2, LR, **hyper)
+    with pytest.raises(TypeError, match="rho"):
+        make_optimizer("adam", 2, LR, rho=0.5)
+    opt = make_optimizer("combined", 2, LR, ramp_length=5.0, momentum=0.5, beta1=0.8)
+    assert (opt.momentum.momentum, opt.amsgrad.beta1, opt.amsgrad.beta2) == (0.5, 0.8, 0.999)
 
 
 def test_gradient_shape_mismatch():

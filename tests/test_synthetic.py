@@ -109,8 +109,9 @@ def test_spec_validation():
         GeneratorSpec(alpha=())
     with pytest.raises(ValueError, match="length"):
         GeneratorSpec(alpha=(0.5,), length=0)
-    with pytest.raises(ValueError, match="noise_std"):
-        GeneratorSpec(alpha=(0.5,), noise_std=-1.0)
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="noise_std"):
+            GeneratorSpec(alpha=(0.5,), noise_std=bad)
     with pytest.raises(ValueError, match="burn_in"):
         GeneratorSpec(alpha=(0.5,), burn_in=-1)
     with pytest.raises(ValueError, match="shift index"):
