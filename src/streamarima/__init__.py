@@ -2,7 +2,7 @@
 
 The package covers the full loop: synthetic or file-based data, an online
 AR model over differenced history, seven gradient-descent update rules
-plus a blended AMSGrad-to-Momentum optimizer, and an experiment harness
+plus a combined AMSGrad-to-Momentum optimizer, and an experiment harness
 with residual curves, sweeps and deterministic CSV/SVG output.
 
 The names below are the entry points; everything else is importable from

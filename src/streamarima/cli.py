@@ -155,7 +155,8 @@ def _load_data(args):
     _reject_batch_flags(args)
     series = parse_batch_file(path, "csv").samples
     if args.normalize is True:
-        series, _ = normalize(series)
+        values = series.values
+        series = TimeSeries(normalize(values, values.min(), values.max()))
     return series
 
 
@@ -337,6 +338,10 @@ def _cmd_reproduce(args) -> int:
                              normalize=False if args.no_normalize else None)
     if "preset" in cfg:
         _reject_batch_flags(run)
+        given = [flag for flag, on in (("--data", args.data is not None),
+                                       ("--no-normalize", args.no_normalize)) if on]
+        if given:
+            raise ValueError(f"{', '.join(given)}: configuration {fid} generates its series")
         data = generate(preset(cfg["preset"], seed=args.data_seed))
     elif args.data is None or not Path(args.data).is_dir():
         raise ValueError(f"configuration {fid} needs --data pointing at a batch directory")

@@ -20,7 +20,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .model import ArimaModel, ModelConfig
 from .optimizers import OPTIMIZERS, make_optimizer
-from .series import MicroBatch, TimeSeries, estimate_normalization
+from .series import MicroBatch, TimeSeries, normalize
 
 TAIL_FRACTION = 0.1
 
@@ -141,36 +141,12 @@ def run_stream(spec: RunSpec, series: TimeSeries) -> ResidualCurve:
     )
 
 
-def batch_residual(predictions, actuals, mk: int, d: int) -> float:
-    """Mean absolute residual over a batch's scored positions.
+def run_batched(spec: RunSpec, batches: list[MicroBatch]) -> ResidualCurve:
+    """Per-batch run; model and optimizer state persist across batches.
 
-    The first mk + d positions of every batch are excluded from scoring,
-    mirroring the warm-up cost of a cold model on its first batch.
+    Only the residual metric restarts at each batch boundary: the first
+    mk + d positions of every batch are fed to the model but not scored.
     """
-    predictions = np.asarray(predictions, dtype=np.float64)
-    actuals = np.asarray(actuals, dtype=np.float64)
-    if predictions.shape != actuals.shape or predictions.ndim != 1:
-        raise ValueError("predictions and actuals must be 1-d arrays of equal length")
-    window = mk + d
-    if predictions.size <= window:
-        raise ValueError(
-            f"batch of {predictions.size} samples is too short to score with mk + d = {window}"
-        )
-    return float(np.mean(np.abs(predictions[window:] - actuals[window:])))
-
-
-@dataclass(frozen=True)
-class BatchRecord:
-    """Per-batch trace of one batched trial, for audit and testing."""
-
-    batch_index: int
-    predictions: np.ndarray
-    actuals: np.ndarray
-    scored: np.ndarray
-
-
-def _batched(spec: RunSpec, batches: list[MicroBatch]):
-    """Batch starts, the concatenated stream, and the kernel's forecasts over it."""
     window = spec.model.window
     if not batches:
         raise ValueError("no batches to run")
@@ -181,18 +157,7 @@ def _batched(spec: RunSpec, batches: list[MicroBatch]):
             )
     starts = np.cumsum([0] + [len(b) for b in batches[:-1]])
     values = np.concatenate([b.samples.values for b in batches])
-    return starts, values, _kernel(spec, values)
-
-
-def run_batched(spec: RunSpec, batches: list[MicroBatch]) -> ResidualCurve:
-    """Per-batch run; model and optimizer state persist across batches.
-
-    Only the residual metric restarts at each batch boundary: the first
-    mk + d positions of every batch are fed to the model but not scored.
-    """
-    starts, values, forecasts = _batched(spec, batches)
-    resid = _residuals(spec, forecasts, values, starts)
-    window = spec.model.window
+    resid = _residuals(spec, _kernel(spec, values), values, starts)
     per_trial = np.stack(
         [resid[:, s : s + len(b) - window].mean(axis=1) for s, b in zip(starts, batches)], axis=1
     )
@@ -202,23 +167,6 @@ def run_batched(spec: RunSpec, batches: list[MicroBatch]) -> ResidualCurve:
         per_trial=per_trial,
         granularity="batch",
     )
-
-
-def run_batched_details(
-    spec: RunSpec, batches: list[MicroBatch], seed: int
-) -> list[BatchRecord]:
-    """Single-trial batched run returning full per-batch traces."""
-    spec = replace(spec, trial_seeds=(seed,))
-    starts, values, forecasts = _batched(spec, batches)
-    window = spec.model.window
-    # forecast k is of sample k + window; the stream's first window samples have none.
-    # concatenate copies the forecasts before _residuals overwrites them.
-    preds = np.concatenate([np.full(window, np.nan), forecasts[0]])
-    resid = _residuals(spec, forecasts, values, starts)
-    return [
-        BatchRecord(pos, preds[s:e], values[s:e], resid[0, s : e - window])
-        for pos, (s, e) in enumerate(zip(starts, starts + [len(b) for b in batches]))
-    ]
 
 
 def run_data(spec: RunSpec, data) -> ResidualCurve:
@@ -239,14 +187,6 @@ def tail_mean(values, fraction: float = TAIL_FRACTION) -> float:
     return float(values[-k:].mean())
 
 
-def window_mean(curve: ResidualCurve, lo: int, hi: int) -> float:
-    """Mean of the averaged curve over positions in [lo, hi)."""
-    mask = (curve.indices >= lo) & (curve.indices < hi)
-    if not mask.any():
-        raise ValueError(f"no curve points in window [{lo}, {hi})")
-    return float(curve.mean[mask].mean())
-
-
 def normalize_batches(batches: list[MicroBatch]) -> list[MicroBatch]:
     """Normalize every batch with parameters fitted on the first batch only.
 
@@ -255,10 +195,11 @@ def normalize_batches(batches: list[MicroBatch]) -> list[MicroBatch]:
     """
     if not batches:
         raise ValueError("no batches to normalize")
-    params = estimate_normalization(batches[0].samples)
+    first = batches[0].samples.values
+    lo, hi = first.min(), first.max()
     return [
         MicroBatch(
-            samples=TimeSeries(params.apply(b.samples.values), b.samples.start_index),
+            samples=TimeSeries(normalize(b.samples.values, lo, hi), b.samples.start_index),
             batch_index=b.batch_index,
         )
         for b in batches

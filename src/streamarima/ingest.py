@@ -5,7 +5,7 @@ Two on-disk layouts are supported, both one file per batch:
 * ``bearing``: whitespace-separated numeric columns, no header, one row per
   sample; ``channel`` selects the column.
 * ``csv``: a single column with the literal header ``value`` and one
-  decimal per row.
+  decimal per row; a ``channel`` other than 0 is an error.
 
 Directories are read in lexicographic filename order, which is assumed to
 be chronological order for these layouts.
@@ -78,6 +78,8 @@ def parse_batch_file(
     if fmt == "bearing":
         values = _parse_bearing(path, channel)
     elif fmt == "csv":
+        if channel != 0:
+            raise ValueError(f"channel {channel}: csv batch files have one column")
         values = _parse_csv_column(path)
     else:
         raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")

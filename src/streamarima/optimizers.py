@@ -171,38 +171,12 @@ class AMSGrad(Optimizer):
         return self.learning_rate * m_hat / (np.sqrt(self.v_max) + self.eps)
 
 
-def _mix(w: float, a: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """``a`` for w <= 0, ``m`` for w >= 1, the affine mix in between."""
-    if w <= 0.0:
-        return a.copy()
-    if w >= 1.0:
-        return m.copy()
-    return (1.0 - w) * a + w * m
-
-
-def blend(t: int, ramp_length: float, a: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Linear ramp between two update directions.
-
-    Returns exactly ``a`` at t = 0, the pointwise linear mix while
-    0 < t < ramp_length, and exactly ``m`` from t = ramp_length onward.
-    """
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    if not ramp_length > 0.0:
-        raise ValueError(f"ramp_length must be > 0, got {ramp_length}")
-    a = np.asarray(a, dtype=np.float64)
-    m = np.asarray(m, dtype=np.float64)
-    if a.shape != m.shape:
-        raise ValueError(f"direction shapes differ: {a.shape} vs {m.shape}")
-    return _mix(t / ramp_length, a, m)
-
-
 class Combined(Optimizer):
     """AMSGrad graduating into Momentum over ``ramp_length`` steps.
 
     Runs a full AMSGrad and a full Momentum optimizer side by side with a
-    shared learning rate, advances both every step, and applies the blended
-    update direction. The blend weight uses the pre-increment step count,
+    shared learning rate, advances both every step, and applies the mixed
+    update direction. The ramp weight uses the pre-increment step count,
     so the very first step is pure AMSGrad and every step from
     ``ramp_length`` onward is pure Momentum. ``momentum`` goes to the
     Momentum rule, every other hyperparameter to AMSGrad.
@@ -222,7 +196,13 @@ class Combined(Optimizer):
     def _delta(self, grad):
         a = self.amsgrad.update_direction(grad)
         m = self.momentum.update_direction(grad)
-        return _mix((self.step_count - 1) / self.ramp_length, a, m)
+        # both are fresh arrays; the ends of the ramp return one of them exactly
+        w = (self.step_count - 1) / self.ramp_length
+        if w <= 0.0:
+            return a
+        if w >= 1.0:
+            return m
+        return (1.0 - w) * a + w * m
 
 
 OPTIMIZERS: dict[str, type[Optimizer]] = {

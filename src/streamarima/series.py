@@ -3,25 +3,14 @@
 Conventions used throughout:
 
 * series values are float64 and oldest-first,
-* normalization is the affine map of the observed [min, max] onto a
-  target interval, [-1, 1] unless stated otherwise.
+* normalization is the affine map of an observed [min, max] onto [-1, 1].
 """
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-log = logging.getLogger(__name__)
-
-
-def _as_float_array(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"expected a 1-d sequence of samples, got shape {arr.shape}")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -36,7 +25,9 @@ class TimeSeries:
     start_index: int = 0
 
     def __post_init__(self):
-        arr = _as_float_array(self.values)
+        arr = np.asarray(self.values, dtype=np.float64)
+        if arr.ndim != 1:
+            raise ValueError(f"expected a 1-d sequence of samples, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("series contains non-finite samples")
         if self.start_index < 0:
@@ -64,81 +55,15 @@ class MicroBatch:
         return len(self.samples)
 
 
-@dataclass(frozen=True)
-class NormalizationParams:
-    """Frozen affine map used to normalize a series.
+def normalize(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Map the observed range [lo, hi] affinely onto [-1, 1] and apply it to ``values``.
 
-    ``degenerate`` marks a constant input, where the map collapses every
-    sample onto the midpoint of the target interval.
+    A constant range (lo == hi) cannot be stretched; every sample maps to 0,
+    the midpoint of the target interval.
     """
-
-    observed_min: float
-    observed_max: float
-    target_lo: float = -1.0
-    target_hi: float = 1.0
-    degenerate: bool = field(default=False)
-
-    def __post_init__(self):
-        if not (self.observed_min <= self.observed_max):
-            raise ValueError("observed_min must be <= observed_max")
-        if not (self.target_lo < self.target_hi):
-            raise ValueError("target_lo must be < target_hi")
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        values = _as_float_array(values)
-        if self.degenerate:
-            mid = 0.5 * (self.target_lo + self.target_hi)
-            return np.full_like(values, mid)
-        # fraction first: observed min/max land exactly on the target
-        # endpoints and interior points cannot escape [target_lo, target_hi]
-        frac = (values - self.observed_min) / (self.observed_max - self.observed_min)
-        return self.target_lo + frac * (self.target_hi - self.target_lo)
-
-
-def estimate_normalization(
-    series: TimeSeries, target_lo: float = -1.0, target_hi: float = 1.0
-) -> NormalizationParams:
-    """Fit normalization parameters on ``series`` without applying them."""
-    lo = float(series.values.min())
-    hi = float(series.values.max())
-    return NormalizationParams(lo, hi, target_lo, target_hi, degenerate=(lo == hi))
-
-
-def normalize(
-    series: TimeSeries, target_lo: float = -1.0, target_hi: float = 1.0
-) -> tuple[TimeSeries, NormalizationParams]:
-    """Affinely map ``series`` onto [target_lo, target_hi].
-
-    A constant series cannot be stretched; it maps to the midpoint of the
-    target interval and the returned params are flagged degenerate.
-    """
-    params = estimate_normalization(series, target_lo, target_hi)
-    return TimeSeries(params.apply(series.values), series.start_index), params
-
-
-def make_microbatches(series: TimeSeries, batch_size: int) -> list[MicroBatch]:
-    """Split ``series`` into consecutive non-overlapping batches of ``batch_size``.
-
-    A trailing remainder shorter than ``batch_size`` is dropped; the drop is
-    logged so silent truncation is visible in experiment logs.
-    """
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    n_batches = len(series) // batch_size
-    if n_batches == 0:
-        raise ValueError(
-            f"series of length {len(series)} is shorter than one batch of {batch_size}"
-        )
-    dropped = len(series) - n_batches * batch_size
-    if dropped:
-        log.info("dropping %d trailing samples shorter than one batch", dropped)
-    batches = []
-    for k in range(n_batches):
-        chunk = series.values[k * batch_size : (k + 1) * batch_size]
-        batches.append(
-            MicroBatch(
-                samples=TimeSeries(chunk, series.start_index + k * batch_size),
-                batch_index=k,
-            )
-        )
-    return batches
+    if lo == hi:
+        return np.zeros_like(values)
+    # fraction first: lo and hi land exactly on -1 and 1, and samples
+    # inside [lo, hi] cannot escape [-1, 1]
+    frac = (values - lo) / (hi - lo)
+    return -1.0 + frac * 2.0

@@ -108,9 +108,8 @@ def generate_raw(spec: GeneratorSpec) -> TimeSeries:
 
 def generate(spec: GeneratorSpec) -> TimeSeries:
     """Generate a realization and normalize it onto [-1, 1]."""
-    raw = generate_raw(spec)
-    normalized, _ = normalize(raw)
-    return normalized
+    raw = generate_raw(spec).values
+    return TimeSeries(normalize(raw, raw.min(), raw.max()))
 
 
 def preset(setting: int, seed: int = 0) -> GeneratorSpec:

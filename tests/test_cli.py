@@ -125,6 +125,23 @@ def test_run_errors_exit_nonzero(tmp_path, small_csv, capsys):
         "run", "--data", small_csv, "--optimizer", "basic", "--format", "bearing", "--out", out,
     ) == 1
     assert "--format: valid only when --data is a batch directory" in capsys.readouterr().err
+    # and so are --data and --no-normalize for a configuration that generates its series
+    for flags in (["--data", tmp_path / "missing"], ["--no-normalize"]):
+        assert run_cli("reproduce", 7, "--out-dir", tmp_path / "r", *flags) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {flags[0]}: configuration 7 generates its series\n"
+    assert not (tmp_path / "r").exists()
+
+    # csv batch files have one column, so a channel other than 0 is an error
+    csv_dir = tmp_path / "csv"
+    csv_dir.mkdir()
+    (csv_dir / "b0.csv").write_text("value\n" + "\n".join(map(str, range(20))) + "\n")
+    assert run_cli(
+        "run", "--data", csv_dir, "--format", "csv", "--channel", 3,
+        "--optimizer", "basic", "--mk", 3, "--out", out,
+    ) == 1
+    err = capsys.readouterr().err
+    assert err == "error: channel 3: csv batch files have one column\n"
     assert not out.exists()
 
 

@@ -7,25 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import batch_residual, learn_step_forecasts, microbatches
 from streamarima.experiment import (
     DivergedError,
     ResidualCurve,
     RunSpec,
-    batch_residual,
     compare_optimizers,
     grid_search,
     normalize_batches,
     run_batched,
-    run_batched_details,
     run_data,
     run_stream,
     sweep_lambda,
     tail_mean,
-    window_mean,
 )
-from streamarima.model import ArimaModel, ModelConfig
-from streamarima.optimizers import OPTIMIZERS, make_optimizer
-from streamarima.series import MicroBatch, TimeSeries, make_microbatches
+from streamarima.model import ModelConfig
+from streamarima.optimizers import OPTIMIZERS
+from streamarima.series import MicroBatch, TimeSeries
 from streamarima.synthetic import GeneratorSpec, generate
 
 
@@ -44,24 +42,21 @@ def spec_for(optimizer="basic", mk=3, seeds=(0,), lr=0.05, ramp=None):
     )
 
 
+# hand examples for the per-batch residual oracle the batched runs are held to
+
+
 def test_batch_residual_hand_example():
     preds = [1.0, 2.0, 3.0, 4.0]
     actuals = [0.0, 2.0, 2.0, 8.0]
     # mk + d = 2 leaves positions 2 and 3: |3-2| and |4-8|
-    assert batch_residual(preds, actuals, mk=2, d=0) == pytest.approx(2.5, abs=1e-15)
+    assert batch_residual(preds, actuals, 2) == pytest.approx(2.5, abs=1e-15)
 
 
 def test_batch_residual_skips_exactly_the_window():
     preds = np.arange(6.0)
     actuals = np.zeros(6)
-    assert batch_residual(preds, actuals, mk=2, d=1) == pytest.approx(4.0, abs=1e-15)
-
-
-def test_batch_residual_validation():
-    with pytest.raises(ValueError, match="too short"):
-        batch_residual([1.0, 2.0], [1.0, 2.0], mk=2, d=0)
-    with pytest.raises(ValueError, match="equal length"):
-        batch_residual([1.0, 2.0, 3.0], [1.0, 2.0], mk=1, d=0)
+    # mk = 2, d = 1: positions 3, 4 and 5
+    assert batch_residual(preds, actuals, 3) == pytest.approx(4.0, abs=1e-15)
 
 
 def test_run_stream_shape_and_indices(short_series):
@@ -97,42 +92,42 @@ def test_combined_requires_ramp(short_series):
 
 def test_batched_run_keeps_model_state_across_batches(short_series):
     spec = spec_for(optimizer="momentum")
-    stream = run_stream(spec, short_series)
-    batches = make_microbatches(short_series, 100)
-    records = run_batched_details(spec, batches, seed=0)
-
-    got = np.concatenate(
-        [
-            np.abs(r.predictions - r.actuals)[~np.isnan(r.predictions)]
-            for r in records
-        ]
-    )
-    # the batch boundaries change what is scored, never what the model sees
-    np.testing.assert_array_equal(got, stream.per_trial[0])
+    stream = run_stream(spec, short_series).per_trial
+    curve = run_batched(spec, microbatches(short_series, 100))
+    # the batch boundaries change what is scored, never what the model sees:
+    # batch k scores samples 100k + 3 onward, stream positions 100k onward
+    want = np.stack([stream[:, s : s + 100 - 3].mean(axis=1) for s in range(0, 400, 100)], axis=1)
+    np.testing.assert_array_equal(curve.per_trial, want)
 
 
 def test_batched_details_agree_with_curve(short_series):
+    # each batch's point is the per-batch oracle over a learn_step loop
     spec = spec_for(seeds=(0,))
-    batches = make_microbatches(short_series, 80)
+    batches = microbatches(short_series, 80)
     curve = run_batched(spec, batches)
-    records = run_batched_details(spec, batches, seed=0)
     assert curve.granularity == "batch"
     np.testing.assert_array_equal(curve.indices, np.arange(5))
-    for k, record in enumerate(records):
-        recomputed = batch_residual(record.predictions, record.actuals, mk=3, d=0)
-        assert recomputed == pytest.approx(curve.per_trial[0, k], abs=1e-12)
-        assert record.scored.mean() == pytest.approx(curve.per_trial[0, k], abs=1e-12)
+    values = short_series.values
+    preds = np.concatenate([np.full(3, np.nan), learn_step_forecasts(spec, values)[0]])
+    for k in range(5):
+        s, e = 80 * k, 80 * (k + 1)
+        want = batch_residual(preds[s:e], values[s:e], 3)
+        assert curve.per_trial[0, k] == pytest.approx(want, abs=1e-12)
 
 
 def test_batched_scoring_skips_window_positions_every_batch(short_series):
-    batches = make_microbatches(short_series, 50)
-    records = run_batched_details(spec_for(), batches, seed=0)
-    for record in records:
-        assert record.scored.size == 50 - 3
-        np.testing.assert_array_equal(
-            record.scored,
-            np.abs(record.predictions - record.actuals)[3:],
-        )
+    # mk + d = 4 positions go unscored at the start of every batch, of any size
+    spec = RunSpec(model=ModelConfig(mk=3, d=1), optimizer="basic", learning_rate=0.05)
+    stream = run_stream(spec, short_series).per_trial
+    sizes = (50, 37, 61, 252)
+    starts = np.cumsum((0,) + sizes[:-1])
+    batches = [
+        MicroBatch(TimeSeries(short_series.values[s : s + n], int(s)), k)
+        for k, (s, n) in enumerate(zip(starts, sizes))
+    ]
+    curve = run_batched(spec, batches)
+    want = np.stack([stream[:, s : s + n - 4].mean(axis=1) for s, n in zip(starts, sizes)], axis=1)
+    np.testing.assert_array_equal(curve.per_trial, want)
 
 
 def test_run_batched_rejects_batch_shorter_than_window():
@@ -143,7 +138,7 @@ def test_run_batched_rejects_batch_shorter_than_window():
 
 def test_run_data_dispatch(short_series):
     assert run_data(spec_for(), short_series).granularity == "sample"
-    batches = make_microbatches(short_series, 100)
+    batches = microbatches(short_series, 100)
     assert run_data(spec_for(), batches).granularity == "batch"
 
 
@@ -157,29 +152,15 @@ def test_divergence_names_first_diverging_trial(short_series):
     spec = spec_for(lr=1e12, seeds=(4, 5))
     with pytest.raises(DivergedError, match=r"at sample \d+ .*rate 1e\+12, trial seed 4\)"):
         run_stream(spec, short_series)
-    batches = make_microbatches(short_series, 100)
+    batches = microbatches(short_series, 100)
     with pytest.raises(DivergedError, match=r"in batch 0 at offset \d+ .*trial seed 4\)"):
         run_batched(spec, batches)
-    with pytest.raises(DivergedError, match="trial seed 5"):
-        run_batched_details(spec, batches, seed=5)
     # only scored positions count: with mk = 3, offset 3 is a batch's first
     with pytest.raises(DivergedError, match=r"in batch \d+ at offset 3 "):
-        run_batched(spec, make_microbatches(short_series, 5))
+        run_batched(spec, microbatches(short_series, 5))
 
 
 # ------------------------------------------- kernel against learn_step
-
-
-def per_sample_forecasts(spec, values):
-    """Forecasts of a learn_step loop, one model and optimizer per trial."""
-    rows = []
-    for seed in spec.trial_seeds:
-        model = ArimaModel(replace(spec.model, seed=seed))
-        hyper = {"ramp_length": spec.ramp_length} if spec.optimizer == "combined" else {}
-        opt = make_optimizer(spec.optimizer, spec.model.mk, spec.learning_rate, **hyper)
-        preds = (model.learn_step(opt, x) for x in values)
-        rows.append([p.value for p in preds if p is not None])
-    return np.array(rows)
 
 
 @given(data=st.data())
@@ -200,7 +181,7 @@ def test_kernel_matches_per_sample_learn_step(data):
         st.lists(st.integers(mk + d + 1, mk + d + 40), min_size=1, max_size=5), label="batches"
     )
     values = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).normal(size=sum(sizes))
-    want = per_sample_forecasts(spec, values)
+    want = learn_step_forecasts(spec, values)
     window = mk + d
     resid = np.abs(want - values[window:])
 
@@ -215,11 +196,6 @@ def test_kernel_matches_per_sample_learn_step(data):
     per_batch = [resid[:, s : s + n - window].mean(axis=1) for s, n in zip(starts, sizes)]
     curve = run_batched(spec, batches)
     np.testing.assert_allclose(curve.per_trial, np.stack(per_batch, axis=1), rtol=1e-12, atol=1e-12)
-
-    records = run_batched_details(spec, batches, seed=spec.trial_seeds[0])
-    preds = np.concatenate([r.predictions for r in records])
-    assert np.isnan(preds[:window]).all() and not np.isnan(preds[window:]).any()
-    np.testing.assert_allclose(preds[window:], want[0], rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("optimizer", sorted(OPTIMIZERS))
@@ -246,18 +222,6 @@ def test_tail_mean():
         tail_mean([])
     with pytest.raises(ValueError, match="fraction"):
         tail_mean([1.0], 0.0)
-
-
-def test_window_mean_uses_curve_indices():
-    curve = ResidualCurve(
-        indices=np.arange(3, 10),
-        mean=np.arange(7.0),
-        per_trial=np.arange(7.0)[None, :],
-        granularity="sample",
-    )
-    assert window_mean(curve, 4, 6) == pytest.approx(1.5)
-    with pytest.raises(ValueError, match="no curve points"):
-        window_mean(curve, 50, 60)
 
 
 def test_residual_curve_validation():

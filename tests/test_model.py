@@ -1,14 +1,19 @@
-"""Forecaster tests: prediction formula, analytic gradient, streaming contract."""
+"""Forecaster tests: prediction formula, analytic gradient, streaming contract.
+
+Forecasts and gradients are read off ``learn_step`` itself, through an
+optimizer that records the gradient and leaves the coefficients alone.
+"""
 
 import numpy as np
 import pytest
 
-from streamarima.model import ArimaModel, ModelConfig, forecast
+from oracles import forecast, probe, warmed_model
+from streamarima.model import ArimaModel, ModelConfig
 from streamarima.optimizers import make_optimizer
 
 
 def fd_gradient(gamma, history, d, actual, h=1e-6):
-    """Central finite differences of the squared residual."""
+    """Central finite differences of the squared residual of the README forecast."""
     gamma = np.asarray(gamma, dtype=np.float64)
     out = np.empty_like(gamma)
     for i in range(gamma.size):
@@ -22,34 +27,34 @@ def fd_gradient(gamma, history, d, actual, h=1e-6):
     return out
 
 
-def warmed_model(config, history):
-    model = ArimaModel(config)
-    for x in history:
-        assert model.learn_step(make_optimizer("basic", config.mk, 1e-9), x) is None
-    assert model.warm
-    return model
+def learn_step_forecast(gamma, history, d):
+    """The value learn_step predicts with coefficients ``gamma`` after ``history``."""
+    model = warmed_model(ModelConfig(mk=len(gamma), d=d), history, gamma)
+    pred, _ = probe(model, 0.0)
+    return pred.value
+
+
+# each hand example holds both the product path and the README transcription
 
 
 def test_forecast_with_one_level_of_differencing():
     # gamma [0.5, 0.25] against first differences [3, 2] newest first,
     # plus the last level 6: 1.5 + 0.5 + 6
-    assert forecast([0.5, 0.25], [1.0, 3.0, 6.0], d=1) == pytest.approx(8.0, abs=1e-12)
+    for predict in (learn_step_forecast, forecast):
+        assert predict([0.5, 0.25], [1.0, 3.0, 6.0], 1) == pytest.approx(8.0, abs=1e-12)
 
 
 def test_forecast_without_differencing_is_reversed_dot():
-    got = forecast([0.5, 0.25], [1.0, 3.0], d=0)
-    assert got == pytest.approx(0.5 * 3.0 + 0.25 * 1.0, abs=1e-12)
+    for predict in (learn_step_forecast, forecast):
+        got = predict([0.5, 0.25], [1.0, 3.0], 0)
+        assert got == pytest.approx(0.5 * 3.0 + 0.25 * 1.0, abs=1e-12)
 
 
 def test_forecast_with_second_differences():
     # dd = 4 - 2*2 + 1 = 1, integration terms 4 and (4 - 2)
-    got = forecast([0.5], [1.0, 2.0, 4.0], d=2)
-    assert got == pytest.approx(0.5 * 1.0 + 4.0 + 2.0, abs=1e-12)
-
-
-def test_forecast_rejects_wrong_history_length():
-    with pytest.raises(ValueError, match="history length"):
-        forecast([0.5, 0.25], [1.0, 3.0], d=1)
+    for predict in (learn_step_forecast, forecast):
+        got = predict([0.5], [1.0, 2.0, 4.0], 2)
+        assert got == pytest.approx(0.5 * 1.0 + 4.0 + 2.0, abs=1e-12)
 
 
 def test_analytic_gradient_matches_finite_differences():
@@ -63,7 +68,7 @@ def test_analytic_gradient_matches_finite_differences():
         actual = float(rng.normal(scale=2.0))
 
         model = warmed_model(config, history)
-        analytic = model.gradient(actual)
+        _, analytic = probe(model, actual)
         numeric = fd_gradient(model.gamma, history, d, actual)
         rel = np.abs(analytic - numeric) / np.maximum(
             1.0, np.maximum(np.abs(analytic), np.abs(numeric))
@@ -76,10 +81,14 @@ def test_gradient_is_twice_residual_times_features():
     config = ModelConfig(mk=3, d=0, seed=1)
     history = np.array([0.2, -0.4, 0.9])
     model = warmed_model(config, history)
+    gamma = model.gamma.copy()
     actual = 0.3
-    residual = model.predict() - actual
-    expected = 2.0 * residual * history[::-1]
-    np.testing.assert_allclose(model.gradient(actual), expected, rtol=0, atol=1e-12)
+    pred, grad = probe(model, actual)
+    assert pred.residual == pytest.approx(forecast(gamma, history, 0) - actual, abs=1e-12)
+    expected = 2.0 * pred.residual * history[::-1]
+    np.testing.assert_allclose(grad, expected, rtol=0, atol=1e-12)
+    # the recording optimizer returns a zero delta
+    np.testing.assert_array_equal(model.gamma, gamma)
 
 
 def test_warmup_contract():
@@ -90,8 +99,6 @@ def test_warmup_contract():
     gamma_before = model.gamma.copy()
     for x in (0.1, 0.2, 0.3):
         assert not model.warm
-        with pytest.raises(ValueError, match="warming up"):
-            model.predict()
         assert model.learn_step(opt, x) is None
     assert model.warm
     # warm-up must not touch the coefficients
@@ -109,7 +116,9 @@ def test_history_eviction_keeps_last_window():
     for x in xs:
         model.learn_step(opt, x)
     # the forecast sees exactly the last mk + d samples
-    assert model.predict() == forecast(model.gamma, xs[-4:], 1)
+    want = forecast(model.gamma, xs[-4:], 1)
+    pred, _ = probe(model, 0.0)
+    assert pred.value == pytest.approx(want, abs=1e-12)
 
 
 def test_learn_step_updates_match_manual_sgd():
@@ -174,6 +183,4 @@ def test_config_validation():
         ModelConfig(mk=0)
     with pytest.raises(ValueError, match="d must be"):
         ModelConfig(mk=2, d=-1)
-    with pytest.raises(ValueError, match="init_lo"):
-        ModelConfig(mk=2, init_lo=0.5, init_hi=-0.5)
     assert ModelConfig(mk=5, d=2).window == 7

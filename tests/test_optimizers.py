@@ -3,8 +3,8 @@
 The reference recurrences at the top are straight-line transcriptions in
 plain Python (no numpy), written independently of the implementation.
 Every optimizer is checked against its transcription over a scripted
-gradient sequence; the blend logic is checked at its anchor points and
-against a hand-rolled two-optimizer oracle.
+gradient sequence; the blend inside ``Combined`` is checked at its anchor
+points and against a hand-rolled two-optimizer oracle.
 """
 
 import math
@@ -20,7 +20,6 @@ from streamarima.optimizers import (
     AMSGrad,
     Combined,
     Momentum,
-    blend,
     make_optimizer,
 )
 
@@ -222,41 +221,33 @@ def test_velocity_decays_geometrically_after_zero_gradients():
 # ----------------------------------------------------------------- blend
 
 
+def combined_deltas(t, ramp_length, grad):
+    """Combined's delta at step t, with AMSGrad's and Momentum's from cold state."""
+    grad = np.asarray(grad, dtype=np.float64)
+    comb = Combined(grad.size, LR, ramp_length=ramp_length)
+    comb.step_count = t  # the weight reads the count before the step
+    a = AMSGrad(grad.size, LR).update_direction(grad)
+    m = Momentum(grad.size, LR).update_direction(grad)
+    return comb.update_direction(grad), a, m
+
+
 def test_blend_anchor_points():
-    a = np.array([0.2, -1.0])
-    m = np.array([0.4, 3.0])
-    assert np.array_equal(blend(0, 2000.0, a, m), a)
-    assert np.array_equal(blend(2000, 2000.0, a, m), m)
-    assert np.array_equal(blend(5000, 2000.0, a, m), m)
+    for t, pick in ((0, 1), (2000, 2), (5000, 2)):
+        got = combined_deltas(t, 2000.0, [0.2, -1.0])
+        assert np.array_equal(got[0], got[pick]), t
 
 
 def test_blend_midpoint():
-    got = blend(1000, 2000.0, np.array([0.2]), np.array([0.4]))
-    assert got[0] == pytest.approx(0.3, abs=1e-12)
+    got, a, m = combined_deltas(1000, 2000.0, [0.2])
+    assert got[0] == pytest.approx(0.5 * a[0] + 0.5 * m[0], abs=1e-12)
 
 
-@given(
-    t=st.integers(min_value=0, max_value=4000),
-    a=st.floats(-5, 5),
-    m=st.floats(-5, 5),
-)
-def test_blend_is_affine_on_the_ramp(t, a, m):
+@given(t=st.integers(min_value=0, max_value=4000), g=st.floats(-5, 5))
+def test_blend_is_affine_on_the_ramp(t, g):
     lam = 2000.0
-    got = blend(t, lam, np.array([a]), np.array([m]))
+    got, a, m = combined_deltas(t, lam, [g])
     w = min(t / lam, 1.0)
-    assert got[0] == pytest.approx((1 - w) * a + w * m, rel=1e-12, abs=1e-12)
-
-
-def test_blend_rejects_bad_arguments():
-    a = np.zeros(2)
-    with pytest.raises(ValueError, match="ramp_length"):
-        blend(0, 0.0, a, a)
-    with pytest.raises(ValueError, match="ramp_length"):
-        blend(0, -1.0, a, a)
-    with pytest.raises(ValueError, match="t must be"):
-        blend(-1, 10.0, a, a)
-    with pytest.raises(ValueError, match="shapes"):
-        blend(0, 10.0, a, np.zeros(3))
+    assert got[0] == pytest.approx((1 - w) * a[0] + w * m[0], rel=1e-12, abs=1e-12)
 
 
 # -------------------------------------------------------------- combined

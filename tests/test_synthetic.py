@@ -1,8 +1,11 @@
 """Generator tests: innovation contract, presets, shift behavior."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from streamarima.cli import series_csv
 from streamarima.synthetic import (
     CoefficientShift,
     GeneratorSpec,
@@ -60,6 +63,20 @@ def test_generate_is_deterministic_and_normalized():
         assert len(a) == 10_000
         assert a.values.min() == -1.0
         assert a.values.max() == 1.0
+
+
+# sha256 of the CSV that `synth --preset k --seed 7` writes
+PRESET_SHA256 = {
+    1: "0540d0ce7c2926985f4243dcbabccb30679233df5eb115987becf9a4ff9af67c",
+    2: "3403d48c7631205125d491bbd97e60c600706c2948571c19b6b1a3f1b7f668f6",
+    3: "e9ff3a463a012b3c97577df73b861a3bc4bd16dd983861bbd29fc948a6e91c21",
+}
+
+
+@pytest.mark.parametrize("setting", sorted(PRESET_SHA256))
+def test_normalized_preset_bytes_are_pinned(setting):
+    text = series_csv(generate(preset(setting, seed=7)))
+    assert hashlib.sha256(text.encode()).hexdigest() == PRESET_SHA256[setting]
 
 
 def test_seed_changes_realization():
