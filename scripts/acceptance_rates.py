@@ -25,7 +25,7 @@ from functools import partial
 
 from streamarima.experiment import RunSpec, grid_search, tail_mean
 from streamarima.model import ModelConfig
-from streamarima.optimizers import BASELINE_NAMES
+from streamarima.optimizers import OPTIMIZERS
 from streamarima.synthetic import generate, preset
 
 TUNING_SEED = 8
@@ -33,7 +33,7 @@ TRIAL_SEEDS = tuple(range(30))
 RAMP_LENGTH = 2000.0
 RATE_GRID = (5e-4, 1e-3, 2e-3, 5e-3, 1e-2, 2e-2, 5e-2, 0.1, 0.2, 0.5, 1.0)
 PRESET_MK = {1: 5, 2: 10, 3: 10}
-ALL_NAMES = BASELINE_NAMES + ("combined",)
+ALL_NAMES = tuple(OPTIMIZERS)
 STREAM_MEAN = partial(tail_mean, fraction=1.0)
 
 
@@ -49,9 +49,10 @@ def best_rates(setting: int) -> dict[str, float]:
     chosen = {}
     for name in ALL_NAMES:
         spec = replace(base, optimizer=name)
-        chosen[name], results = grid_search(spec, series, RATE_GRID, score=STREAM_MEAN)
-        for r in results:
-            print(f"preset {setting} {name:9s} lr {r.rate:<7g} {r.tail:.6f}", file=sys.stderr)
+        chosen[name], records = grid_search(spec, series, RATE_GRID, score=STREAM_MEAN)
+        for r in records:
+            rate = r.spec.learning_rate
+            print(f"preset {setting} {name:9s} lr {rate:<7g} {r.score:.6f}", file=sys.stderr)
     return chosen
 
 

@@ -4,7 +4,7 @@ Commands
 --------
 synth        generate a synthetic preset series to CSV
 run          stream one optimizer over a series file or batch directory
-sweep-lambda combined-optimizer ramp sweep plus fixed baselines
+sweep-lambda combined-optimizer ramp sweep plus three reference rules
 grid-search  pick a learning rate by tail-window residual
 reproduce    canned configurations 1-7 matching the documented experiments
 
@@ -35,13 +35,13 @@ from .experiment import (
 )
 from .ingest import FORMATS, load_batch_dir, parse_batch_file
 from .model import ModelConfig
-from .optimizers import BASELINE_NAMES, OPTIMIZERS
+from .optimizers import OPTIMIZERS
 from .plotting import render_svg, smooth_curve
 from .series import TimeSeries, normalize
 from .synthetic import generate, preset
 
 OUT_DIR_ENV = "STREAMARIMA_OUT_DIR"
-ALL_OPTIMIZERS = BASELINE_NAMES + ("combined",)
+ALL_OPTIMIZERS = tuple(OPTIMIZERS)
 LAMBDA_GRID = ",".join(f"{g:g}" for g in (100, 500, 1000, 2000, 3000, 5000, 10000))
 
 # Canned configurations, as the flags of the explicit command each stands
@@ -106,17 +106,18 @@ def series_csv(series: TimeSeries) -> str:
     return "\n".join(lines) + "\n"
 
 
-def sweep_csv(entries) -> str:
+def sweep_csv(records) -> str:
     lines = ["label,final_residual,diverged"]
-    for e in entries:
-        lines.append(f"{e.label},{repr(e.final_residual)},{int(e.diverged)}")
+    for r in records:
+        lines.append(f"{r.label},{repr(r.score)},{int(r.diverged)}")
     return "\n".join(lines) + "\n"
 
 
-def grid_csv(best: float, results) -> str:
+def grid_csv(best: float, records) -> str:
     lines = ["rate,tail_mean,diverged,best"]
-    for r in results:
-        lines.append(f"{repr(r.rate)},{repr(r.tail)},{int(r.diverged)},{int(r.rate == best)}")
+    for r in records:
+        rate = r.spec.learning_rate
+        lines.append(f"{repr(rate)},{repr(r.score)},{int(r.diverged)},{int(rate == best)}")
     return "\n".join(lines) + "\n"
 
 
@@ -301,10 +302,10 @@ def _cmd_sweep(args) -> int:
 
 def _sweep(args, data, title: str) -> int:
     grid = _parse_floats(args.grid, "ramp grid")
-    entries = sweep_lambda(_spec_from_args(args, "combined", grid[0]), data, grid)
-    curves = {e.label: e.curve for e in entries if e.curve is not None}
-    paths = _write_outputs(args, {args.out: partial(sweep_csv, entries)}, curves, title)
-    print(f"wrote {len(entries)} sweep entries to {paths[0]}")
+    records = sweep_lambda(_spec_from_args(args, "combined", grid[0]), data, grid)
+    curves = {r.label: r.curve for r in records if not r.diverged}
+    paths = _write_outputs(args, {args.out: partial(sweep_csv, records)}, curves, title)
+    print(f"wrote {len(records)} sweep entries to {paths[0]}")
     if args.svg:
         print(f"wrote plot to {paths[-1]}")
     return 0
@@ -314,14 +315,14 @@ def _cmd_grid(args) -> int:
     data = _load_data(args)
     spec = _spec_from_args(args, args.optimizer, args.ramp)
     rates = _parse_floats(args.rates, "rate grid")
-    best, results = grid_search(spec, data, rates)
-    for r in results:
-        status = "diverged" if r.diverged else f"tail={r.tail:.6g}"
-        print(f"rate {r.rate:g}: {status}")
+    best, records = grid_search(spec, data, rates)
+    for r in records:
+        status = "diverged" if r.diverged else f"tail={r.score:.6g}"
+        print(f"rate {r.spec.learning_rate:g}: {status}")
     print(f"best rate: {best:g}")
     if args.out:
         out = _resolve_out(args.out)
-        write_text_atomic(out, grid_csv(best, results))
+        write_text_atomic(out, grid_csv(best, records))
         print(f"wrote grid results to {out}")
     return 0
 
@@ -351,9 +352,13 @@ def _cmd_reproduce(args) -> int:
     if run.grid:
         run.out = f"{base}_sweep.csv"
         return _sweep(run, data, title)
-    curves = compare_optimizers(_spec_from_args(run, "combined", run.ramp), data, ALL_OPTIMIZERS)
+    records = compare_optimizers(_spec_from_args(run, "combined", run.ramp), data, ALL_OPTIMIZERS)
+    curves = {r.label: r.curve for r in records if not r.diverged}
     files = {f"{base}_{name}.csv": partial(curve_csv, curve) for name, curve in curves.items()}
     paths = _write_outputs(run, files, curves, title)
+    for r in records:
+        if r.diverged:
+            print(r.message)
     print(f"wrote {len(curves)} curve files and {paths[-1]}")
     return 0
 

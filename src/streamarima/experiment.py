@@ -6,8 +6,10 @@ coefficient initialization seed, so every curve is an average over inits
 on identical data. One kernel advances every trial of a run together over
 lag features computed once per series; a batched run is the same kernel
 over the concatenated batches. Residual curves are absolute residuals, per
-sample or per batch, and divergence (a non-finite residual) aborts a run
-cleanly instead of poisoning downstream aggregation.
+sample or per batch, and divergence (a non-finite residual, or one past
+DIVERGENCE_FACTOR times the data's largest magnitude) aborts a run cleanly
+instead of poisoning downstream aggregation. Comparisons, sweeps and grids
+run through one runner that keeps a diverged run as a record.
 """
 
 from __future__ import annotations
@@ -23,10 +25,14 @@ from .optimizers import OPTIMIZERS, make_optimizer
 from .series import MicroBatch, TimeSeries, normalize
 
 TAIL_FRACTION = 0.1
+# A scored |residual| past this many times the largest |sample| of the run's
+# data is a blow-up, reported like a non-finite one.
+DIVERGENCE_FACTOR = 1e6
+SWEEP_BASELINES = ("amsgrad", "basic", "momentum")
 
 
 class DivergedError(RuntimeError):
-    """Raised when a run produces a non-finite residual."""
+    """Raised when a run produces a non-finite or blown-up residual."""
 
 
 @dataclass(frozen=True)
@@ -103,6 +109,8 @@ def _kernel(spec: RunSpec, values: np.ndarray) -> np.ndarray:
 def _residuals(spec: RunSpec, forecasts: np.ndarray, values: np.ndarray, starts=None):
     """|forecast - actual| in place; raise for the first trial that diverged.
 
+    A trial diverges at the first scored residual that is non-finite or
+    larger than DIVERGENCE_FACTOR times the largest |sample| in ``values``.
     ``starts`` marks batch starts (None for a stream); divergence counts only
     at scored positions, and each batch leaves its first mk + d unscored.
     """
@@ -112,7 +120,9 @@ def _residuals(spec: RunSpec, forecasts: np.ndarray, values: np.ndarray, starts=
     scored = np.ones(values.size, dtype=bool)
     for s in () if starts is None else starts:
         scored[s : s + window] = False
-    bad = ~np.isfinite(resid) & scored[window:]
+    bound = DIVERGENCE_FACTOR * np.abs(values).max()
+    # the negated comparison is also true for nan
+    bad = ~(resid <= bound) & scored[window:]
     if bad.any():
         trial = int(bad.any(axis=1).argmax())
         k = int(bad[trial].argmax()) + window
@@ -134,7 +144,7 @@ def run_stream(spec: RunSpec, series: TimeSeries) -> ResidualCurve:
         raise ValueError(f"series of length {len(series)} is too short for mk + d = {window}")
     per_trial = _residuals(spec, _kernel(spec, series.values), series.values)
     return ResidualCurve(
-        indices=series.start_index + np.arange(window, len(series)),
+        indices=np.arange(window, len(series)),
         mean=per_trial.mean(axis=0),
         per_trial=per_trial,
         granularity="sample",
@@ -199,39 +209,47 @@ def normalize_batches(batches: list[MicroBatch]) -> list[MicroBatch]:
     lo, hi = first.min(), first.max()
     return [
         MicroBatch(
-            samples=TimeSeries(normalize(b.samples.values, lo, hi), b.samples.start_index),
+            samples=TimeSeries(normalize(b.samples.values, lo, hi)),
             batch_index=b.batch_index,
         )
         for b in batches
     ]
 
 
-def compare_optimizers(
-    spec: RunSpec, data, optimizers: tuple[str, ...]
-) -> dict[str, ResidualCurve]:
-    """Run several optimizers over the same data and seeds."""
-    return {name: run_data(replace(spec, optimizer=name), data) for name in optimizers}
-
-
-def _scored_run(spec: RunSpec, data, score=tail_mean) -> tuple[float, ResidualCurve | None]:
-    """Score of a run's averaged curve and the curve; a diverged run scores inf."""
-    try:
-        curve = run_data(spec, data)
-    except DivergedError:
-        return math.inf, None
-    return score(curve.mean), curve
-
-
 @dataclass(frozen=True)
-class RateResult:
-    rate: float
-    tail: float  # the rate's score, the tail-window mean by default
-    diverged: bool
+class RunRecord:
+    """One run of a comparison, sweep or grid: its score and curve, or why it diverged."""
+
+    label: str
+    spec: RunSpec
+    score: float  # the curve's score, inf for a diverged run
+    curve: ResidualCurve | None = field(repr=False)
+    message: str = ""  # the DivergedError text of a diverged run
+
+    @property
+    def diverged(self) -> bool:
+        return self.curve is None
 
 
-def grid_search(
-    spec: RunSpec, data, rate_grid, score=tail_mean
-) -> tuple[float, list[RateResult]]:
+def _run_all(runs, data, score=tail_mean) -> list[RunRecord]:
+    """Run each ``(label, spec)`` over ``data``; a diverged run is kept as a record."""
+    records = []
+    for label, spec in runs:
+        try:
+            curve = run_data(spec, data)
+        except DivergedError as exc:
+            records.append(RunRecord(label, spec, math.inf, None, str(exc)))
+        else:
+            records.append(RunRecord(label, spec, score(curve.mean), curve))
+    return records
+
+
+def compare_optimizers(spec: RunSpec, data, optimizers: tuple[str, ...]) -> list[RunRecord]:
+    """Run several optimizers over the same data and seeds, one record each."""
+    return _run_all([(name, replace(spec, optimizer=name)) for name in optimizers], data)
+
+
+def grid_search(spec: RunSpec, data, rate_grid, score=tail_mean) -> tuple[float, list[RunRecord]]:
     """Pick the learning rate whose averaged curve has the lowest score.
 
     ``score`` maps the trial-averaged curve to a number (default: its
@@ -243,43 +261,25 @@ def grid_search(
         raise ValueError("rate grid is empty")
     if any(r <= 0 for r in rates):
         raise ValueError("learning rates must be > 0")
-    runs = [_scored_run(replace(spec, learning_rate=r), data, score) for r in rates]
-    results = [RateResult(r, value, curve is None) for r, (value, curve) in zip(rates, runs)]
-    stable = [r for r in results if not r.diverged]
+    runs = [(f"lr_{r:g}", replace(spec, learning_rate=r)) for r in rates]
+    records = _run_all(runs, data, score)
+    stable = [r for r in records if not r.diverged]
     if not stable:
         raise ValueError("no stable rate: every candidate in the grid diverged")
-    best = min(stable, key=lambda r: (r.tail, r.rate))
-    return best.rate, results
+    best = min(stable, key=lambda r: (r.score, r.spec.learning_rate))
+    return best.spec.learning_rate, records
 
 
-@dataclass(frozen=True)
-class SweepEntry:
-    label: str
-    final_residual: float
-    diverged: bool
-    curve: ResidualCurve | None = field(repr=False, default=None)
+def sweep_lambda(spec: RunSpec, data, lambda_grid) -> list[RunRecord]:
+    """Run the combined optimizer across ramp lengths, plus SWEEP_BASELINES.
 
-
-def sweep_lambda(
-    spec: RunSpec,
-    data,
-    lambda_grid,
-    baselines: tuple[str, ...] = ("amsgrad", "basic", "momentum"),
-) -> list[SweepEntry]:
-    """Run the combined optimizer across ramp lengths, plus fixed baselines.
-
-    Every entry reports the tail-window mean of its averaged curve; a
-    diverged run is kept in the summary with an infinite residual.
+    Every record is scored by the tail-window mean of its averaged curve; a
+    diverged run is kept in the summary with an infinite score.
     """
     ramps = [float(r) for r in lambda_grid]
     if not ramps:
         raise ValueError("ramp grid is empty")
     runs = [(f"combined_lambda_{r:g}", replace(spec, optimizer="combined", ramp_length=r))
             for r in ramps]
-    runs += [(name, replace(spec, optimizer=name, ramp_length=None)) for name in baselines]
-    return [_sweep_entry(label, candidate, data) for label, candidate in runs]
-
-
-def _sweep_entry(label: str, spec: RunSpec, data) -> SweepEntry:
-    value, curve = _scored_run(spec, data)
-    return SweepEntry(label, value, curve is None, curve)
+    runs += [(name, replace(spec, optimizer=name, ramp_length=None)) for name in SWEEP_BASELINES]
+    return _run_all(runs, data)

@@ -6,10 +6,11 @@ Every optimizer exposes the same two calls:
   that a step would subtract from the coefficients,
 * ``step(coeffs, grad)`` returns ``coeffs - update_direction(grad)``.
 
-A rule is a declaration: its ``name``, the ``hyperparameters`` it accepts
-(defaults in ``DEFAULTS``), the ``state`` arrays it keeps, and ``_delta(grad)``.
-``Optimizer`` validates the arguments, zero-allocates the state, checks the
-gradient and counts steps once for all of them.
+A rule is a declaration: its ``name``, the ``state`` arrays it keeps, and
+``_delta(grad)``. ``Optimizer`` validates the dimension and the learning
+rate, zero-allocates the state, checks the gradient and counts steps once
+for all of them. The decay rates and ``EPS`` are the module constants below;
+the learning rate, and ``Combined``'s ramp length, are the only settings.
 
 Deltas never depend on the coefficient values themselves, only on the
 gradient history, so steps are translation equivariant.
@@ -24,40 +25,27 @@ import math
 
 import numpy as np
 
-# Every hyperparameter a rule can accept, with its default. ``eps`` must be
-# > 0; the decay rates must lie in [0, 1).
-DEFAULTS = {"momentum": 0.9, "rho": 0.9, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8}
-
-
-def _check_hyperparameter(name: str, value: float) -> float:
-    if name == "eps":
-        if not value > 0.0:
-            raise ValueError(f"eps must be > 0, got {value}")
-    elif not (0.0 <= value < 1.0):
-        raise ValueError(f"{name} must lie in [0, 1), got {value}")
-    return float(value)
+MU = 0.9  # Momentum and Nesterov velocity decay
+RHO = 0.9  # RMSProp squared-gradient decay
+BETA1 = 0.9  # Adam and AMSGrad first-moment decay
+BETA2 = 0.999  # Adam and AMSGrad second-moment decay
+EPS = 1e-8  # denominator floor of the adaptive rules
 
 
 class Optimizer:
     """Base class: argument validation, state allocation and the step count."""
 
     name = "base"
-    hyperparameters: tuple[str, ...] = ()
     state: tuple[str, ...] = ()
 
-    def __init__(self, dim: int, learning_rate: float, **hyper):
+    def __init__(self, dim: int, learning_rate: float):
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
         if not (math.isfinite(learning_rate) and learning_rate > 0.0):
             raise ValueError(f"learning_rate must be finite and > 0, got {learning_rate}")
-        for key in hyper:
-            if key not in self.hyperparameters:
-                raise TypeError(f"{type(self).__name__} got an unexpected keyword argument {key!r}")
         self.dim = int(dim)
         self.learning_rate = float(learning_rate)
         self.step_count = 0
-        for key in self.hyperparameters:
-            setattr(self, key, _check_hyperparameter(key, hyper.get(key, DEFAULTS[key])))
         for key in self.state:
             setattr(self, key, np.zeros(dim))
 
@@ -91,11 +79,10 @@ class Momentum(Optimizer):
     """Heavy-ball velocity: v <- mu*v + lr*grad, delta = v."""
 
     name = "momentum"
-    hyperparameters = ("momentum",)
     state = ("velocity",)
 
     def _delta(self, grad):
-        self.velocity = self.momentum * self.velocity + self.learning_rate * grad
+        self.velocity = MU * self.velocity + self.learning_rate * grad
         return self.velocity.copy()
 
 
@@ -103,52 +90,48 @@ class Nesterov(Optimizer):
     """Look-ahead momentum: v <- mu*v + lr*grad, delta = mu*v + lr*grad."""
 
     name = "nesterov"
-    hyperparameters = ("momentum",)
     state = ("velocity",)
 
     def _delta(self, grad):
-        self.velocity = self.momentum * self.velocity + self.learning_rate * grad
-        return self.momentum * self.velocity + self.learning_rate * grad
+        self.velocity = MU * self.velocity + self.learning_rate * grad
+        return MU * self.velocity + self.learning_rate * grad
 
 
 class Adagrad(Optimizer):
     """Per-coordinate scaling by the running sum of squared gradients."""
 
     name = "adagrad"
-    hyperparameters = ("eps",)
     state = ("accum",)
 
     def _delta(self, grad):
         self.accum = self.accum + grad * grad
-        return self.learning_rate * grad / (np.sqrt(self.accum) + self.eps)
+        return self.learning_rate * grad / (np.sqrt(self.accum) + EPS)
 
 
 class RMSProp(Optimizer):
     """Adagrad with an exponentially decaying squared-gradient average."""
 
     name = "rmsprop"
-    hyperparameters = ("rho", "eps")
     state = ("sq_avg",)
 
     def _delta(self, grad):
-        self.sq_avg = self.rho * self.sq_avg + (1.0 - self.rho) * grad * grad
-        return self.learning_rate * grad / (np.sqrt(self.sq_avg) + self.eps)
+        self.sq_avg = RHO * self.sq_avg + (1.0 - RHO) * grad * grad
+        return self.learning_rate * grad / (np.sqrt(self.sq_avg) + EPS)
 
 
 class Adam(Optimizer):
     """First and second moment estimates, both bias corrected."""
 
     name = "adam"
-    hyperparameters = ("beta1", "beta2", "eps")
     state = ("m", "v")
 
     def _delta(self, grad):
         t = self.step_count
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
-        m_hat = self.m / (1.0 - self.beta1**t)
-        v_hat = self.v / (1.0 - self.beta2**t)
-        return self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.m = BETA1 * self.m + (1.0 - BETA1) * grad
+        self.v = BETA2 * self.v + (1.0 - BETA2) * grad * grad
+        m_hat = self.m / (1.0 - BETA1**t)
+        v_hat = self.v / (1.0 - BETA2**t)
+        return self.learning_rate * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 class AMSGrad(Optimizer):
@@ -159,16 +142,15 @@ class AMSGrad(Optimizer):
     """
 
     name = "amsgrad"
-    hyperparameters = ("beta1", "beta2", "eps")
     state = ("m", "v", "v_max")
 
     def _delta(self, grad):
         t = self.step_count
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
+        self.m = BETA1 * self.m + (1.0 - BETA1) * grad
+        self.v = BETA2 * self.v + (1.0 - BETA2) * grad * grad
         self.v_max = np.maximum(self.v_max, self.v)
-        m_hat = self.m / (1.0 - self.beta1**t)
-        return self.learning_rate * m_hat / (np.sqrt(self.v_max) + self.eps)
+        m_hat = self.m / (1.0 - BETA1**t)
+        return self.learning_rate * m_hat / (np.sqrt(self.v_max) + EPS)
 
 
 class Combined(Optimizer):
@@ -178,20 +160,18 @@ class Combined(Optimizer):
     shared learning rate, advances both every step, and applies the mixed
     update direction. The ramp weight uses the pre-increment step count,
     so the very first step is pure AMSGrad and every step from
-    ``ramp_length`` onward is pure Momentum. ``momentum`` goes to the
-    Momentum rule, every other hyperparameter to AMSGrad.
+    ``ramp_length`` onward is pure Momentum.
     """
 
     name = "combined"
 
-    def __init__(self, dim, learning_rate, ramp_length: float,
-                 momentum: float = DEFAULTS["momentum"], **hyper):
+    def __init__(self, dim, learning_rate, ramp_length: float):
         super().__init__(dim, learning_rate)
         if not ramp_length > 0.0:
             raise ValueError(f"ramp_length must be > 0, got {ramp_length}")
         self.ramp_length = float(ramp_length)
-        self.amsgrad = AMSGrad(dim, learning_rate, **hyper)
-        self.momentum = Momentum(dim, learning_rate, momentum=momentum)
+        self.amsgrad = AMSGrad(dim, learning_rate)
+        self.momentum = Momentum(dim, learning_rate)
 
     def _delta(self, grad):
         a = self.amsgrad.update_direction(grad)
@@ -209,18 +189,18 @@ OPTIMIZERS: dict[str, type[Optimizer]] = {
     cls.name: cls for cls in (Basic, Momentum, Nesterov, Adagrad, RMSProp, Adam, AMSGrad, Combined)
 }
 
-BASELINE_NAMES = ("basic", "momentum", "nesterov", "adagrad", "rmsprop", "adam", "amsgrad")
+BASELINE_NAMES = tuple(name for name in OPTIMIZERS if name != "combined")
 
 
-def make_optimizer(name: str, dim: int, learning_rate: float, **hyper) -> Optimizer:
+def make_optimizer(name: str, dim: int, learning_rate: float, **kwargs) -> Optimizer:
     """Instantiate an optimizer by registry name.
 
-    ``hyper`` is forwarded to the constructor; ``combined`` requires
-    ``ramp_length``.
+    ``kwargs`` is forwarded to the constructor; ``combined`` requires
+    ``ramp_length``, the only keyword any rule takes.
     """
     try:
         cls = OPTIMIZERS[name]
     except KeyError:
         known = ", ".join(sorted(OPTIMIZERS))
         raise ValueError(f"unknown optimizer {name!r}, expected one of: {known}") from None
-    return cls(dim, learning_rate, **hyper)
+    return cls(dim, learning_rate, **kwargs)

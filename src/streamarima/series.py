@@ -15,14 +15,9 @@ import numpy as np
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Evenly indexed sample sequence.
-
-    ``start_index`` is the global position of ``values[0]``; slices of a
-    longer stream keep their original indexing this way.
-    """
+    """Evenly indexed sample sequence; ``values[0]`` is sample 0."""
 
     values: np.ndarray
-    start_index: int = 0
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=np.float64)
@@ -30,8 +25,6 @@ class TimeSeries:
             raise ValueError(f"expected a 1-d sequence of samples, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("series contains non-finite samples")
-        if self.start_index < 0:
-            raise ValueError(f"start_index must be >= 0, got {self.start_index}")
         object.__setattr__(self, "values", arr)
 
     def __len__(self) -> int:

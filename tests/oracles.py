@@ -76,7 +76,7 @@ def microbatches(series, size):
     """Consecutive batches of ``size`` samples; a shorter remainder is dropped."""
     starts = range(0, len(series) - size + 1, size)
     return [
-        MicroBatch(TimeSeries(series.values[s : s + size], series.start_index + s), k)
+        MicroBatch(TimeSeries(series.values[s : s + size]), k)
         for k, s in enumerate(starts)
     ]
 

@@ -5,6 +5,7 @@ Most calls go through ``main(argv)`` in process; one test drives the real
 """
 
 import contextlib
+import hashlib
 import io
 import math
 import os
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamarima.cli import ALL_OPTIMIZERS, curve_csv, main, write_text_atomic
+from streamarima.cli import ALL_OPTIMIZERS, CONFIGS, curve_csv, main, write_text_atomic
 from streamarima.experiment import ResidualCurve
 from streamarima.synthetic import GeneratorSpec, generate
 
@@ -43,6 +44,10 @@ def batch_dir(tmp_path_factory):
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_synth_writes_full_preset(tmp_path, capsys):
@@ -151,6 +156,7 @@ def test_run_errors_exit_nonzero(tmp_path, small_csv, capsys):
         ("--lr", "50"),  # diverges
         ("--lr", "nan"),
         ("--lr", "inf"),
+        ("--lr", "1"),  # blows up to about 3.5e13 without leaving the floats
     ],
 )
 def test_divergence_and_non_finite_rates_fail_closed(tmp_path, small_csv, capsys, flags):
@@ -159,6 +165,34 @@ def test_divergence_and_non_finite_rates_fail_closed(tmp_path, small_csv, capsys
     err = capsys.readouterr().err
     assert code == 1
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_reproduce_keeps_the_rules_that_did_not_diverge(tmp_path, monkeypatch, capsys):
+    # at lr 1.0 on preset 2, basic, momentum, nesterov and combined diverge
+    monkeypatch.setitem(CONFIGS, 2, {**CONFIGS[2], "lr": 1.0})
+    out = tmp_path / "some"
+    assert run_cli("reproduce", 2, "--trials", 1, "--out-dir", out) == 0
+    lines = capsys.readouterr().out.splitlines()
+    diverged = ("basic", "momentum", "nesterov", "combined")
+    assert len(lines) == len(diverged) + 1
+    for line, name in zip(lines, diverged):
+        assert line.startswith("run diverged at sample ")
+        assert line.endswith(f"(optimizer {name}, rate 1, trial seed 0)")
+    assert lines[-1] == f"wrote 4 curve files and {out / 'config2.svg'}"
+    stable = ("adagrad", "rmsprop", "adam", "amsgrad")
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        ["config2.svg"] + [f"config2_{name}.csv" for name in stable]
+    )
+    svg = (out / "config2.svg").read_text()
+    assert all(name in svg for name in stable) and not any(name in svg for name in diverged)
+
+    # with every rule diverged there is nothing to plot, and nothing is written
+    monkeypatch.setitem(CONFIGS, 2, {**CONFIGS[2], "lr": 1e300})
+    out = tmp_path / "none"
+    assert run_cli("reproduce", 2, "--trials", 1, "--out-dir", out) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: no curves to plot\n")
     assert not out.exists()
 
 
@@ -216,20 +250,22 @@ def test_sweep_lambda_summary(tmp_path, small_csv):
     labels = [row.split(",")[0] for row in lines[1:]]
     assert labels == ["combined_lambda_5", "combined_lambda_20", "amsgrad", "basic", "momentum"]
     assert all(row.split(",")[2] == "0" for row in lines[1:])
+    assert sha256(out) == "13fb791c3ca2537a975e4d9d9e033206048e631036fc63ad2eb47dbf2f4efb49"
 
 
 def test_grid_search_reports_best(tmp_path, small_csv, capsys):
     out = tmp_path / "grid.csv"
     code = run_cli(
         "grid-search", "--data", small_csv, "--optimizer", "basic",
-        "--mk", 3, "--trials", 1, "--rates", "0.01,0.05", "--out", out,
+        "--mk", 3, "--trials", 1, "--rates", "0.01,0.05,1e12", "--out", out,
     )
     assert code == 0
     stdout = capsys.readouterr().out
-    assert "best rate:" in stdout
+    assert "best rate:" in stdout and "rate 1e+12: diverged" in stdout
     lines = out.read_text().splitlines()
     assert lines[0] == "rate,tail_mean,diverged,best"
     assert sum(row.split(",")[3] == "1" for row in lines[1:]) == 1
+    assert sha256(out) == "13bb476d0d3b058578c2034d98f3dccbeb85e46d2f592983d2149131a60d1543"
 
 
 def test_reproduce_batched_requires_data(capsys):

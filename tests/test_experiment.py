@@ -24,7 +24,7 @@ from streamarima.experiment import (
 from streamarima.model import ModelConfig
 from streamarima.optimizers import OPTIMIZERS
 from streamarima.series import MicroBatch, TimeSeries
-from streamarima.synthetic import GeneratorSpec, generate
+from streamarima.synthetic import GeneratorSpec, generate, preset
 
 
 @pytest.fixture(scope="module")
@@ -122,7 +122,7 @@ def test_batched_scoring_skips_window_positions_every_batch(short_series):
     sizes = (50, 37, 61, 252)
     starts = np.cumsum((0,) + sizes[:-1])
     batches = [
-        MicroBatch(TimeSeries(short_series.values[s : s + n], int(s)), k)
+        MicroBatch(TimeSeries(short_series.values[s : s + n]), k)
         for k, (s, n) in enumerate(zip(starts, sizes))
     ]
     curve = run_batched(spec, batches)
@@ -155,9 +155,10 @@ def test_divergence_names_first_diverging_trial(short_series):
     batches = microbatches(short_series, 100)
     with pytest.raises(DivergedError, match=r"in batch 0 at offset \d+ .*trial seed 4\)"):
         run_batched(spec, batches)
-    # only scored positions count: with mk = 3, offset 3 is a batch's first
-    with pytest.raises(DivergedError, match=r"in batch \d+ at offset 3 "):
-        run_batched(spec, microbatches(short_series, 5))
+    # only scored positions count: with mk = 3, offset 3 is a batch's first.
+    # The blow-up starts at sample 4, batch 1's unscored offset 0.
+    with pytest.raises(DivergedError, match=r"in batch 1 at offset 3 "):
+        run_batched(spec, microbatches(short_series, 4))
 
 
 # ------------------------------------------- kernel against learn_step
@@ -190,7 +191,7 @@ def test_kernel_matches_per_sample_learn_step(data):
 
     starts = np.cumsum([0] + sizes[:-1])
     batches = [
-        MicroBatch(TimeSeries(values[s : s + n], int(s)), k)
+        MicroBatch(TimeSeries(values[s : s + n]), k)
         for k, (s, n) in enumerate(zip(starts, sizes))
     ]
     per_batch = [resid[:, s : s + n - window].mean(axis=1) for s, n in zip(starts, sizes)]
@@ -246,26 +247,48 @@ def test_normalize_batches_freezes_first_batch_params():
 
 
 def test_compare_optimizers_returns_requested_curves(short_series):
-    curves = compare_optimizers(
+    records = compare_optimizers(
         spec_for(optimizer="combined", ramp=50.0),
         short_series,
         ("basic", "amsgrad", "combined"),
     )
-    assert set(curves) == {"basic", "amsgrad", "combined"}
-    for curve in curves.values():
-        assert curve.per_trial.shape == (1, 397)
+    assert [r.label for r in records] == ["basic", "amsgrad", "combined"]
+    for r in records:
+        assert r.spec.optimizer == r.label and not r.diverged and r.message == ""
+        assert r.curve.per_trial.shape == (1, 397)
+        assert r.score == tail_mean(r.curve.mean)
+
+
+def test_compare_optimizers_keeps_the_rules_that_did_not_diverge():
+    # lr 1.0 on preset 2: basic blows up to about 2e47 without leaving the
+    # floats, momentum, nesterov and combined overflow; the adaptive rules hold
+    spec = spec_for(optimizer="combined", mk=10, lr=1.0, ramp=2000.0)
+    records = compare_optimizers(spec, generate(preset(2, seed=7)), tuple(OPTIMIZERS))
+    stable = {r.label: r for r in records if not r.diverged}
+    assert list(stable) == ["adagrad", "rmsprop", "adam", "amsgrad"]
+    for r in stable.values():
+        assert r.curve.per_trial.max() <= 69.0
+        alone = run_stream(r.spec, generate(preset(2, seed=7)))
+        np.testing.assert_array_equal(r.curve.per_trial, alone.per_trial)
+    for r in records:
+        if r.diverged:
+            assert r.curve is None and r.score == float("inf")
+            assert r.message.startswith("run diverged at sample ")
+            assert f"(optimizer {r.label}, rate 1, trial seed 0)" in r.message
 
 
 def test_grid_search_picks_lowest_tail(short_series):
     spec = spec_for()
-    best, results = grid_search(spec, short_series, [0.05])
-    assert best == 0.05 and len(results) == 1 and not results[0].diverged
+    best, records = grid_search(spec, short_series, [0.05])
+    assert best == 0.05 and len(records) == 1 and not records[0].diverged
 
-    best, results = grid_search(spec, short_series, [0.05, 1e12])
+    best, records = grid_search(spec, short_series, [0.05, 1e12])
     assert best == 0.05
-    assert results[1].diverged and results[1].tail == float("inf")
+    assert records[1].diverged and records[1].score == float("inf")
+    assert "rate 1e+12" in records[1].message
 
-    tails = {r.rate: r.tail for r in grid_search(spec, short_series, [0.01, 0.05, 0.2])[1]}
+    grid = grid_search(spec, short_series, [0.01, 0.05, 0.2])[1]
+    tails = {r.spec.learning_rate: r.score for r in grid}
     best, _ = grid_search(spec, short_series, [0.01, 0.05, 0.2])
     assert tails[best] == min(tails.values())
 
@@ -292,9 +315,9 @@ def test_sweep_lambda_labels_and_baselines(short_series):
         "momentum",
     ]
     for e in entries:
-        assert np.isfinite(e.final_residual) and not e.diverged
+        assert np.isfinite(e.score) and not e.diverged
         assert e.curve is not None
-        assert e.final_residual == pytest.approx(tail_mean(e.curve.mean), abs=1e-15)
+        assert e.score == pytest.approx(tail_mean(e.curve.mean), abs=1e-15)
     with pytest.raises(ValueError, match="ramp grid"):
         sweep_lambda(spec_for(), short_series, [])
 

@@ -20,8 +20,6 @@ def test_timeseries_validation():
         TimeSeries(np.zeros((2, 2)))
     with pytest.raises(ValueError, match="non-finite"):
         TimeSeries(np.array([1.0, np.nan]))
-    with pytest.raises(ValueError, match="start_index"):
-        TimeSeries(np.zeros(3), start_index=-1)
     assert len(TimeSeries([1, 2, 3])) == 3
     assert TimeSeries([1, 2, 3]).values.dtype == np.float64
 
