@@ -3,19 +3,20 @@
 A run is specified once (model shape, optimizer, rate, trial seeds) and
 replayed over a fixed data realization; trials differ only in the model's
 coefficient initialization seed, so every curve is an average over inits
-on identical data. One kernel advances every trial of a run together over
-lag features computed once per series; a batched run is the same kernel
-over the concatenated batches. Residual curves are absolute residuals, per
-sample or per batch, and divergence (a non-finite residual, or one past
-DIVERGENCE_FACTOR times the data's largest magnitude) aborts a run cleanly
-instead of poisoning downstream aggregation. Comparisons, sweeps and grids
-run through one runner that keeps a diverged run as a record.
+on identical data. One kernel call advances every trial of every run of a
+comparison, sweep or grid together, over lag features computed once per
+series; a batched run is the same kernel over the concatenated batches.
+Residual curves are absolute residuals, per sample or per batch, and
+divergence (a non-finite residual, or one past DIVERGENCE_FACTOR times the
+data's largest magnitude) ends a run cleanly instead of poisoning
+downstream aggregation: a diverged run is kept as a record.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import compress
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -29,6 +30,8 @@ TAIL_FRACTION = 0.1
 # data is a blow-up, reported like a non-finite one.
 DIVERGENCE_FACTOR = 1e6
 SWEEP_BASELINES = ("amsgrad", "basic", "momentum")
+# The kernel stops the runs that have diverged every this many samples.
+DIVERGENCE_CHECK_INTERVAL = 100
 
 
 class DivergedError(RuntimeError):
@@ -79,30 +82,72 @@ class ResidualCurve:
             raise ValueError("per_trial width does not match curve length")
 
 
-def _kernel(spec: RunSpec, values: np.ndarray) -> np.ndarray:
-    """Forecasts of every trial past the first mk + d samples, all trials at once.
+def _scoring(values: np.ndarray, starts, window: int):
+    """Which forecasts are scored, and the |residual| past which a run has diverged.
 
-    Coefficients and optimizer state are (trials, mk) arrays. Lag row j holds
-    the d-th differences of ``values[j : j + mk + d]``, newest first: a
-    strided view, never an n x mk copy. A diverged trial runs on as non-finite.
+    ``starts`` marks batch starts (None for a stream); each batch leaves its
+    first mk + d positions unscored.
     """
-    model, window = spec.model, spec.model.window
+    scored = np.ones(values.size, dtype=bool)
+    for s in () if starts is None else starts:
+        scored[s : s + window] = False
+    return scored[window:], DIVERGENCE_FACTOR * np.abs(values).max()
+
+
+def _kernel(specs: list[RunSpec], values: np.ndarray, starts) -> np.ndarray:
+    """Forecasts past the first mk + d samples of every trial of every run.
+
+    The runs share one model shape. Each run's trials are a block of rows of
+    one (rows, mk) coefficient array: per sample there is one ``gamma @ f``
+    and one gradient for all rows, and each run's optimizer updates its own
+    block in place. Lag row j holds the d-th differences of
+    ``values[j : j + mk + d]``, newest first: a strided view, never an n x mk
+    copy.
+
+    Every DIVERGENCE_CHECK_INTERVAL samples, a run whose first trial has
+    diverged at a scored position leaves the loop, and its later forecasts
+    are nan. ``_residuals`` then names that trial at the same position, so
+    what the run reports does not change.
+    """
+    model = specs[0].model
+    window = model.window
     diffs = np.diff(values, n=model.d) if model.d else values
     feats = sliding_window_view(diffs, model.mk)[:-1, ::-1]
     levels = (np.diff(values, n=i) if i else values for i in range(model.d))
     integ = sum(level[window - 1 - i : -1] for i, level in enumerate(levels))
     actual = values[window:]
-    gamma = np.stack([ArimaModel(replace(model, seed=s)).gamma for s in spec.trial_seeds])
-    hyper = {"ramp_length": spec.ramp_length} if spec.optimizer == "combined" else {}
-    opt = make_optimizer(spec.optimizer, model.mk, spec.learning_rate, **hyper)
-    forecasts = np.empty((spec.trials, actual.size))
+    scored, bound = _scoring(values, starts, window)
+    gamma = np.stack([ArimaModel(replace(model, seed=s)).gamma
+                      for spec in specs for s in spec.trial_seeds])
+    grad = np.empty_like(gamma)
+    live, row = [], 0
+    for spec in specs:
+        hyper = {"ramp_length": spec.ramp_length} if spec.optimizer == "combined" else {}
+        opt = make_optimizer(spec.optimizer, model.mk, spec.learning_rate, **hyper)
+        block = slice(row, row + spec.trials)
+        live.append((opt, gamma[block], grad[block], row))
+        row = block.stop
+    forecasts = np.empty((row, actual.size))
     with np.errstate(all="ignore"):
         for j, f in enumerate(feats):
             value = gamma @ f
             if model.d:
                 value += integ[j]
             forecasts[:, j] = value
-            gamma = opt.step(gamma, (2.0 * (value - actual[j]))[:, None] * f)
+            np.multiply((2.0 * (value - actual[j]))[:, None], f, out=grad)
+            for opt, coeffs, g, _ in live:
+                coeffs -= opt.advance(g)
+            if (j + 1) % DIVERGENCE_CHECK_INTERVAL == 0:
+                span = slice(j + 1 - DIVERGENCE_CHECK_INTERVAL, j + 1)
+                resid = np.abs(forecasts[[first for *_, first in live], span] - actual[span])
+                # the same test as _residuals; the negated comparison is also true for nan
+                diverged = (~(resid <= bound) & scored[span]).any(axis=1)
+                for _, coeffs, _, _ in compress(live, diverged):
+                    coeffs[:] = np.nan
+                live = list(compress(live, ~diverged))
+                if not live:
+                    forecasts[:, j + 1 :] = np.nan
+                    break
     return forecasts
 
 
@@ -110,19 +155,15 @@ def _residuals(spec: RunSpec, forecasts: np.ndarray, values: np.ndarray, starts=
     """|forecast - actual| in place; raise for the first trial that diverged.
 
     A trial diverges at the first scored residual that is non-finite or
-    larger than DIVERGENCE_FACTOR times the largest |sample| in ``values``.
-    ``starts`` marks batch starts (None for a stream); divergence counts only
-    at scored positions, and each batch leaves its first mk + d unscored.
+    larger than DIVERGENCE_FACTOR times the largest |sample| in ``values``;
+    ``starts`` marks batch starts, as in ``_scoring``.
     """
     window = spec.model.window
     with np.errstate(all="ignore"):
         resid = np.abs(np.subtract(forecasts, values[window:], out=forecasts), out=forecasts)
-    scored = np.ones(values.size, dtype=bool)
-    for s in () if starts is None else starts:
-        scored[s : s + window] = False
-    bound = DIVERGENCE_FACTOR * np.abs(values).max()
+    scored, bound = _scoring(values, starts, window)
     # the negated comparison is also true for nan
-    bad = ~(resid <= bound) & scored[window:]
+    bad = ~(resid <= bound) & scored
     if bad.any():
         trial = int(bad.any(axis=1).argmax())
         k = int(bad[trial].argmax()) + window
@@ -137,53 +178,54 @@ def _residuals(spec: RunSpec, forecasts: np.ndarray, values: np.ndarray, starts=
     return resid
 
 
-def run_stream(spec: RunSpec, series: TimeSeries) -> ResidualCurve:
-    """Per-sample run over one contiguous series, averaged over trials."""
-    window = spec.model.window
-    if len(series) <= window:
-        raise ValueError(f"series of length {len(series)} is too short for mk + d = {window}")
-    per_trial = _residuals(spec, _kernel(spec, series.values), series.values)
-    return ResidualCurve(
-        indices=np.arange(window, len(series)),
-        mean=per_trial.mean(axis=0),
-        per_trial=per_trial,
-        granularity="sample",
-    )
+def _source(data, window: int):
+    """The samples of a TimeSeries or a batch list, and the batch starts (None for a stream)."""
+    if isinstance(data, TimeSeries):
+        if len(data) <= window:
+            raise ValueError(f"series of length {len(data)} is too short for mk + d = {window}")
+        return data.values, None
+    data = list(data)
+    if not data:
+        raise ValueError("no batches to run")
+    for b in data:
+        if len(b) <= window:
+            raise ValueError(
+                f"batch {b.batch_index} has {len(b)} samples, need more than mk + d = {window}"
+            )
+    starts = np.cumsum([0] + [len(b) for b in data[:-1]])
+    return np.concatenate([b.samples.values for b in data]), starts
 
 
-def run_batched(spec: RunSpec, batches: list[MicroBatch]) -> ResidualCurve:
-    """Per-batch run; model and optimizer state persist across batches.
+def _curve(spec: RunSpec, forecasts: np.ndarray, values: np.ndarray, starts) -> ResidualCurve:
+    """A run's curve from its block of forecasts: per sample for a stream, else per batch.
 
     Only the residual metric restarts at each batch boundary: the first
     mk + d positions of every batch are fed to the model but not scored.
     """
     window = spec.model.window
-    if not batches:
-        raise ValueError("no batches to run")
-    for b in batches:
-        if len(b) <= window:
-            raise ValueError(
-                f"batch {b.batch_index} has {len(b)} samples, need more than mk + d = {window}"
-            )
-    starts = np.cumsum([0] + [len(b) for b in batches[:-1]])
-    values = np.concatenate([b.samples.values for b in batches])
-    resid = _residuals(spec, _kernel(spec, values), values, starts)
-    per_trial = np.stack(
-        [resid[:, s : s + len(b) - window].mean(axis=1) for s, b in zip(starts, batches)], axis=1
-    )
-    return ResidualCurve(
-        indices=np.arange(len(batches)),
-        mean=per_trial.mean(axis=0),
-        per_trial=per_trial,
-        granularity="batch",
-    )
+    resid = _residuals(spec, forecasts, values, starts)
+    if starts is None:
+        return ResidualCurve(np.arange(window, values.size), resid.mean(axis=0), resid, "sample")
+    ends = np.append(starts[1:], values.size)
+    per_trial = np.stack([resid[:, s : e - window].mean(axis=1) for s, e in zip(starts, ends)],
+                         axis=1)
+    return ResidualCurve(np.arange(starts.size), per_trial.mean(axis=0), per_trial, "batch")
 
 
 def run_data(spec: RunSpec, data) -> ResidualCurve:
-    """Dispatch on data shape: a TimeSeries streams, a batch list runs batched."""
-    if isinstance(data, TimeSeries):
-        return run_stream(spec, data)
-    return run_batched(spec, list(data))
+    """One run over a TimeSeries (a point per sample) or a batch list (a point per batch)."""
+    values, starts = _source(data, spec.model.window)
+    return _curve(spec, _kernel([spec], values, starts), values, starts)
+
+
+def run_stream(spec: RunSpec, series: TimeSeries) -> ResidualCurve:
+    """Per-sample run over one contiguous series, averaged over trials."""
+    return run_data(spec, series)
+
+
+def run_batched(spec: RunSpec, batches: list[MicroBatch]) -> ResidualCurve:
+    """Per-batch run; model and optimizer state persist across batches."""
+    return run_data(spec, batches)
 
 
 def tail_mean(values, fraction: float = TAIL_FRACTION) -> float:
@@ -232,11 +274,15 @@ class RunRecord:
 
 
 def _run_all(runs, data, score=tail_mean) -> list[RunRecord]:
-    """Run each ``(label, spec)`` over ``data``; a diverged run is kept as a record."""
-    records = []
+    """One kernel call for every ``(label, spec)`` over ``data``; a diverged run stays a record."""
+    specs = [spec for _, spec in runs]
+    values, starts = _source(data, specs[0].model.window)
+    forecasts = _kernel(specs, values, starts)
+    records, row = [], 0
     for label, spec in runs:
+        block, row = forecasts[row : row + spec.trials], row + spec.trials
         try:
-            curve = run_data(spec, data)
+            curve = _curve(spec, block, values, starts)
         except DivergedError as exc:
             records.append(RunRecord(label, spec, math.inf, None, str(exc)))
         else:

@@ -1,22 +1,30 @@
 """Online gradient descent update rules over a fixed-length coefficient vector.
 
-Every optimizer exposes the same two calls:
+Every optimizer exposes the same two checked calls:
 
 * ``update_direction(grad)`` advances internal state and returns the delta
-  that a step would subtract from the coefficients,
+  that a step would subtract from the coefficients, as a fresh array,
 * ``step(coeffs, grad)`` returns ``coeffs - update_direction(grad)``.
+
+``advance(grad)`` is the same update without the checks, for a caller that
+builds every gradient itself, such as the experiment kernel: its delta may
+be a state array, valid until the next call.
 
 A rule is a declaration: its ``name``, the ``state`` arrays it keeps, and
 ``_delta(grad)``. ``Optimizer`` validates the dimension and the learning
-rate, zero-allocates the state, checks the gradient and counts steps once
-for all of them. The decay rates and ``EPS`` are the module constants below;
+rate, allocates the state, checks the gradient and counts steps once for
+all of them. The decay rates and ``EPS`` are the module constants below;
 the learning rate, and ``Combined``'s ramp length, are the only settings.
 
 Deltas never depend on the coefficient values themselves, only on the
 gradient history, so steps are translation equivariant.
 
-Coefficients and gradients may carry leading axes, one row per trial: state
-starts as zeros of shape ``(dim,)`` and broadcasts on the first step.
+Coefficients and gradients may carry leading axes, one row per trial. State
+exists from construction as zeros of shape ``(dim,)``; the first gradient
+re-allocates it as zeros of that gradient's shape, such as ``(rows, dim)``,
+and every later gradient must have the same shape. Each ``_delta`` then
+updates the state in place (``v *= MU; v += lr * g``), in the same order of
+operations as the textbook recurrence, so the results are bitwise the same.
 """
 
 from __future__ import annotations
@@ -46,24 +54,42 @@ class Optimizer:
         self.dim = int(dim)
         self.learning_rate = float(learning_rate)
         self.step_count = 0
+        self._allocate((self.dim,))
+
+    def _allocate(self, shape: tuple[int, ...]) -> None:
+        self.shape = shape
         for key in self.state:
-            setattr(self, key, np.zeros(dim))
+            setattr(self, key, np.zeros(shape))
 
     def _delta(self, grad: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def update_direction(self, grad) -> np.ndarray:
+    def advance(self, grad: np.ndarray) -> np.ndarray:
+        """Unchecked update by a float64 ``grad`` of the first gradient's shape.
+
+        The returned delta may be a state array, valid until the next call.
+        """
+        if not self.step_count:
+            self._allocate(grad.shape)
+        self.step_count += 1
+        return self._delta(grad)
+
+    def _checked(self, grad) -> np.ndarray:
         grad = np.asarray(grad, dtype=np.float64)
         if grad.shape[-1:] != (self.dim,):
             raise ValueError(f"gradient shape {grad.shape} does not match dim {self.dim}")
-        self.step_count += 1
-        return self._delta(grad)
+        if self.step_count and grad.shape != self.shape:
+            raise ValueError(f"gradient shape {grad.shape} differs from the first, {self.shape}")
+        return grad
+
+    def update_direction(self, grad) -> np.ndarray:
+        return self.advance(self._checked(grad)).copy()
 
     def step(self, coeffs, grad) -> np.ndarray:
         coeffs = np.asarray(coeffs, dtype=np.float64)
         if coeffs.shape[-1:] != (self.dim,):
             raise ValueError(f"coefficient shape {coeffs.shape} does not match dim {self.dim}")
-        return coeffs - self.update_direction(grad)
+        return coeffs - self.advance(self._checked(grad))
 
 
 class Basic(Optimizer):
@@ -82,8 +108,9 @@ class Momentum(Optimizer):
     state = ("velocity",)
 
     def _delta(self, grad):
-        self.velocity = MU * self.velocity + self.learning_rate * grad
-        return self.velocity.copy()
+        self.velocity *= MU
+        self.velocity += self.learning_rate * grad
+        return self.velocity
 
 
 class Nesterov(Optimizer):
@@ -93,8 +120,11 @@ class Nesterov(Optimizer):
     state = ("velocity",)
 
     def _delta(self, grad):
-        self.velocity = MU * self.velocity + self.learning_rate * grad
-        return MU * self.velocity + self.learning_rate * grad
+        step = self.learning_rate * grad
+        self.velocity *= MU
+        self.velocity += step
+        step += MU * self.velocity
+        return step
 
 
 class Adagrad(Optimizer):
@@ -104,8 +134,8 @@ class Adagrad(Optimizer):
     state = ("accum",)
 
     def _delta(self, grad):
-        self.accum = self.accum + grad * grad
-        return self.learning_rate * grad / (np.sqrt(self.accum) + EPS)
+        self.accum += grad * grad
+        return _scaled(self.learning_rate * grad, self.accum)
 
 
 class RMSProp(Optimizer):
@@ -115,8 +145,9 @@ class RMSProp(Optimizer):
     state = ("sq_avg",)
 
     def _delta(self, grad):
-        self.sq_avg = RHO * self.sq_avg + (1.0 - RHO) * grad * grad
-        return self.learning_rate * grad / (np.sqrt(self.sq_avg) + EPS)
+        self.sq_avg *= RHO
+        self.sq_avg += (1.0 - RHO) * grad * grad
+        return _scaled(self.learning_rate * grad, self.sq_avg)
 
 
 class Adam(Optimizer):
@@ -127,11 +158,9 @@ class Adam(Optimizer):
 
     def _delta(self, grad):
         t = self.step_count
-        self.m = BETA1 * self.m + (1.0 - BETA1) * grad
-        self.v = BETA2 * self.v + (1.0 - BETA2) * grad * grad
+        _moments(self.m, self.v, grad)
         m_hat = self.m / (1.0 - BETA1**t)
-        v_hat = self.v / (1.0 - BETA2**t)
-        return self.learning_rate * m_hat / (np.sqrt(v_hat) + EPS)
+        return _scaled(self.learning_rate * m_hat, self.v / (1.0 - BETA2**t))
 
 
 class AMSGrad(Optimizer):
@@ -146,21 +175,37 @@ class AMSGrad(Optimizer):
 
     def _delta(self, grad):
         t = self.step_count
-        self.m = BETA1 * self.m + (1.0 - BETA1) * grad
-        self.v = BETA2 * self.v + (1.0 - BETA2) * grad * grad
-        self.v_max = np.maximum(self.v_max, self.v)
+        _moments(self.m, self.v, grad)
+        np.maximum(self.v_max, self.v, out=self.v_max)
         m_hat = self.m / (1.0 - BETA1**t)
-        return self.learning_rate * m_hat / (np.sqrt(self.v_max) + EPS)
+        return _scaled(self.learning_rate * m_hat, self.v_max)
+
+
+def _moments(m, v, grad):
+    """Adam's first and second moment updates, in place."""
+    m *= BETA1
+    m += (1.0 - BETA1) * grad
+    v *= BETA2
+    v += (1.0 - BETA2) * grad * grad
+
+
+def _scaled(step, sq):
+    """step / (sqrt(sq) + EPS), written over ``step``."""
+    denom = np.sqrt(sq)
+    denom += EPS
+    step /= denom
+    return step
 
 
 class Combined(Optimizer):
     """AMSGrad graduating into Momentum over ``ramp_length`` steps.
 
     Runs a full AMSGrad and a full Momentum optimizer side by side with a
-    shared learning rate, advances both every step, and applies the mixed
-    update direction. The ramp weight uses the pre-increment step count,
-    so the very first step is pure AMSGrad and every step from
-    ``ramp_length`` onward is pure Momentum.
+    shared learning rate and applies the mixed update direction. The ramp
+    weight uses the pre-increment step count, so the very first step is
+    pure AMSGrad and every step from ``ramp_length`` onward is pure
+    Momentum. Both rules advance every step until then; after it AMSGrad's
+    output is never read again, so only Momentum advances.
     """
 
     name = "combined"
@@ -174,14 +219,14 @@ class Combined(Optimizer):
         self.momentum = Momentum(dim, learning_rate)
 
     def _delta(self, grad):
-        a = self.amsgrad.update_direction(grad)
-        m = self.momentum.update_direction(grad)
-        # both are fresh arrays; the ends of the ramp return one of them exactly
         w = (self.step_count - 1) / self.ramp_length
+        if w >= 1.0:
+            return self.momentum.advance(grad)
+        a = self.amsgrad.advance(grad)
+        m = self.momentum.advance(grad)
+        # the start of the ramp returns AMSGrad's delta exactly
         if w <= 0.0:
             return a
-        if w >= 1.0:
-            return m
         return (1.0 - w) * a + w * m
 
 

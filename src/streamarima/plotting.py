@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .optimizers import OPTIMIZERS
+
 WIDTH = 960
 HEIGHT = 480
 MARGIN_L = 70
@@ -60,7 +62,12 @@ def render_svg(
     x_label: str = "t",
     y_label: str = "residual",
 ) -> str:
-    """Render labeled (x, y) curves to an SVG document string."""
+    """Render labeled (x, y) curves to an SVG document string.
+
+    When every label is a rule name, each curve takes its rule's colour, the
+    palette entry at the rule's place in OPTIMIZERS, so a rule looks the
+    same in every comparison. Other plots (a sweep) colour by position.
+    """
     if not curves:
         raise ValueError("no curves to plot")
     xs = np.concatenate([np.asarray(x, dtype=np.float64) for x, _ in curves.values()])
@@ -120,8 +127,9 @@ def render_svg(
         f'transform="rotate(-90 16 {MARGIN_T + plot_h // 2})">{y_label}</text>'
     )
 
+    rules = list(OPTIMIZERS) if all(label in OPTIMIZERS for label in curves) else None
     for k, (label, (x, y)) in enumerate(curves.items()):
-        color = PALETTE[k % len(PALETTE)]
+        color = PALETTE[(rules.index(label) if rules else k) % len(PALETTE)]
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         pts = " ".join(f"{_fmt(px(a))},{_fmt(py(b))}" for a, b in zip(x, y))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import batch_residual, learn_step_forecasts, microbatches
 from streamarima.experiment import (
+    DIVERGENCE_CHECK_INTERVAL,
     DivergedError,
     ResidualCurve,
     RunSpec,
@@ -21,6 +22,7 @@ from streamarima.experiment import (
     sweep_lambda,
     tail_mean,
 )
+from streamarima.experiment import _kernel, _run_all
 from streamarima.model import ModelConfig
 from streamarima.optimizers import OPTIMIZERS
 from streamarima.series import MicroBatch, TimeSeries
@@ -159,6 +161,11 @@ def test_divergence_names_first_diverging_trial(short_series):
     # The blow-up starts at sample 4, batch 1's unscored offset 0.
     with pytest.raises(DivergedError, match=r"in batch 1 at offset 3 "):
         run_batched(spec, microbatches(short_series, 4))
+    # the first trial names the run even when a later one diverges hundreds of
+    # samples earlier (trial seed 0 alone diverges at sample 74)
+    series = generate(GeneratorSpec(alpha=(0.6, -0.3), length=2000, seed=1, burn_in=50))
+    with pytest.raises(DivergedError, match=r"at sample 515 .*trial seed 2\)"):
+        run_stream(spec_for(mk=6, lr=1.85, seeds=(2, 0)), series)
 
 
 # ------------------------------------------- kernel against learn_step
@@ -213,6 +220,76 @@ def test_trial_rows_are_bitwise_independent_of_other_trials(optimizer):
         together = run_stream(spec, values).per_trial
         alone = run_stream(replace(spec, trial_seeds=(7,)), values).per_trial
         np.testing.assert_array_equal(together[2], alone[0])
+
+
+# ------------------------------------------- runs side by side in one kernel
+
+
+def _alone(spec, data):
+    """The curve of ``spec`` run by itself, or its divergence message."""
+    try:
+        return run_data(spec, data)
+    except DivergedError as exc:
+        return str(exc)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_every_run_of_one_kernel_call_matches_the_run_alone(data):
+    mk = data.draw(st.integers(1, 12), label="mk")
+    d = data.draw(st.integers(0, 2), label="d")
+    n_runs = data.draw(st.integers(1, 4), label="runs")
+    runs = []
+    for k in range(n_runs):
+        runs.append((f"run_{k}", RunSpec(
+            model=ModelConfig(mk=mk, d=d),
+            optimizer=data.draw(st.sampled_from(sorted(OPTIMIZERS))),
+            # the largest rates diverge, some only after several check intervals
+            learning_rate=data.draw(st.sampled_from([1e-3, 3e-3, 0.05, 0.3, 1e3])),
+            ramp_length=data.draw(st.floats(1.0, 300.0)),
+            trial_seeds=tuple(
+                data.draw(st.lists(st.integers(0, 999), min_size=1, max_size=4, unique=True))
+            ),
+        )))
+    sizes = data.draw(
+        st.lists(st.integers(mk + d + 1, mk + d + 150), min_size=1, max_size=5), label="batches"
+    )
+    values = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).normal(size=sum(sizes))
+    starts = np.cumsum([0] + sizes[:-1])
+    batches = [
+        MicroBatch(TimeSeries(values[s : s + n]), k)
+        for k, (s, n) in enumerate(zip(starts, sizes))
+    ]
+    for source in (TimeSeries(values), batches):
+        for record in _run_all(runs, source):
+            alone = _alone(record.spec, source)
+            if record.diverged:
+                assert record.message == alone and record.score == float("inf")
+            else:
+                np.testing.assert_array_equal(record.curve.per_trial, alone.per_trial)
+                np.testing.assert_array_equal(record.curve.indices, alone.indices)
+
+
+def test_a_diverged_run_leaves_the_loop_without_touching_the_others():
+    series = generate(preset(2, seed=7))
+    stable = [spec_for(name, mk=10, seeds=(0, 1), lr=0.05, ramp=2000.0)
+              for name in ("basic", "adagrad", "combined")]
+    wild = spec_for("momentum", mk=10, seeds=(0, 1), lr=1.0)
+    runs = [(s.optimizer, s) for s in (stable[0], wild, *stable[1:])]
+    records = _run_all(runs, series)
+    assert [r.diverged for r in records] == [False, True, False, False]
+    for r in records:
+        alone = _alone(r.spec, series)
+        if r.diverged:
+            assert r.message == alone
+            assert r.message.startswith("run diverged at sample ")
+        else:
+            np.testing.assert_array_equal(r.curve.per_trial, alone.per_trial)
+    # the diverged run's forecasts are nan from the check that caught it on;
+    # the stable runs' rows hold real forecasts to the end
+    forecasts = _kernel([s for _, s in runs], series.values, None)
+    assert np.isnan(forecasts[2:4, -DIVERGENCE_CHECK_INTERVAL:]).all()
+    assert np.isfinite(forecasts[[0, 1, 4, 5, 6, 7], -1]).all()
 
 
 def test_tail_mean():

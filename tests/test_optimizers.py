@@ -306,16 +306,18 @@ def test_combined_past_ramp_is_momentum_bitwise():
 
 def test_combined_handover_matches_warmed_momentum():
     # after the ramp the update directions coincide with a pure momentum
-    # run that saw the same gradient history
+    # run that saw the same gradient history; AMSGrad stops advancing there
     rng = np.random.default_rng(5)
-    grads = rng.normal(size=(8, 2))
-    c = Combined(2, LR, ramp_length=3.0)
-    m = Momentum(2, LR)
-    for k, g in enumerate(grads):
-        dc = c.update_direction(g)
-        dm = m.update_direction(g)
-        if k >= 3:
-            assert np.array_equal(dc, dm)
+    for shape in ((2,), (3, 2)):
+        grads = rng.normal(size=(8, *shape))
+        c = Combined(2, LR, ramp_length=3.0)
+        m = Momentum(2, LR)
+        for k, g in enumerate(grads):
+            dc = c.update_direction(g)
+            dm = m.update_direction(g)
+            if k >= 3:
+                assert np.array_equal(dc, dm)
+        assert c.amsgrad.step_count == 3 and c.momentum.step_count == 8
 
 
 def test_combined_advances_both_substates_every_step():
@@ -377,6 +379,21 @@ def test_amsgrad_vmax_monotone(data):
         opt.update_direction(g)
         assert np.all(opt.v_max >= prev)
         prev = opt.v_max.copy()
+
+
+@pytest.mark.parametrize("name", tuple(OPTIMIZERS))
+def test_returned_delta_is_not_state(name):
+    # state is updated in place, so a returned delta must be a copy; combined
+    # with a ramp of 2 returns Momentum's direction from its third step on
+    rng = np.random.default_rng(7)
+    hyper = {"ramp_length": 2.0} if name == "combined" else {}
+    opt = make_optimizer(name, 3, LR, **hyper)
+    prev = opt.update_direction(rng.normal(size=3))
+    for _ in range(5):
+        kept = prev.copy()
+        cur = opt.update_direction(rng.normal(size=3))
+        assert np.array_equal(prev, kept), name
+        prev = cur
 
 
 def test_update_ignores_coefficient_values():
@@ -441,3 +458,9 @@ def test_gradient_shape_mismatch():
         opt.update_direction(np.zeros(2))
     with pytest.raises(ValueError, match="shape"):
         opt.step(np.zeros(2), np.zeros(3))
+    # state takes the first gradient's shape, and every later one must match it
+    opt = make_optimizer("adam", 3, LR)
+    opt.update_direction(np.zeros((2, 3)))
+    assert opt.m.shape == (2, 3)
+    with pytest.raises(ValueError, match="differs from the first"):
+        opt.update_direction(np.zeros(3))

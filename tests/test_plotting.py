@@ -1,9 +1,12 @@
 """Smoothing and SVG rendering tests."""
 
+import re
+
 import numpy as np
 import pytest
 
-from streamarima.plotting import moving_average, render_svg, smooth_curve
+from streamarima.optimizers import OPTIMIZERS
+from streamarima.plotting import PALETTE, moving_average, render_svg, smooth_curve
 
 
 def test_moving_average_trailing():
@@ -57,3 +60,15 @@ def test_render_svg_handles_flat_curves():
 def test_render_svg_rejects_empty_input():
     with pytest.raises(ValueError, match="no curves"):
         render_svg({})
+
+
+def test_render_svg_gives_each_rule_its_colour():
+    def strokes(curves):
+        svg = render_svg({label: (np.arange(3.0), np.arange(3.0)) for label in curves})
+        return re.findall(r'<polyline [^>]*stroke="(#[0-9a-f]+)"', svg)
+
+    # a rule keeps its colour when the rules before it are left out
+    rules = ["adagrad", "amsgrad"]
+    assert strokes(rules) == [PALETTE[list(OPTIMIZERS).index(name)] for name in rules]
+    # a sweep mixes rule names with other labels and colours by position
+    assert strokes(["combined_lambda_5", "amsgrad"]) == [PALETTE[0], PALETTE[1]]
