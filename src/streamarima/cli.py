@@ -102,7 +102,7 @@ def curve_csv(curve: ResidualCurve) -> str:
 
 def series_csv(series: TimeSeries) -> str:
     lines = ["value"]
-    lines += [repr(float(x)) for x in series.values]
+    lines += map(repr, series.values.tolist())
     return "\n".join(lines) + "\n"
 
 

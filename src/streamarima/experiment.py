@@ -21,7 +21,7 @@ from itertools import compress
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .model import ArimaModel, ModelConfig
+from .model import ArimaModel, ModelConfig, differences
 from .optimizers import OPTIMIZERS, make_optimizer
 from .series import MicroBatch, TimeSeries, normalize
 
@@ -111,10 +111,9 @@ def _kernel(specs: list[RunSpec], values: np.ndarray, starts) -> np.ndarray:
     """
     model = specs[0].model
     window = model.window
-    diffs = np.diff(values, n=model.d) if model.d else values
-    feats = sliding_window_view(diffs, model.mk)[:-1, ::-1]
-    levels = (np.diff(values, n=i) if i else values for i in range(model.d))
-    integ = sum(level[window - 1 - i : -1] for i, level in enumerate(levels))
+    levels = differences(values, model.d)
+    feats = sliding_window_view(levels[-1], model.mk)[:-1, ::-1]
+    integ = sum(level[window - 1 - i : -1] for i, level in enumerate(levels[:-1]))
     actual = values[window:]
     scored, bound = _scoring(values, starts, window)
     gamma = np.stack([ArimaModel(replace(model, seed=s)).gamma

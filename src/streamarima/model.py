@@ -28,6 +28,19 @@ from .optimizers import Optimizer
 INIT_BOUND = 0.5  # coefficients start at U[-INIT_BOUND, INIT_BOUND]
 
 
+def differences(x: np.ndarray, d: int) -> list[np.ndarray]:
+    """The levels ``[x, diff_1(x), ..., diff_d(x)]`` of ``x``, oldest first.
+
+    Each level is ``a[1:] - a[:-1]`` of the one before, which is what
+    ``np.diff`` computes, without its per-call overhead on a short window.
+    """
+    levels = [x]
+    for _ in range(d):
+        x = x[1:] - x[:-1]
+        levels.append(x)
+    return levels
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Structure and initialization seed of one forecaster instance."""
@@ -82,8 +95,8 @@ class ArimaModel:
 
         During warm-up the sample only extends history and None is returned.
         The features are the reversed d-th differences of the history, newest
-        first, built here for one row: the kernel's strided builder costs
-        several times more per call than ``np.diff`` on one window.
+        first, from the same ``differences`` as the kernel's, built here for
+        one row: the kernel's strided view costs several times more per call.
         """
         actual = float(actual)
         if not math.isfinite(actual):
@@ -91,11 +104,11 @@ class ArimaModel:
         if not self.warm:
             self._push(actual)
             return None
-        hist, d = self._hist, self.config.d
-        feats = (np.diff(hist, n=d) if d else hist)[::-1]
+        levels = differences(self._hist, self.config.d)
+        feats = levels[-1][::-1]
         integ = 0.0
-        for i in range(d):
-            integ += np.diff(hist, n=i)[-1] if i else hist[-1]
+        for level in levels[:-1]:
+            integ += level[-1]
         value = float(np.dot(self.gamma, feats) + integ)
         residual = value - actual
         grad = (2.0 * residual) * feats

@@ -87,10 +87,10 @@ def render_svg(
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
 
-    def px(x: float) -> float:
+    def px(x):
         return MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
 
-    def py(y: float) -> float:
+    def py(y):
         return MARGIN_T + (y_hi - y) / (y_hi - y_lo) * plot_h
 
     parts = [
@@ -130,9 +130,10 @@ def render_svg(
     rules = list(OPTIMIZERS) if all(label in OPTIMIZERS for label in curves) else None
     for k, (label, (x, y)) in enumerate(curves.items()):
         color = PALETTE[(rules.index(label) if rules else k) % len(PALETTE)]
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        pts = " ".join(f"{_fmt(px(a))},{_fmt(py(b))}" for a, b in zip(x, y))
+        # px and py take whole arrays, and "%.2f" % v is _fmt(v) for a float
+        x = px(np.asarray(x, dtype=np.float64)).tolist()
+        y = py(np.asarray(y, dtype=np.float64)).tolist()
+        pts = " ".join(map("%.2f,%.2f".__mod__, zip(x, y)))
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.2"/>'
         )

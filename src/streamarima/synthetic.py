@@ -80,8 +80,13 @@ def generate_raw(spec: GeneratorSpec) -> TimeSeries:
     which is what makes shifted variants comparable against their base.
     """
     total = spec.burn_in + spec.length
-    eps = gaussian_innovations(spec.seed, total, spec.noise_std)
-    x = np.zeros(total)
+    # The recurrence reads and writes the arrays through memoryviews, whose
+    # items are Python floats: the same IEEE double arithmetic as on numpy
+    # scalars at a fraction of the cost per term, with no float object kept
+    # per sample.
+    eps = memoryview(gaussian_innovations(spec.seed, total, spec.noise_std))
+    samples = np.zeros(total)
+    x = memoryview(samples)
     base = (tuple(spec.alpha), tuple(spec.beta))
     shifted = (tuple(spec.shift.alpha), tuple(spec.shift.beta)) if spec.shift else None
     for t in range(total):
@@ -98,12 +103,12 @@ def generate_raw(spec: GeneratorSpec) -> TimeSeries:
             if k >= 0:
                 acc += b * eps[k]
         x[t] = acc
-    if not np.all(np.abs(x) <= EXPLOSION_LIMIT):
+    if not np.all(np.abs(samples) <= EXPLOSION_LIMIT):
         raise ValueError(
             "non-stationary realization: sample magnitude exceeded "
             f"{EXPLOSION_LIMIT:g}, check the recurrence coefficients"
         )
-    return TimeSeries(x[spec.burn_in :])
+    return TimeSeries(samples[spec.burn_in :])
 
 
 def generate(spec: GeneratorSpec) -> TimeSeries:

@@ -1,11 +1,11 @@
 """Independent transcriptions that the tests hold the package to.
 
 Each one is written from the definitions in README.md, not from the package
-code: the forecast formula, the per-batch residual, a micro-batch splitter
-and a per-sample ``learn_step`` loop. ``Recorder`` is an optimizer that
-keeps every gradient ``learn_step`` hands it and never moves the
-coefficients, so the forecaster's gradient is checked on the path that
-training uses.
+code: the forecast formula, the per-batch residual, a micro-batch splitter,
+a per-sample ``learn_step`` loop and the plot's per-point coordinate map.
+``Recorder`` is an optimizer that keeps every gradient ``learn_step`` hands
+it and never moves the coefficients, so the forecaster's gradient is
+checked on the path that training uses.
 """
 
 from dataclasses import replace
@@ -14,6 +14,7 @@ import numpy as np
 
 from streamarima.model import ArimaModel
 from streamarima.optimizers import Optimizer, make_optimizer
+from streamarima.plotting import HEIGHT, MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T, WIDTH
 from streamarima.series import MicroBatch, TimeSeries
 
 
@@ -91,3 +92,34 @@ def learn_step_forecasts(spec, values):
         preds = (model.learn_step(opt, x) for x in values)
         rows.append([p.value for p in preds if p is not None])
     return np.array(rows)
+
+
+def polyline_points(curves):
+    """The ``points`` attribute of each curve's polyline, computed point by point.
+
+    The plot area spans the x range of all curves and their y range padded
+    by 5% at each end; a flat range is widened to 1 first. Each point maps
+    linearly into the area, y pointing down, and is written ``"x,y"`` with
+    two decimals; points are separated by one space.
+    """
+    xs = [float(v) for x, _ in curves.values() for v in np.asarray(x, dtype=np.float64)]
+    ys = [float(v) for _, y in curves.values() for v in np.asarray(y, dtype=np.float64)]
+    x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
+    if x_hi == x_lo:
+        x_hi = x_lo + 1.0
+    if y_hi == y_lo:
+        y_hi = y_lo + 1.0
+    pad = 0.05 * (y_hi - y_lo)
+    y_lo -= pad
+    y_hi += pad
+    plot_w = WIDTH - MARGIN_L - MARGIN_R
+    plot_h = HEIGHT - MARGIN_T - MARGIN_B
+    out = []
+    for x, y in curves.values():
+        pts = []
+        for a, b in zip(np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)):
+            px = MARGIN_L + (float(a) - x_lo) / (x_hi - x_lo) * plot_w
+            py = MARGIN_T + (y_hi - float(b)) / (y_hi - y_lo) * plot_h
+            pts.append(f"{px:.2f},{py:.2f}")
+        out.append(" ".join(pts))
+    return out

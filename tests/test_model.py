@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import forecast, probe, warmed_model
-from streamarima.model import ArimaModel, ModelConfig
+from streamarima.model import ArimaModel, ModelConfig, differences
 from streamarima.optimizers import make_optimizer
 
 
@@ -55,6 +55,18 @@ def test_forecast_with_second_differences():
     for predict in (learn_step_forecast, forecast):
         got = predict([0.5], [1.0, 2.0, 4.0], 2)
         assert got == pytest.approx(0.5 * 1.0 + 4.0 + 2.0, abs=1e-12)
+
+
+def test_differences_are_np_diff_bitwise():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 4, 11, 301):
+        x = rng.normal(size=n) * 10.0 ** rng.integers(-8, 8, size=n)
+        levels = differences(x, 3)
+        assert len(levels) == 4 and levels[0] is x
+        for k, level in enumerate(levels):
+            np.testing.assert_array_equal(level, np.diff(x, n=k), strict=True)
+            assert level.tobytes() == np.diff(x, n=k).tobytes()
+    assert differences(x, 0) == [x]
 
 
 def test_analytic_gradient_matches_finite_differences():

@@ -4,7 +4,11 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from oracles import polyline_points
 from streamarima.optimizers import OPTIMIZERS
 from streamarima.plotting import PALETTE, moving_average, render_svg, smooth_curve
 
@@ -72,3 +76,41 @@ def test_render_svg_gives_each_rule_its_colour():
     assert strokes(rules) == [PALETTE[list(OPTIMIZERS).index(name)] for name in rules]
     # a sweep mixes rule names with other labels and colours by position
     assert strokes(["combined_lambda_5", "amsgrad"]) == [PALETTE[0], PALETTE[1]]
+
+
+coordinates = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def plotted_curves(draw):
+    """1-10 curves of 0-300 points, int or float, some flat, labelled by rule or not."""
+    count = draw(st.integers(1, 10))
+    if draw(st.booleans()):
+        rules = draw(st.permutations(list(OPTIMIZERS)))
+        labels = rules[: min(count, len(rules))]
+    else:
+        labels = [f"curve_{k}" for k in range(count)]
+    curves = {}
+    for label in labels:
+        n = draw(st.integers(0, 300))
+        dtype = draw(st.sampled_from([np.int64, np.float64]))
+        elements = coordinates if dtype is np.float64 else st.integers(-10**6, 10**6)
+        x = draw(hnp.arrays(dtype, n, elements=elements))
+        if draw(st.booleans()):
+            y = np.full(n, draw(coordinates), dtype=dtype)
+        else:
+            y = draw(hnp.arrays(dtype, n, elements=elements))
+        curves[label] = (x, y)
+    if sum(x.size for x, _ in curves.values()) == 0:
+        curves[labels[0]] = (np.array([draw(coordinates)]), np.array([draw(coordinates)]))
+    return curves
+
+
+@given(curves=plotted_curves())
+@settings(max_examples=60, deadline=None)
+def test_polyline_points_match_the_per_point_formula(curves):
+    svg = render_svg(curves, title="t")
+    assert re.findall(r'<polyline points="([^"]*)"', svg) == polyline_points(curves)
