@@ -14,8 +14,9 @@ stdout gets the settings as comment lines followed by the RATES table, in
 the form tests/test_acceptance.py holds them, so a diff against the test
 shows any change in either. stderr gets every rate's score, one rule at a
 time. A full search is 264 runs of 30 trials, one kernel call per rule and
-preset, and took 28 s on one core of a shared 2-vCPU Xeon host (63 s with
-one kernel call per rate on the same host).
+preset, and takes about 10 s on one core of a shared 2-vCPU Xeon host
+(26 s with one optimizer per rate in that call, 63 s with one kernel call
+per rate, on the same host).
 
     PYTHONPATH=src python3 scripts/acceptance_rates.py
 """

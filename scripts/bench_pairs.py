@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Benchmark a parent revision against the working tree in alternating pairs.
 
-    python3 scripts/bench_pairs.py --parent HEAD --seed 60 --out BENCH_9.json
+    python3 scripts/bench_pairs.py --parent HEAD --seed 60 --out BENCH_10.json
 
 Run from anywhere inside the repository. Both sides run from fresh copies
 made with ``git archive`` in two sibling temporary directories: the parent
@@ -15,6 +15,12 @@ per side, on the first seed, then gives the per-layer metrics. Each side
 runs the benchmark code of its own copy; this script only calls
 ``perfbench/run.py`` and changes nothing there.
 
+The kernel, which perfbench's trace does not see as a span of its own, is
+timed here: ``experiment._kernel`` over preset 2 (data seed 7) at
+``reproduce 2``'s settings, once per rule alone and once with all rules in
+one call, at 1 and 30 trials. Each side runs it in a fresh interpreter, in
+KERNEL_ROUNDS alternating rounds, and the median of its rounds is kept.
+
 The JSON written holds every run's metrics and, for each workload and
 end-to-end metric, each side's median and quartiles, the parent's
 interquartile range, the change in the medians, the number of pairs the
@@ -26,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -35,6 +42,28 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 PAIRS = 10
+KERNEL_ROUNDS = 5
+# Prints the kernel's microseconds per sample (one step of all its rows) as JSON.
+KERNEL_PROBE = """
+import json, time
+from dataclasses import replace
+from streamarima.experiment import RunSpec, _kernel
+from streamarima.model import ModelConfig
+from streamarima.optimizers import OPTIMIZERS
+from streamarima.synthetic import generate, preset
+
+values = generate(preset(2, seed=7)).values
+out = {}
+for trials in (1, 30):
+    base = RunSpec(ModelConfig(mk=10), "combined", 0.05, 2000.0, tuple(range(trials)))
+    groups = {name: [replace(base, optimizer=name)] for name in OPTIMIZERS}
+    groups["all"] = [replace(base, optimizer=name) for name in OPTIMIZERS]
+    for label, specs in groups.items():
+        start = time.perf_counter()
+        _kernel(specs, values, None)
+        out[f"T{trials}.{label}"] = (time.perf_counter() - start) / (values.size - 10) * 1e6
+print(json.dumps(out))
+"""
 
 
 def run_bench(tree: Path, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
@@ -50,6 +79,15 @@ def run_bench(tree: Path, seed: int, seconds: float, trace: int) -> tuple[dict, 
     lines = proc.stdout.strip().splitlines()
     machine = json.loads(next(x for x in lines if x.startswith("machine "))[len("machine "):])
     return json.loads(lines[-1]), machine
+
+
+def kernel_us(tree: Path) -> dict[str, float]:
+    """One run of KERNEL_PROBE against the package in ``tree``."""
+    proc = subprocess.run([sys.executable, "-c", KERNEL_PROBE], cwd=tree, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(tree / "src")})
+    if proc.returncode != 0:
+        raise RuntimeError(f"kernel probe in {tree} exited {proc.returncode}:\n{proc.stderr}")
+    return json.loads(proc.stdout)
 
 
 def quartiles(values: list[float]) -> dict[str, float]:
@@ -142,6 +180,12 @@ def main() -> int:
                   f"parent {wall['parent']:.4f} change {wall['change']:.4f}", file=sys.stderr)
         traced = {side: values(run_bench(trees[side], args.seed, seconds, 1)[0])
                   for side in SIDES}
+        probes = {side: [] for side in SIDES}
+        for k in range(KERNEL_ROUNDS):
+            for side in (SIDES if k % 2 == 0 else SIDES[::-1]):
+                probes[side].append(kernel_us(trees[side]))
+        kernel = {side: {key: statistics.median(p[key] for p in probes[side])
+                         for key in probes[side][0]} for side in SIDES}
 
     doc = {
         "what": f"perfbench/run.py --workload all --seconds {seconds:g}, parent "
@@ -158,6 +202,16 @@ def main() -> int:
             "summary": summarize(runs, better),
             "runs": [{"seed": r["seed"], "first": r["first"],
                       **{s: values(r[s]) for s in SIDES}} for r in runs],
+        },
+        "kernel": {
+            "what": "experiment._kernel on preset 2 (data seed 7), mk 10, lr 0.05, lambda "
+                    "2000: each rule alone and all rules in one call (T<trials>.all), at 1 "
+                    "and 30 trials; microseconds per sample, one step of all the call's rows",
+            "rounds": KERNEL_ROUNDS,
+            "order": "alternating: parent first in even rounds, change first in odd rounds",
+            **kernel,
+            "change_vs_parent": {key: kernel["change"][key] / kernel["parent"][key] - 1.0
+                                 for key in kernel["parent"]},
         },
         "trace1": {
             "command": f"python3 perfbench/run.py --workload all --seed {args.seed} "

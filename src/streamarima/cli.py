@@ -251,6 +251,8 @@ def _parse_floats(text: str, what: str) -> list[float]:
 
 
 def _spec_from_args(args, optimizer: str, ramp: float | None) -> RunSpec:
+    if ramp is not None and optimizer != "combined":
+        raise ValueError(f"--lambda: valid only with --optimizer combined, not {optimizer}")
     return RunSpec(
         model=ModelConfig(mk=args.mk, d=args.d),
         optimizer=optimizer,
@@ -287,8 +289,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    data = _load_data(args)
-    curve = run_data(_spec_from_args(args, args.optimizer, args.ramp), data)
+    spec = _spec_from_args(args, args.optimizer, args.ramp)
+    curve = run_data(spec, _load_data(args))
     paths = _write_outputs(args, {args.out: partial(curve_csv, curve)}, {args.optimizer: curve})
     print(f"wrote {curve.indices.size} curve points to {paths[0]}")
     if args.svg:
@@ -312,8 +314,8 @@ def _sweep(args, data, title: str) -> int:
 
 
 def _cmd_grid(args) -> int:
-    data = _load_data(args)
     spec = _spec_from_args(args, args.optimizer, args.ramp)
+    data = _load_data(args)
     rates = _parse_floats(args.rates, "rate grid")
     best, records = grid_search(spec, data, rates)
     for r in records:

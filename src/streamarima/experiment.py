@@ -22,7 +22,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .model import ArimaModel, ModelConfig, differences
-from .optimizers import OPTIMIZERS, make_optimizer
+from .optimizers import OPTIMIZERS, Optimizer
 from .series import MicroBatch, TimeSeries, normalize
 
 TAIL_FRACTION = 0.1
@@ -94,20 +94,22 @@ def _scoring(values: np.ndarray, starts, window: int):
     return scored[window:], DIVERGENCE_FACTOR * np.abs(values).max()
 
 
-def _kernel(specs: list[RunSpec], values: np.ndarray, starts) -> np.ndarray:
+def _kernel(specs: list[RunSpec], values: np.ndarray, starts) -> tuple[np.ndarray, list]:
     """Forecasts past the first mk + d samples of every trial of every run.
 
-    The runs share one model shape. Each run's trials are a block of rows of
-    one (rows, mk) coefficient array: per sample there is one ``gamma @ f``
-    and one gradient for all rows, and each run's optimizer updates its own
-    block in place. Lag row j holds the d-th differences of
+    The runs share one model shape. All their trials are the rows of one
+    (rows, mk) coefficient array, grouped by rule as ``Optimizer`` orders
+    them: per sample there is one ``gamma @ f``, one gradient and one
+    optimizer update for all rows. Lag row j holds the d-th differences of
     ``values[j : j + mk + d]``, newest first: a strided view, never an n x mk
-    copy.
+    copy. Returns the forecasts in that row order and each run's block of
+    rows.
 
     Every DIVERGENCE_CHECK_INTERVAL samples, a run whose first trial has
-    diverged at a scored position leaves the loop, and its later forecasts
-    are nan. ``_residuals`` then names that trial at the same position, so
-    what the run reports does not change.
+    diverged at a scored position leaves the loop: its rows leave the
+    coefficient array and the optimizer, and its later forecasts are nan.
+    ``_residuals`` then names that trial at the same position, so what the
+    run reports does not change.
     """
     model = specs[0].model
     window = model.window
@@ -116,38 +118,41 @@ def _kernel(specs: list[RunSpec], values: np.ndarray, starts) -> np.ndarray:
     integ = sum(level[window - 1 - i : -1] for i, level in enumerate(levels[:-1]))
     actual = values[window:]
     scored, bound = _scoring(values, starts, window)
-    gamma = np.stack([ArimaModel(replace(model, seed=s)).gamma
-                      for spec in specs for s in spec.trial_seeds])
+    opt = Optimizer(model.mk, [
+        (spec.optimizer, spec.learning_rate,
+         spec.ramp_length if spec.optimizer == "combined" else None, spec.trials)
+        for spec in specs])
+    blocks = opt.blocks
+    gamma = np.empty(opt.shape)
+    for spec, block in zip(specs, blocks):
+        gamma[block] = [ArimaModel(replace(model, seed=s)).gamma for s in spec.trial_seeds]
     grad = np.empty_like(gamma)
-    live, row = [], 0
-    for spec in specs:
-        hyper = {"ramp_length": spec.ramp_length} if spec.optimizer == "combined" else {}
-        opt = make_optimizer(spec.optimizer, model.mk, spec.learning_rate, **hyper)
-        block = slice(row, row + spec.trials)
-        live.append((opt, gamma[block], grad[block], row))
-        row = block.stop
-    forecasts = np.empty((row, actual.size))
+    forecasts = np.empty((gamma.shape[0], actual.size))
+    live = list(range(len(specs)))
+    rows = slice(None)  # the forecast row of each coefficient row
     with np.errstate(all="ignore"):
         for j, f in enumerate(feats):
             value = gamma @ f
             if model.d:
                 value += integ[j]
-            forecasts[:, j] = value
+            forecasts[rows, j] = value
             np.multiply((2.0 * (value - actual[j]))[:, None], f, out=grad)
-            for opt, coeffs, g, _ in live:
-                coeffs -= opt.advance(g)
+            gamma -= opt.advance(grad)
             if (j + 1) % DIVERGENCE_CHECK_INTERVAL == 0:
                 span = slice(j + 1 - DIVERGENCE_CHECK_INTERVAL, j + 1)
-                resid = np.abs(forecasts[[first for *_, first in live], span] - actual[span])
+                resid = np.abs(forecasts[[blocks[i].start for i in live], span] - actual[span])
                 # the same test as _residuals; the negated comparison is also true for nan
                 diverged = (~(resid <= bound) & scored[span]).any(axis=1)
-                for _, coeffs, _, _ in compress(live, diverged):
-                    coeffs[:] = np.nan
-                live = list(compress(live, ~diverged))
-                if not live:
-                    forecasts[:, j + 1 :] = np.nan
-                    break
-    return forecasts
+                if diverged.any():
+                    for i in compress(live, diverged):
+                        forecasts[blocks[i], j + 1 :] = np.nan
+                    live = list(compress(live, ~diverged))
+                    if not live:
+                        break
+                    opt, kept = opt.without(diverged)
+                    gamma, grad = gamma[kept], grad[kept]
+                    rows = np.arange(forecasts.shape[0])[rows][kept]
+    return forecasts, blocks
 
 
 def _residuals(spec: RunSpec, forecasts: np.ndarray, values: np.ndarray, starts=None):
@@ -214,7 +219,7 @@ def _curve(spec: RunSpec, forecasts: np.ndarray, values: np.ndarray, starts) -> 
 def run_data(spec: RunSpec, data) -> ResidualCurve:
     """One run over a TimeSeries (a point per sample) or a batch list (a point per batch)."""
     values, starts = _source(data, spec.model.window)
-    return _curve(spec, _kernel([spec], values, starts), values, starts)
+    return _curve(spec, _kernel([spec], values, starts)[0], values, starts)
 
 
 def run_stream(spec: RunSpec, series: TimeSeries) -> ResidualCurve:
@@ -276,12 +281,11 @@ def _run_all(runs, data, score=tail_mean) -> list[RunRecord]:
     """One kernel call for every ``(label, spec)`` over ``data``; a diverged run stays a record."""
     specs = [spec for _, spec in runs]
     values, starts = _source(data, specs[0].model.window)
-    forecasts = _kernel(specs, values, starts)
-    records, row = [], 0
-    for label, spec in runs:
-        block, row = forecasts[row : row + spec.trials], row + spec.trials
+    forecasts, blocks = _kernel(specs, values, starts)
+    records = []
+    for (label, spec), block in zip(runs, blocks):
         try:
-            curve = _curve(spec, block, values, starts)
+            curve = _curve(spec, forecasts[block], values, starts)
         except DivergedError as exc:
             records.append(RunRecord(label, spec, math.inf, None, str(exc)))
         else:

@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 
 from streamarima.model import ArimaModel
-from streamarima.optimizers import Optimizer, make_optimizer
+from streamarima.optimizers import make_optimizer
 from streamarima.plotting import HEIGHT, MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T, WIDTH
 from streamarima.series import MicroBatch, TimeSeries
 
@@ -34,24 +34,21 @@ def forecast(gamma, history, d):
     return lags + sum(diff(j, last) for j in range(d))
 
 
-class Recorder(Optimizer):
-    """Records the gradient of every step and returns a zero delta."""
+class Recorder:
+    """Records the gradient of every step and leaves the coefficients as they are."""
 
-    name = "recorder"
-
-    def __init__(self, dim):
-        super().__init__(dim, 1.0)
+    def __init__(self):
         self.grads = []
 
-    def _delta(self, grad):
-        self.grads.append(grad.copy())
-        return np.zeros_like(grad)
+    def step(self, coeffs, grad):
+        self.grads.append(np.array(grad, dtype=np.float64))
+        return np.array(coeffs, dtype=np.float64)
 
 
 def warmed_model(config, history, gamma=None):
     """A model whose lag window holds ``history`` (mk + d samples)."""
     model = ArimaModel(config)
-    recorder = Recorder(config.mk)
+    recorder = Recorder()
     for x in history:
         assert model.learn_step(recorder, x) is None
     assert model.warm
@@ -62,7 +59,7 @@ def warmed_model(config, history, gamma=None):
 
 def probe(model, actual):
     """The Prediction and the gradient of one learn_step; gamma keeps its values."""
-    recorder = Recorder(model.config.mk)
+    recorder = Recorder()
     pred = model.learn_step(recorder, actual)
     return pred, recorder.grads[0]
 
@@ -87,8 +84,8 @@ def learn_step_forecasts(spec, values):
     rows = []
     for seed in spec.trial_seeds:
         model = ArimaModel(replace(spec.model, seed=seed))
-        hyper = {"ramp_length": spec.ramp_length} if spec.optimizer == "combined" else {}
-        opt = make_optimizer(spec.optimizer, spec.model.mk, spec.learning_rate, **hyper)
+        ramp = spec.ramp_length if spec.optimizer == "combined" else None
+        opt = make_optimizer(spec.optimizer, spec.model.mk, spec.learning_rate, ramp)
         preds = (model.learn_step(opt, x) for x in values)
         rows.append([p.value for p in preds if p is not None])
     return np.array(rows)

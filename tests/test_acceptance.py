@@ -50,7 +50,7 @@ from streamarima.experiment import (
     tail_mean,
 )
 from streamarima.model import ModelConfig
-from streamarima.optimizers import BASELINE_NAMES, Combined, Momentum, make_optimizer
+from streamarima.optimizers import BASELINE_NAMES, make_optimizer
 from streamarima.series import TimeSeries
 from streamarima.synthetic import generate, preset
 
@@ -199,9 +199,9 @@ def test_03_blend_anchors_and_momentum_handover():
     )
 
     rng = np.random.default_rng(0)
-    comb = Combined(4, 0.05, ramp_length=8.0)
+    comb = make_optimizer("combined", 4, 0.05, ramp_length=8.0)
     comb.step_count = 8  # past the ramp from the first step
-    mom = Momentum(4, 0.05)
+    mom = make_optimizer("momentum", 4, 0.05)
     cx, mx = np.zeros(4), np.zeros(4)
     bitwise = True
     for _ in range(40):

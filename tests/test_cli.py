@@ -119,6 +119,15 @@ def test_run_errors_exit_nonzero(tmp_path, small_csv, capsys):
         "--mk", 3, "--trials", 1, "--out", out,
     ) == 1
     assert capsys.readouterr().err.startswith("error:")
+    # and only combined takes one
+    for cmd, rule, ramp in (("run", "basic", "5"), ("grid-search", "adam", "-3")):
+        flags = ("--out", out) if cmd == "run" else ("--rates", "0.01", "--out", out)
+        assert run_cli(
+            cmd, "--data", small_csv, "--optimizer", rule, "--lambda", ramp, "--mk", 3, *flags,
+        ) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --lambda: valid only with --optimizer combined, not {rule}\n"
+    assert not out.exists()
 
     assert run_cli(
         "run", "--data", tmp_path / "missing.csv", "--optimizer", "basic", "--out", out,
@@ -352,7 +361,8 @@ def test_reproduce_is_the_explicit_commands(tmp_path):
     model = ["--data", series, "--mk", 10, "--lr", 0.05, "--trials", 2]
     for name in ALL_OPTIMIZERS:
         out = tmp_path / f"{name}.csv"
-        assert run_cli("run", *model, "--optimizer", name, "--lambda", 2000, "--out", out) == 0
+        ramp = ["--lambda", 2000] if name == "combined" else []
+        assert run_cli("run", *model, "--optimizer", name, *ramp, "--out", out) == 0
         assert out.read_bytes() == (canned / f"config2_{name}.csv").read_bytes(), name
     out = tmp_path / "sweep.csv"
     assert run_cli("sweep-lambda", *model, "--out", out) == 0

@@ -1,5 +1,6 @@
 """Harness tests: residual metric, streaming vs batched runs, search loops."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from oracles import batch_residual, learn_step_forecasts, microbatches
 from streamarima.experiment import (
     DIVERGENCE_CHECK_INTERVAL,
+    DIVERGENCE_FACTOR,
     DivergedError,
     ResidualCurve,
     RunSpec,
@@ -192,6 +194,16 @@ def test_kernel_matches_per_sample_learn_step(data):
     want = learn_step_forecasts(spec, values)
     window = mk + d
     resid = np.abs(want - values[window:])
+    # a run that blows up (momentum-like rules at d = 2 can) is reported where
+    # the per-sample loop blows up, for its first trial that does
+    bad = ~(resid <= DIVERGENCE_FACTOR * np.abs(values).max())
+    if bad.any():
+        trial = int(bad.any(axis=1).argmax())
+        k = int(bad[trial].argmax()) + window
+        with pytest.raises(DivergedError,
+                           match=rf"at sample {k} .*trial seed {spec.trial_seeds[trial]}\)"):
+            run_stream(spec, TimeSeries(values))
+        return
 
     got = run_stream(spec, TimeSeries(values))
     np.testing.assert_allclose(got.per_trial, resid, rtol=1e-12, atol=1e-12)
@@ -238,15 +250,24 @@ def _alone(spec, data):
 def test_every_run_of_one_kernel_call_matches_the_run_alone(data):
     mk = data.draw(st.integers(1, 12), label="mk")
     d = data.draw(st.integers(0, 2), label="d")
-    n_runs = data.draw(st.integers(1, 4), label="runs")
+    # up to 8 runs in any order, a rule repeated at distinct rates or ramps;
+    # the largest rates diverge, some only after several check intervals
+    rules = data.draw(st.lists(
+        st.tuples(
+            st.sampled_from(sorted(OPTIMIZERS)),
+            st.sampled_from([1e-3, 3e-3, 0.05, 0.3, 1e3]),
+            st.one_of(st.floats(1.0, 300.0), st.just(math.inf)),
+        ),
+        min_size=1, max_size=8,
+        unique_by=lambda r: (r[0], r[1], r[2] if r[0] == "combined" else None),
+    ), label="runs")
     runs = []
-    for k in range(n_runs):
+    for k, (optimizer, rate, ramp) in enumerate(rules):
         runs.append((f"run_{k}", RunSpec(
             model=ModelConfig(mk=mk, d=d),
-            optimizer=data.draw(st.sampled_from(sorted(OPTIMIZERS))),
-            # the largest rates diverge, some only after several check intervals
-            learning_rate=data.draw(st.sampled_from([1e-3, 3e-3, 0.05, 0.3, 1e3])),
-            ramp_length=data.draw(st.floats(1.0, 300.0)),
+            optimizer=optimizer,
+            learning_rate=rate,
+            ramp_length=ramp,
             trial_seeds=tuple(
                 data.draw(st.lists(st.integers(0, 999), min_size=1, max_size=4, unique=True))
             ),
@@ -274,10 +295,12 @@ def test_a_diverged_run_leaves_the_loop_without_touching_the_others():
     series = generate(preset(2, seed=7))
     stable = [spec_for(name, mk=10, seeds=(0, 1), lr=0.05, ramp=2000.0)
               for name in ("basic", "adagrad", "combined")]
+    # a ramp that has ended before the wild run leaves, and one that has not
+    stable.append(spec_for("combined", mk=10, seeds=(0, 1), lr=0.05, ramp=50.0))
     wild = spec_for("momentum", mk=10, seeds=(0, 1), lr=1.0)
     runs = [(s.optimizer, s) for s in (stable[0], wild, *stable[1:])]
     records = _run_all(runs, series)
-    assert [r.diverged for r in records] == [False, True, False, False]
+    assert [r.diverged for r in records] == [False, True, False, False, False]
     for r in records:
         alone = _alone(r.spec, series)
         if r.diverged:
@@ -287,9 +310,12 @@ def test_a_diverged_run_leaves_the_loop_without_touching_the_others():
             np.testing.assert_array_equal(r.curve.per_trial, alone.per_trial)
     # the diverged run's forecasts are nan from the check that caught it on;
     # the stable runs' rows hold real forecasts to the end
-    forecasts = _kernel([s for _, s in runs], series.values, None)
-    assert np.isnan(forecasts[2:4, -DIVERGENCE_CHECK_INTERVAL:]).all()
-    assert np.isfinite(forecasts[[0, 1, 4, 5, 6, 7], -1]).all()
+    forecasts, blocks = _kernel([s for _, s in runs], series.values, None)
+    for r, block in zip(records, blocks):
+        if r.diverged:
+            assert np.isnan(forecasts[block, -DIVERGENCE_CHECK_INTERVAL:]).all()
+        else:
+            assert np.isfinite(forecasts[block, -1]).all()
 
 
 def test_tail_mean():

@@ -3,8 +3,9 @@
 The reference recurrences at the top are straight-line transcriptions in
 plain Python (no numpy), written independently of the implementation.
 Every optimizer is checked against its transcription over a scripted
-gradient sequence; the blend inside ``Combined`` is checked at its anchor
-points and against a hand-rolled two-optimizer oracle.
+gradient sequence; the blend of ``combined`` is checked at its anchor
+points and against a hand-rolled two-optimizer oracle, and the rows of an
+optimizer that holds runs of several rules against one-run optimizers.
 """
 
 import math
@@ -14,14 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamarima.optimizers import (
-    BASELINE_NAMES,
-    OPTIMIZERS,
-    AMSGrad,
-    Combined,
-    Momentum,
-    make_optimizer,
-)
+from streamarima.optimizers import BASELINE_NAMES, OPTIMIZERS, Optimizer, make_optimizer
 
 LR = 0.1
 
@@ -142,7 +136,7 @@ def test_five_step_oracle(name):
 
 
 def test_momentum_second_step_value():
-    opt = Momentum(1, 0.1)
+    opt = make_optimizer("momentum", 1, 0.1)
     first = opt.update_direction([1.0])
     second = opt.update_direction([1.0])
     assert first[0] == pytest.approx(0.1, abs=1e-12)
@@ -188,7 +182,7 @@ def test_amsgrad_max_never_increases_step():
     opt.update_direction([10.0])
     opt.update_direction([0.1])
     m_before = opt.m.copy()
-    v_before = opt.v.copy()
+    v_before = opt.s.copy()
     d = opt.update_direction([0.1])
 
     b1, b2 = 0.9, 0.999
@@ -222,13 +216,20 @@ def test_velocity_decays_geometrically_after_zero_gradients():
 
 
 def combined_deltas(t, ramp_length, grad):
-    """Combined's delta at step t, with AMSGrad's and Momentum's from cold state."""
+    """Combined's delta after t steps, with AMSGrad's and Momentum's at the same count.
+
+    All three start from cold state; the weight and AMSGrad's bias
+    corrections read the count before the step.
+    """
     grad = np.asarray(grad, dtype=np.float64)
-    comb = Combined(grad.size, LR, ramp_length=ramp_length)
-    comb.step_count = t  # the weight reads the count before the step
-    a = AMSGrad(grad.size, LR).update_direction(grad)
-    m = Momentum(grad.size, LR).update_direction(grad)
-    return comb.update_direction(grad), a, m
+    opts = (
+        make_optimizer("combined", grad.size, LR, ramp_length=ramp_length),
+        make_optimizer("amsgrad", grad.size, LR),
+        make_optimizer("momentum", grad.size, LR),
+    )
+    for opt in opts:
+        opt.step_count = t
+    return tuple(opt.update_direction(grad) for opt in opts)
 
 
 def test_blend_anchor_points():
@@ -255,7 +256,7 @@ def test_blend_is_affine_on_the_ramp(t, g):
 
 def test_combined_three_step_oracle():
     grads = [[1.0, -0.5]] * 3
-    opt = Combined(2, LR, ramp_length=2.0)
+    opt = make_optimizer("combined", 2, LR, ramp_length=2.0)
     got = deltas(opt, grads)
 
     a_steps = oracle_amsgrad(grads)
@@ -271,15 +272,22 @@ def test_combined_three_step_oracle():
 
 def test_combined_first_step_is_pure_amsgrad():
     g = np.array([0.3, -0.7, 1.1])
-    c = Combined(3, LR, ramp_length=2000.0)
-    a = AMSGrad(3, LR)
+    c = make_optimizer("combined", 3, LR, ramp_length=2000.0)
+    a = make_optimizer("amsgrad", 3, LR)
     assert np.array_equal(c.update_direction(g), a.update_direction(g))
+    # not a blend at weight 0: lr * g overflows here, so the velocity and
+    # AMSGrad's direction are inf, and 0 * inf would make the blend nan
+    g = np.array([0.3, 1e10, 1.1])
+    c = make_optimizer("combined", 3, 1e300, ramp_length=2000.0)
+    a = make_optimizer("amsgrad", 3, 1e300)
+    with np.errstate(over="ignore"):
+        assert np.array_equal(c.update_direction(g), a.update_direction(g))
 
 
 def test_combined_infinite_ramp_is_amsgrad_bitwise():
     rng = np.random.default_rng(3)
-    c = Combined(4, LR, ramp_length=math.inf)
-    a = AMSGrad(4, LR)
+    c = make_optimizer("combined", 4, LR, ramp_length=math.inf)
+    a = make_optimizer("amsgrad", 4, LR)
     coeffs_c = np.zeros(4)
     coeffs_a = np.zeros(4)
     for _ in range(50):
@@ -292,9 +300,9 @@ def test_combined_infinite_ramp_is_amsgrad_bitwise():
 def test_combined_past_ramp_is_momentum_bitwise():
     # clock started beyond the ramp, both velocity states cold
     rng = np.random.default_rng(4)
-    c = Combined(3, LR, ramp_length=3.0)
+    c = make_optimizer("combined", 3, LR, ramp_length=3.0)
     c.step_count = 3
-    m = Momentum(3, LR)
+    m = make_optimizer("momentum", 3, LR)
     coeffs_c = np.zeros(3)
     coeffs_m = np.zeros(3)
     for _ in range(20):
@@ -304,36 +312,51 @@ def test_combined_past_ramp_is_momentum_bitwise():
         assert np.array_equal(coeffs_c, coeffs_m)
 
 
+def assert_amsgrad_state(c, a):
+    """Combined's AMSGrad state (m, s, v_max) is that of the AMSGrad run ``a``."""
+    for key in ("m", "s", "v_max"):
+        np.testing.assert_array_equal(getattr(c, key), getattr(a, key), err_msg=key)
+
+
 def test_combined_handover_matches_warmed_momentum():
     # after the ramp the update directions coincide with a pure momentum
-    # run that saw the same gradient history; AMSGrad stops advancing there
+    # run that saw the same gradient history; AMSGrad stops advancing there,
+    # so its state is that of an AMSGrad run that saw only the first 3 steps
     rng = np.random.default_rng(5)
     for shape in ((2,), (3, 2)):
         grads = rng.normal(size=(8, *shape))
-        c = Combined(2, LR, ramp_length=3.0)
-        m = Momentum(2, LR)
+        c = make_optimizer("combined", 2, LR, ramp_length=3.0)
+        m = make_optimizer("momentum", 2, LR)
+        a = make_optimizer("amsgrad", 2, LR)
         for k, g in enumerate(grads):
             dc = c.update_direction(g)
             dm = m.update_direction(g)
-            if k >= 3:
+            if k < 3:
+                a.update_direction(g)
+            else:
                 assert np.array_equal(dc, dm)
-        assert c.amsgrad.step_count == 3 and c.momentum.step_count == 8
+        assert_amsgrad_state(c, a)
+        np.testing.assert_array_equal(c.velocity, m.velocity)
+        assert c.step_count == m.step_count == 8 and a.step_count == 3
 
 
 def test_combined_advances_both_substates_every_step():
-    c = Combined(2, LR, ramp_length=5.0)
+    c = make_optimizer("combined", 2, LR, ramp_length=5.0)
+    a = make_optimizer("amsgrad", 2, LR)
+    m = make_optimizer("momentum", 2, LR)
     for _ in range(4):
-        c.update_direction(np.array([1.0, 1.0]))
-    assert c.amsgrad.step_count == 4
-    assert c.momentum.step_count == 4
+        for opt in (c, a, m):
+            opt.update_direction(np.array([1.0, 1.0]))
+    assert_amsgrad_state(c, a)
+    np.testing.assert_array_equal(c.velocity, m.velocity)
     assert c.step_count == 4
-    assert np.all(c.momentum.velocity != 0)
-    assert np.all(c.amsgrad.v_max > 0)
+    assert np.all(c.velocity != 0)
+    assert np.all(c.v_max > 0)
 
 
 def test_combined_requires_positive_ramp():
     with pytest.raises(ValueError, match="ramp_length"):
-        Combined(2, LR, ramp_length=0.0)
+        make_optimizer("combined", 2, LR, ramp_length=0.0)
     with pytest.raises(ValueError, match="ramp_length"):
         make_optimizer("combined", 2, LR, ramp_length=-5.0)
 
@@ -372,8 +395,8 @@ def test_amsgrad_vmax_monotone(data):
     dim = data.draw(st.integers(1, 4))
     steps = data.draw(st.integers(1, 10))
     finite = st.floats(-100, 100, allow_nan=False)
-    opt = AMSGrad(dim, LR)
-    prev = opt.v_max.copy()
+    opt = make_optimizer("amsgrad", dim, LR)
+    prev = np.zeros(dim)  # the state starts at zero
     for _ in range(steps):
         g = np.array(data.draw(st.lists(finite, min_size=dim, max_size=dim)))
         opt.update_direction(g)
@@ -420,6 +443,27 @@ def test_rows_step_like_separate_optimizers(name):
         coeffs = together.step(coeffs, grads)
         rows = [opt.step(r, g) for opt, r, g in zip(alone, rows, grads)]
         np.testing.assert_array_equal(coeffs, np.stack(rows))
+
+    # runs of several rules in one optimizer: this rule at two rates (combined
+    # also at three ramps, one infinite) among a run of every other rule, in
+    # shuffled order; the ramps of 2, 3 and 5.5 hand over at steps 3, 4 and 7
+    runs = [(other, LR, 2.0 if other == "combined" else None, 2)
+            for other in OPTIMIZERS if other != name]
+    ramps = (3.0, 5.5, math.inf) if name == "combined" else (None,)
+    runs += [(name, lr, ramp, 3) for lr in (LR, 0.03) for ramp in ramps]
+    runs = [runs[i] for i in rng.permutation(len(runs))]
+    bank = Optimizer(3, runs)
+    alone = [[make_optimizer(rule, 3, lr, ramp_length=ramp) for _ in range(rows)]
+             for rule, lr, ramp, rows in runs]
+    coeffs = rng.normal(size=bank.shape)
+    together = coeffs.copy()
+    for _ in range(8):
+        grads = rng.normal(size=bank.shape)
+        together = bank.step(together, grads)
+        for opts, block in zip(alone, bank.blocks):
+            for opt, row in zip(opts, range(block.start, block.stop)):
+                coeffs[row] = opt.step(coeffs[row], grads[row])
+        np.testing.assert_array_equal(together, coeffs)
 
 
 # ------------------------------------------------------------ validation
