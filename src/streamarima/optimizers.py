@@ -191,17 +191,10 @@ class Optimizer:
         self._look = views(lambda r, _: r.delta == "lookahead", self.delta, self.velocity,
                            self._tmp, self._mu)
         self._vdel = views(lambda r, _: r.delta == "velocity", self.delta, self.velocity)
-        # where every delta is the velocity, the velocity is returned as it is
-        self._out = self.velocity if self._vdel and self._vdel[0] is ... else self.delta
         self._mom = views(lambda r, _: r.moment, self.m, self._tmp, self.delta, self._lr,
                           self._beta1, self._beta1c)
         self._sq = views(lambda r, _: r.squared is not None, self.s, self._decay, self._scale,
                          self._tmp, self._den, self.delta, self._eps)
-        if self._sq:
-            # adagrad alone: s += g*g, since a and b are all 1
-            span, s, decay, scale, *rest = self._sq
-            self._sq = (span, s, None if (decay == 1.0).all() else decay,
-                        None if (scale == 1.0).all() else scale, *rest)
         self._max = views(lambda r, _: r.v_max, self.v_max, self.s, self._den)
         self._corr = views(lambda r, _: r.delta == "corrected", self.s, self._den)
         self._scal = views(lambda r, _: r.delta == "scaled", self.s, self._den)
@@ -244,7 +237,7 @@ class Optimizer:
             _, d, v, tmp, mu = self._look
             np.multiply(mu, v, out=tmp)
             d += tmp
-        if self._vdel and self._out is self.delta:
+        if self._vdel:
             _, d, v = self._vdel
             np.copyto(d, v)
         if self._mom:
@@ -255,13 +248,9 @@ class Optimizer:
         if self._sq:
             span, s, decay, scale, tmp, den, d_sq, eps = self._sq
             g = grad[span]
-            if decay is not None:
-                s *= decay
-            if scale is None:
-                np.multiply(g, g, out=tmp)
-            else:
-                np.multiply(scale, g, out=tmp)
-                tmp *= g
+            s *= decay
+            np.multiply(scale, g, out=tmp)
+            tmp *= g
             s += tmp
             if self._max:
                 _, v_max, s_max, den_max = self._max
@@ -288,7 +277,7 @@ class Optimizer:
             d *= keep
             w *= v
             d += w
-        return self._out
+        return self.delta
 
     def _checked(self, grad) -> np.ndarray:
         grad = np.asarray(grad, dtype=np.float64)

@@ -250,17 +250,21 @@ def _alone(spec, data):
 def test_every_run_of_one_kernel_call_matches_the_run_alone(data):
     mk = data.draw(st.integers(1, 12), label="mk")
     d = data.draw(st.integers(0, 2), label="d")
-    # up to 8 runs in any order, a rule repeated at distinct rates or ramps;
-    # the largest rates diverge, some only after several check intervals
+    # up to 8 runs in any order, a rule repeated at the same or other rates
+    # and ramps; the largest rates diverge, some only after several check
+    # intervals
     rules = data.draw(st.lists(
         st.tuples(
             st.sampled_from(sorted(OPTIMIZERS)),
             st.sampled_from([1e-3, 3e-3, 0.05, 0.3, 1e3]),
             st.one_of(st.floats(1.0, 300.0), st.just(math.inf)),
         ),
-        min_size=1, max_size=8,
-        unique_by=lambda r: (r[0], r[1], r[2] if r[0] == "combined" else None),
+        min_size=1, max_size=7,
     ), label="runs")
+    # and, at times, one run's rule, rate and ramp again, somewhere among them
+    if data.draw(st.booleans(), label="repeat"):
+        again = data.draw(st.sampled_from(rules), label="again")
+        rules.insert(data.draw(st.integers(0, len(rules)), label="at"), again)
     runs = []
     for k, (optimizer, rate, ramp) in enumerate(rules):
         runs.append((f"run_{k}", RunSpec(
