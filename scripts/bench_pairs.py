@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Benchmark a parent revision against the working tree in alternating pairs.
 
-    python3 scripts/bench_pairs.py --parent HEAD --seed 60 --out BENCH_10.json
+    python3 scripts/bench_pairs.py --parent HEAD --seed 60 --out BENCH_11.json
 
 Run from anywhere inside the repository. Both sides run from fresh copies
 made with ``git archive`` in two sibling temporary directories: the parent
@@ -15,17 +15,24 @@ per side, on the first seed, then gives the per-layer metrics. Each side
 runs the benchmark code of its own copy; this script only calls
 ``perfbench/run.py`` and changes nothing there.
 
-The kernel, which perfbench's trace does not see as a span of its own, is
-timed here: ``experiment._kernel`` over preset 2 (data seed 7) at
+Two probes time one layer per rule, without perfbench's tracer. The
+kernel probe times ``experiment._kernel`` over preset 2 (data seed 7) at
 ``reproduce 2``'s settings, once per rule alone and once with all rules in
-one call, at 1 and 30 trials. Each side runs it in a fresh interpreter, in
-KERNEL_ROUNDS alternating rounds, and the median of its rounds is kept.
+one call, at 1 and 30 trials. The stream probe times every
+``ArimaModel.learn_step`` call over preset 3 (data seed 7) at online-step's
+settings (mk 10, d 1, lr 0.05, lambda 2000), one model per rule, and keeps
+each rule's median, and the median of all rules' calls. Each probe takes
+the minimum of PROBE_REPEATS repeats per key. Each side runs them in a
+fresh interpreter, in PROBE_ROUNDS alternating rounds, and the median of
+its rounds is kept.
 
 The JSON written holds every run's metrics and, for each workload and
 end-to-end metric, each side's median and quartiles, the parent's
 interquartile range, the change in the medians, the number of pairs the
 working tree won (ties count for neither side) and the failed operations
-of each side. Which direction is better is read from ``BENCHMARK.json``.
+of each side, and each probe's per-key medians for both sides with the
+change against the parent. Which direction is better is read from
+``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -42,9 +49,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 PAIRS = 10
-KERNEL_ROUNDS = 5
+PROBE_ROUNDS = 5
+PROBE_REPEATS = 3
 # Prints the kernel's microseconds per sample (one step of all its rows) as JSON.
-KERNEL_PROBE = """
+KERNEL_PROBE = f"""
 import json, time
 from dataclasses import replace
 from streamarima.experiment import RunSpec, _kernel
@@ -53,17 +61,48 @@ from streamarima.optimizers import OPTIMIZERS
 from streamarima.synthetic import generate, preset
 
 values = generate(preset(2, seed=7)).values
-out = {}
+out = {{}}
 for trials in (1, 30):
     base = RunSpec(ModelConfig(mk=10), "combined", 0.05, 2000.0, tuple(range(trials)))
-    groups = {name: [replace(base, optimizer=name)] for name in OPTIMIZERS}
+    groups = {{name: [replace(base, optimizer=name)] for name in OPTIMIZERS}}
     groups["all"] = [replace(base, optimizer=name) for name in OPTIMIZERS]
     for label, specs in groups.items():
-        start = time.perf_counter()
-        _kernel(specs, values, None)
-        out[f"T{trials}.{label}"] = (time.perf_counter() - start) / (values.size - 10) * 1e6
+        best = float("inf")
+        for _ in range({PROBE_REPEATS}):
+            start = time.perf_counter()
+            _kernel(specs, values, None)
+            best = min(best, time.perf_counter() - start)
+        out[f"T{{trials}}.{{label}}"] = best / (values.size - 10) * 1e6
 print(json.dumps(out))
 """
+# Prints learn_step's median microseconds per call, per rule and over all rules, as JSON.
+STREAM_PROBE = f"""
+import json, statistics, time
+from streamarima.model import ArimaModel, ModelConfig
+from streamarima.optimizers import OPTIMIZERS, make_optimizer
+from streamarima.synthetic import generate, preset
+
+values = generate(preset(3, seed=7)).values
+clock = time.perf_counter_ns
+out = {{}}
+for _ in range({PROBE_REPEATS}):
+    calls = {{}}
+    for name in OPTIMIZERS:
+        model = ArimaModel(ModelConfig(mk=10, d=1))
+        opt = make_optimizer(name, 10, 0.05, 2000.0 if name == "combined" else None)
+        times = calls[name] = []
+        for x in values:
+            t0 = clock()
+            pred = model.learn_step(opt, x)
+            t1 = clock()
+            if pred is not None:
+                times.append(t1 - t0)
+    calls["all"] = [t for name in OPTIMIZERS for t in calls[name]]
+    for key, times in calls.items():
+        out[key] = min(out.get(key, float("inf")), statistics.median(times) * 1e-3)
+print(json.dumps(out))
+"""
+PROBES = {"kernel": KERNEL_PROBE, "stream": STREAM_PROBE}
 
 
 def run_bench(tree: Path, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
@@ -81,12 +120,12 @@ def run_bench(tree: Path, seed: int, seconds: float, trace: int) -> tuple[dict, 
     return json.loads(lines[-1]), machine
 
 
-def kernel_us(tree: Path) -> dict[str, float]:
-    """One run of KERNEL_PROBE against the package in ``tree``."""
-    proc = subprocess.run([sys.executable, "-c", KERNEL_PROBE], cwd=tree, capture_output=True,
+def probe_us(tree: Path, probe: str) -> dict[str, float]:
+    """One run of a probe against the package in ``tree``."""
+    proc = subprocess.run([sys.executable, "-c", PROBES[probe]], cwd=tree, capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": str(tree / "src")})
     if proc.returncode != 0:
-        raise RuntimeError(f"kernel probe in {tree} exited {proc.returncode}:\n{proc.stderr}")
+        raise RuntimeError(f"{probe} probe in {tree} exited {proc.returncode}:\n{proc.stderr}")
     return json.loads(proc.stdout)
 
 
@@ -131,6 +170,18 @@ def values(results: dict) -> dict:
             **{name: m["value"] for name, m in res["metrics"].items()},
         }
         for workload, res in results.items()
+    }
+
+
+def probe_doc(sides: dict[str, dict[str, float]]) -> dict:
+    """Both sides' per-key medians of rounds and the change against the parent."""
+    return {
+        "rounds": PROBE_ROUNDS,
+        "repeats_per_round": PROBE_REPEATS,
+        "order": "alternating: parent first in even rounds, change first in odd rounds",
+        **sides,
+        "change_vs_parent": {key: sides["change"][key] / sides["parent"][key] - 1.0
+                             for key in sides["parent"]},
     }
 
 
@@ -180,12 +231,14 @@ def main() -> int:
                   f"parent {wall['parent']:.4f} change {wall['change']:.4f}", file=sys.stderr)
         traced = {side: values(run_bench(trees[side], args.seed, seconds, 1)[0])
                   for side in SIDES}
-        probes = {side: [] for side in SIDES}
-        for k in range(KERNEL_ROUNDS):
+        rounds = {probe: {side: [] for side in SIDES} for probe in PROBES}
+        for k in range(PROBE_ROUNDS):
             for side in (SIDES if k % 2 == 0 else SIDES[::-1]):
-                probes[side].append(kernel_us(trees[side]))
-        kernel = {side: {key: statistics.median(p[key] for p in probes[side])
-                         for key in probes[side][0]} for side in SIDES}
+                for probe, sides in rounds.items():
+                    sides[side].append(probe_us(trees[side], probe))
+        probed = {probe: {side: {key: statistics.median(r[key] for r in sides[side])
+                                 for key in sides[side][0]} for side in SIDES}
+                  for probe, sides in rounds.items()}
 
     doc = {
         "what": f"perfbench/run.py --workload all --seconds {seconds:g}, parent "
@@ -207,11 +260,13 @@ def main() -> int:
             "what": "experiment._kernel on preset 2 (data seed 7), mk 10, lr 0.05, lambda "
                     "2000: each rule alone and all rules in one call (T<trials>.all), at 1 "
                     "and 30 trials; microseconds per sample, one step of all the call's rows",
-            "rounds": KERNEL_ROUNDS,
-            "order": "alternating: parent first in even rounds, change first in odd rounds",
-            **kernel,
-            "change_vs_parent": {key: kernel["change"][key] / kernel["parent"][key] - 1.0
-                                 for key in kernel["parent"]},
+            **probe_doc(probed["kernel"]),
+        },
+        "stream": {
+            "what": "ArimaModel.learn_step over preset 3 (data seed 7), mk 10, d 1, lr 0.05, "
+                    "lambda 2000, one model per rule: median microseconds per scored call, "
+                    "per rule and over all rules' calls (all)",
+            **probe_doc(probed["stream"]),
         },
         "trace1": {
             "command": f"python3 perfbench/run.py --workload all --seed {args.seed} "

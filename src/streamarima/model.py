@@ -1,7 +1,6 @@
 """AR-style online forecaster over differenced history.
 
-The model keeps the last ``mk + d`` raw observations (oldest first) and
-predicts the next sample as
+The model forecasts the next sample from the last ``mk + d`` observations as
 
     x_hat = sum_i gamma[i] * (d-th difference at lag i+1)
           + sum_{j<d} (j-th difference at the most recent position)
@@ -9,10 +8,13 @@ predicts the next sample as
 so gamma[0] multiplies the most recent difference. With d = 0 this is a
 plain AR(mk) predictor; the second sum restores the integrated levels for
 d >= 1. Loss per sample is the squared residual, and the gradient with
-respect to gamma is analytic: 2 * residual * (reversed d-th differences).
+respect to gamma is analytic: 2 * residual * (d-th differences, newest first).
 
-``learn_step`` is the per-sample path for one model; the experiment
-harness runs the same recurrence for many trials at once in its kernel.
+``learn_step`` is the per-sample path for one model. It keeps each
+difference once, as it arrives, rather than re-differencing its window, so
+a step costs the same bookkeeping whatever mk is. The experiment harness
+runs the same recurrence for many trials at once in its kernel, over the
+whole series' ``differences``.
 """
 
 from __future__ import annotations
@@ -69,49 +71,71 @@ class Prediction:
 
 
 class ArimaModel:
-    """Streaming forecaster with an online-updated coefficient vector."""
+    """Streaming forecaster with an online-updated coefficient vector.
+
+    Once warm, the lag window is a ring of ``2 * mk`` d-th differences,
+    newest first: each new one is written at ``i`` and at ``i + mk``, one
+    place before the last, so the feature row is always the one contiguous
+    slice ``ring[i : i + mk]``. The newest value of each level ``0..d-1``
+    is a float, and a new sample is carried down the levels by one
+    subtraction per level, the same operation as ``a[1:] - a[:-1]``.
+    ``np.dot`` copies a reversed view into a contiguous row before its BLAS
+    dot, so handing it the newest-first row directly sums the same terms in
+    the same order, without the copy.
+    """
 
     def __init__(self, config: ModelConfig):
         self.config = config
         rng = np.random.default_rng(config.seed)
         self.gamma = rng.uniform(-INIT_BOUND, INIT_BOUND, config.mk)
-        self._hist = np.empty(config.window)
-        self._filled = 0
+        self._ring = np.empty(2 * config.mk)
+        self._i = 0
+        self._newest: list[float] = []
+        self._warmup: list[float] | None = []
 
     @property
     def warm(self) -> bool:
-        return self._filled == self.config.window
+        return self._warmup is None
 
-    def _push(self, x: float) -> None:
-        if self._filled < self.config.window:
-            self._hist[self._filled] = x
-            self._filled += 1
-        else:
-            self._hist[:-1] = self._hist[1:]
-            self._hist[-1] = x
+    def _fill(self, x: float) -> None:
+        """Extend the warm-up history; once it spans the window, build the ring."""
+        self._warmup.append(x)
+        if len(self._warmup) == self.config.window:
+            levels = differences(np.array(self._warmup), self.config.d)
+            self._newest = [float(level[-1]) for level in levels[:-1]]
+            mk = self.config.mk
+            self._ring[:mk] = self._ring[mk:] = levels[-1][::-1]
+            self._warmup = None
 
     def learn_step(self, optimizer: Optimizer, actual) -> Prediction | None:
         """Consume one sample: forecast it, update gamma, absorb it into history.
 
         During warm-up the sample only extends history and None is returned.
-        The features are the reversed d-th differences of the history, newest
-        first, from the same ``differences`` as the kernel's, built here for
-        one row: the kernel's strided view costs several times more per call.
+        The features are the d-th differences of the last ``mk + d`` samples,
+        newest first, read from the ring as one contiguous slice. Absorbing
+        the sample costs one subtraction per level and one write to the
+        ring, whatever mk is.
         """
         actual = float(actual)
         if not math.isfinite(actual):
             raise ValueError(f"invalid sample: {actual}")
-        if not self.warm:
-            self._push(actual)
+        if self._warmup is not None:
+            self._fill(actual)
             return None
-        levels = differences(self._hist, self.config.d)
-        feats = levels[-1][::-1]
+        mk, i, newest = self.config.mk, self._i, self._newest
+        feats = self._ring[i : i + mk]
         integ = 0.0
-        for level in levels[:-1]:
-            integ += level[-1]
+        for level in newest:
+            integ += level
         value = float(np.dot(self.gamma, feats) + integ)
         residual = value - actual
         grad = (2.0 * residual) * feats
         self.gamma = optimizer.step(self.gamma, grad)
-        self._push(actual)
+        x = actual
+        for j, prev in enumerate(newest):
+            newest[j] = x
+            x = x - prev
+        i = (i or mk) - 1
+        self._ring[i] = self._ring[i + mk] = x
+        self._i = i
         return Prediction(value=value, residual=residual)

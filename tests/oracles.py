@@ -1,8 +1,9 @@
 """Independent transcriptions that the tests hold the package to.
 
 Each one is written from the definitions in README.md, not from the package
-code: the forecast formula, the per-batch residual, a micro-batch splitter,
-a per-sample ``learn_step`` loop and the plot's per-point coordinate map.
+code: the forecast formula, a forecaster that re-differences its raw window
+on every step, the per-batch residual, a micro-batch splitter, a per-sample
+``learn_step`` loop and the plot's per-point coordinate map.
 ``Recorder`` is an optimizer that keeps every gradient ``learn_step`` hands
 it and never moves the coefficients, so the forecaster's gradient is
 checked on the path that training uses.
@@ -62,6 +63,40 @@ def probe(model, actual):
     recorder = Recorder()
     pred = model.learn_step(recorder, actual)
     return pred, recorder.grads[0]
+
+
+class WindowOracle:
+    """``learn_step`` recomputed from the last ``mk + d`` raw samples on every step.
+
+    Each forecast takes the features as ``np.diff(window, d)[::-1]``, the
+    d-th differences newest first, and the integration term as the sum, from
+    0.0 and level by level, of the newest j-th difference for j < d. The
+    arithmetic is the same, operation for operation, as a streaming model
+    that keeps each difference once, so the two must agree bitwise.
+    """
+
+    def __init__(self, mk, d, gamma):
+        self.mk, self.d = mk, d
+        self.gamma = np.array(gamma, dtype=np.float64)
+        self.window = []
+
+    def learn_step(self, optimizer, actual):
+        """``(value, residual, gradient)`` of one step, or None during warm-up."""
+        actual = float(actual)
+        if len(self.window) < self.mk + self.d:
+            self.window.append(actual)
+            return None
+        window = np.array(self.window)
+        feats = np.diff(window, self.d)[::-1]
+        integ = 0.0
+        for j in range(self.d):
+            integ += np.diff(window, j)[-1]
+        value = float(np.dot(self.gamma, feats) + integ)
+        residual = value - actual
+        grad = (2.0 * residual) * feats
+        self.gamma = optimizer.step(self.gamma, grad)
+        self.window = self.window[1:] + [actual]
+        return value, residual, grad
 
 
 def batch_residual(predictions, actuals, window):

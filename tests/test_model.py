@@ -7,9 +7,9 @@ optimizer that records the gradient and leaves the coefficients alone.
 import numpy as np
 import pytest
 
-from oracles import forecast, probe, warmed_model
+from oracles import Recorder, WindowOracle, forecast, probe, warmed_model
 from streamarima.model import ArimaModel, ModelConfig, differences
-from streamarima.optimizers import make_optimizer
+from streamarima.optimizers import OPTIMIZERS, make_optimizer
 
 
 def fd_gradient(gamma, history, d, actual, h=1e-6):
@@ -131,6 +131,37 @@ def test_history_eviction_keeps_last_window():
     want = forecast(model.gamma, xs[-4:], 1)
     pred, _ = probe(model, 0.0)
     assert pred.value == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("rule", OPTIMIZERS)
+def test_learn_step_is_the_windowed_oracle_bitwise(rule):
+    # every stream wraps the lag ring several times; a short ramp puts the
+    # combined rule's handover inside it
+    rng = np.random.default_rng(11)
+    ramp = 7.0 if rule == "combined" else None
+    for d in (0, 1, 2, 3):
+        for mk in (1, 2, 10):
+            config = ModelConfig(mk=mk, d=d, seed=mk + d)
+            xs = rng.normal(size=4 * config.window + 5).cumsum() * 0.1
+            model, twin = ArimaModel(config), ArimaModel(config)
+            oracle = WindowOracle(mk, d, model.gamma)
+            opt = make_optimizer(rule, mk, 0.01, ramp)
+            oracle_opt = make_optimizer(rule, mk, 0.01, ramp)
+            for k, x in enumerate(xs):
+                assert model.warm == twin.warm == (k >= config.window)
+                want = oracle.learn_step(oracle_opt, x)
+                if want is None:
+                    assert twin.learn_step(Recorder(), x) is None
+                    assert model.learn_step(opt, x) is None
+                    continue
+                twin.gamma = model.gamma.copy()
+                pred, grad = probe(twin, x)
+                value, residual, oracle_grad = want
+                assert pred.value == value and pred.residual == residual
+                assert grad.tobytes() == oracle_grad.tobytes()
+                assert model.learn_step(opt, x) == pred
+                assert model.gamma.tobytes() == oracle.gamma.tobytes()
+            assert model.warm and np.all(np.isfinite(model.gamma))
 
 
 def test_learn_step_updates_match_manual_sgd():
