@@ -26,18 +26,26 @@ the minimum of PROBE_REPEATS repeats per key. Each side runs them in a
 fresh interpreter, in PROBE_ROUNDS alternating rounds, and the median of
 its rounds is kept.
 
+Each side also runs ``reproduce 1 2 3 7 --trials 2`` into a temporary
+directory, one command per configuration, and keeps the output files and a
+log of each command's stdout, stderr and exit status. The JSON records the
+sha256 of each side's ``<sha256>  <name>`` listing of those files, sorted
+by name, and whether the two digests are equal. This is a record of the
+outputs' bytes, not a gate: the script writes the JSON either way.
+
 The JSON written holds every run's metrics and, for each workload and
 end-to-end metric, each side's median and quartiles, the parent's
 interquartile range, the change in the medians, the number of pairs the
 working tree won (ties count for neither side) and the failed operations
-of each side, and each probe's per-key medians for both sides with the
-change against the parent. Which direction is better is read from
+of each side, each probe's per-key medians for both sides with the
+change against the parent, and the output digests. Which direction is better is read from
 ``BENCHMARK.json``.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import statistics
@@ -103,6 +111,8 @@ for _ in range({PROBE_REPEATS}):
 print(json.dumps(out))
 """
 PROBES = {"kernel": KERNEL_PROBE, "stream": STREAM_PROBE}
+OUTPUT_CONFIGS = ("1", "2", "3", "7")
+OUTPUT_TRIALS = "2"
 
 
 def run_bench(tree: Path, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
@@ -127,6 +137,23 @@ def probe_us(tree: Path, probe: str) -> dict[str, float]:
     if proc.returncode != 0:
         raise RuntimeError(f"{probe} probe in {tree} exited {proc.returncode}:\n{proc.stderr}")
     return json.loads(proc.stdout)
+
+
+def output_digest(tree: Path) -> str:
+    """sha256 of the sorted listing of the files and logs that ``reproduce`` writes from ``tree``."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    with tempfile.TemporaryDirectory(prefix="bench_outputs-") as tmp:
+        out = Path(tmp) / "out"
+        for config in OUTPUT_CONFIGS:
+            # relative to the temporary directory, so that stdout names the same path on both sides
+            cmd = [sys.executable, "-m", "streamarima", "reproduce", config,
+                   "--trials", OUTPUT_TRIALS, "--out-dir", "out"]
+            proc = subprocess.run(cmd, cwd=tmp, env=env, capture_output=True, text=True)
+            (out / f"reproduce{config}.log").write_text(
+                f"{proc.stdout}{proc.stderr}exit {proc.returncode}\n", encoding="utf-8")
+        listing = "".join(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}\n"
+                          for path in sorted(out.iterdir()))
+    return hashlib.sha256(listing.encode()).hexdigest()
 
 
 def quartiles(values: list[float]) -> dict[str, float]:
@@ -216,6 +243,7 @@ def main() -> int:
             subprocess.run(["tar", "-x", "-C", str(trees[side])], input=archive.stdout,
                            check=True)
 
+        digests = {side: output_digest(trees[side]) for side in SIDES}
         runs, host = [], None
         for k in range(PAIRS):
             seed = args.seed + k
@@ -267,6 +295,14 @@ def main() -> int:
                     "lambda 2000, one model per rule: median microseconds per scored call, "
                     "per rule and over all rules' calls (all)",
             **probe_doc(probed["stream"]),
+        },
+        "outputs": {
+            "command": f"python3 -m streamarima reproduce <config> --trials {OUTPUT_TRIALS} "
+                       f"--out-dir out, for config in {' '.join(OUTPUT_CONFIGS)}",
+            "digest": "sha256 of the '<sha256>  <name>' lines of the output files and of a "
+                      "log per command (stdout, stderr, exit status), sorted by name",
+            **digests,
+            "outputs_identical": digests["parent"] == digests["change"],
         },
         "trace1": {
             "command": f"python3 perfbench/run.py --workload all --seed {args.seed} "

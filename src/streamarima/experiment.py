@@ -5,11 +5,14 @@ replayed over a fixed data realization; trials differ only in the model's
 coefficient initialization seed, so every curve is an average over inits
 on identical data. One kernel call advances every trial of every run of a
 comparison, sweep or grid together, over lag features computed once per
-series; a batched run is the same kernel over the concatenated batches.
-Residual curves are absolute residuals, per sample or per batch, and
-divergence (a non-finite residual, or one past DIVERGENCE_FACTOR times the
-data's largest magnitude) ends a run cleanly instead of poisoning
-downstream aggregation: a diverged run is kept as a record.
+series; a batched run is the same kernel over the concatenated batches,
+and a single run is the one-run case of the same call. The kernel keeps
+the residual it computes for the gradient, and residual curves are its
+absolute values, per sample or per batch. Divergence (a non-finite
+residual, or one past DIVERGENCE_FACTOR times the data's largest
+magnitude) is judged by one rule, in the kernel, and ends a run cleanly
+instead of poisoning downstream aggregation: a diverged run is kept as a
+record.
 """
 
 from __future__ import annotations
@@ -82,34 +85,24 @@ class ResidualCurve:
             raise ValueError("per_trial width does not match curve length")
 
 
-def _scoring(values: np.ndarray, starts, window: int):
-    """Which forecasts are scored, and the |residual| past which a run has diverged.
-
-    ``starts`` marks batch starts (None for a stream); each batch leaves its
-    first mk + d positions unscored.
-    """
-    scored = np.ones(values.size, dtype=bool)
-    for s in () if starts is None else starts:
-        scored[s : s + window] = False
-    return scored[window:], DIVERGENCE_FACTOR * np.abs(values).max()
-
-
-def _kernel(specs: list[RunSpec], values: np.ndarray, starts) -> tuple[np.ndarray, list]:
-    """Forecasts past the first mk + d samples of every trial of every run.
+def _kernel(specs: list[RunSpec], values: np.ndarray, starts) -> tuple[np.ndarray, list, list]:
+    """|residuals| past the first mk + d samples of every trial of every run, and each verdict.
 
     The runs share one model shape. All their trials are the rows of one
     (rows, mk) coefficient array, grouped by rule as ``Optimizer`` orders
-    them: per sample there is one ``gamma @ f``, one gradient and one
-    optimizer update for all rows. Lag row j holds the d-th differences of
-    ``values[j : j + mk + d]``, newest first: a strided view, never an n x mk
-    copy. Returns the forecasts in that row order and each run's block of
-    rows.
+    them: per sample there is one ``gamma @ f``, one residual, one gradient
+    and one optimizer update for all rows. Lag row j holds the d-th
+    differences of ``values[j : j + mk + d]``, newest first: a strided view,
+    never an n x mk copy. ``starts`` marks batch starts (None for a stream);
+    each batch leaves its first mk + d positions unscored. Returns the
+    |residuals| in that row order, each run's block of rows, and each run's
+    DivergedError text ("" for a run that did not diverge).
 
     Every DIVERGENCE_CHECK_INTERVAL samples, a run whose first trial has
-    diverged at a scored position leaves the loop: its rows leave the
-    coefficient array and the optimizer, and its later forecasts are nan.
-    ``_residuals`` then names that trial at the same position, so what the
-    run reports does not change.
+    diverged leaves the loop: its rows leave the coefficient array and the
+    optimizer, and its later residuals are nan. The verdict at the end names
+    the run's first diverged trial at the same position, so what the run
+    reports does not change.
     """
     model = specs[0].model
     window = model.window
@@ -117,7 +110,17 @@ def _kernel(specs: list[RunSpec], values: np.ndarray, starts) -> tuple[np.ndarra
     feats = sliding_window_view(levels[-1], model.mk)[:-1, ::-1]
     integ = sum(level[window - 1 - i : -1] for i, level in enumerate(levels[:-1]))
     actual = values[window:]
-    scored, bound = _scoring(values, starts, window)
+    scored = np.ones(values.size, dtype=bool)
+    for s in () if starts is None else starts:
+        scored[s : s + window] = False
+    scored = scored[window:]
+    bound = DIVERGENCE_FACTOR * np.abs(values).max()
+
+    def diverged(resid, span=slice(None)):
+        """Where |residual| ``resid`` is non-finite or past the bound at a scored position."""
+        # the negated comparison is also true for nan
+        return ~(resid <= bound) & scored[span]
+
     opt = Optimizer(model.mk, [
         (spec.optimizer, spec.learning_rate,
          spec.ramp_length if spec.optimizer == "combined" else None, spec.trials)
@@ -127,59 +130,49 @@ def _kernel(specs: list[RunSpec], values: np.ndarray, starts) -> tuple[np.ndarra
     for spec, block in zip(specs, blocks):
         gamma[block] = [ArimaModel(replace(model, seed=s)).gamma for s in spec.trial_seeds]
     grad = np.empty_like(gamma)
-    forecasts = np.empty((gamma.shape[0], actual.size))
+    resid = np.empty((gamma.shape[0], actual.size))
     live = list(range(len(specs)))
-    rows = slice(None)  # the forecast row of each coefficient row
+    rows = slice(None)  # the residual row of each coefficient row
     with np.errstate(all="ignore"):
         for j, f in enumerate(feats):
-            value = gamma @ f
+            r = gamma @ f
             if model.d:
-                value += integ[j]
-            forecasts[rows, j] = value
-            np.multiply((2.0 * (value - actual[j]))[:, None], f, out=grad)
+                r += integ[j]
+            r -= actual[j]
+            resid[rows, j] = r
+            r *= 2.0
+            np.multiply(r[:, None], f, out=grad)
             gamma -= opt.advance(grad)
             if (j + 1) % DIVERGENCE_CHECK_INTERVAL == 0:
                 span = slice(j + 1 - DIVERGENCE_CHECK_INTERVAL, j + 1)
-                resid = np.abs(forecasts[[blocks[i].start for i in live], span] - actual[span])
-                # the same test as _residuals; the negated comparison is also true for nan
-                diverged = (~(resid <= bound) & scored[span]).any(axis=1)
-                if diverged.any():
-                    for i in compress(live, diverged):
-                        forecasts[blocks[i], j + 1 :] = np.nan
-                    live = list(compress(live, ~diverged))
+                firsts = np.abs(resid[[blocks[i].start for i in live], span])
+                left = diverged(firsts, span).any(axis=1)
+                if left.any():
+                    for i in compress(live, left):
+                        resid[blocks[i], j + 1 :] = np.nan
+                    live = list(compress(live, ~left))
                     if not live:
                         break
-                    opt, kept = opt.without(diverged)
+                    opt, kept = opt.without(left)
                     gamma, grad = gamma[kept], grad[kept]
-                    rows = np.arange(forecasts.shape[0])[rows][kept]
-    return forecasts, blocks
+                    rows = np.arange(resid.shape[0])[rows][kept]
+        bad = diverged(np.abs(resid, out=resid))
+    messages = [_verdict(spec, bad[block], window, starts) for spec, block in zip(specs, blocks)]
+    return resid, blocks, messages
 
 
-def _residuals(spec: RunSpec, forecasts: np.ndarray, values: np.ndarray, starts=None):
-    """|forecast - actual| in place; raise for the first trial that diverged.
-
-    A trial diverges at the first scored residual that is non-finite or
-    larger than DIVERGENCE_FACTOR times the largest |sample| in ``values``;
-    ``starts`` marks batch starts, as in ``_scoring``.
-    """
-    window = spec.model.window
-    with np.errstate(all="ignore"):
-        resid = np.abs(np.subtract(forecasts, values[window:], out=forecasts), out=forecasts)
-    scored, bound = _scoring(values, starts, window)
-    # the negated comparison is also true for nan
-    bad = ~(resid <= bound) & scored
-    if bad.any():
-        trial = int(bad.any(axis=1).argmax())
-        k = int(bad[trial].argmax()) + window
-        where = f"at sample {k}"
-        if starts is not None:
-            pos = int(np.searchsorted(starts, k, side="right")) - 1
-            where = f"in batch {pos} at offset {k - starts[pos]}"
-        raise DivergedError(
-            f"run diverged {where} (optimizer {spec.optimizer}, "
-            f"rate {spec.learning_rate:g}, trial seed {spec.trial_seeds[trial]})"
-        )
-    return resid
+def _verdict(spec: RunSpec, bad: np.ndarray, window: int, starts) -> str:
+    """The DivergedError text naming a run's first trial with a ``bad`` position, or ""."""
+    if not bad.any():
+        return ""
+    trial = int(bad.any(axis=1).argmax())
+    k = int(bad[trial].argmax()) + window
+    where = f"at sample {k}"
+    if starts is not None:
+        pos = int(np.searchsorted(starts, k, side="right")) - 1
+        where = f"in batch {pos} at offset {k - starts[pos]}"
+    return (f"run diverged {where} (optimizer {spec.optimizer}, "
+            f"rate {spec.learning_rate:g}, trial seed {spec.trial_seeds[trial]})")
 
 
 def _source(data, window: int):
@@ -200,17 +193,16 @@ def _source(data, window: int):
     return np.concatenate([b.samples.values for b in data]), starts
 
 
-def _curve(spec: RunSpec, forecasts: np.ndarray, values: np.ndarray, starts) -> ResidualCurve:
-    """A run's curve from its block of forecasts: per sample for a stream, else per batch.
+def _curve(resid: np.ndarray, starts, window: int) -> ResidualCurve:
+    """A run's curve from its block of |residuals|: per sample for a stream, else per batch.
 
     Only the residual metric restarts at each batch boundary: the first
     mk + d positions of every batch are fed to the model but not scored.
     """
-    window = spec.model.window
-    resid = _residuals(spec, forecasts, values, starts)
+    n = window + resid.shape[1]
     if starts is None:
-        return ResidualCurve(np.arange(window, values.size), resid.mean(axis=0), resid, "sample")
-    ends = np.append(starts[1:], values.size)
+        return ResidualCurve(np.arange(window, n), resid.mean(axis=0), resid, "sample")
+    ends = np.append(starts[1:], n)
     per_trial = np.stack([resid[:, s : e - window].mean(axis=1) for s, e in zip(starts, ends)],
                          axis=1)
     return ResidualCurve(np.arange(starts.size), per_trial.mean(axis=0), per_trial, "batch")
@@ -218,8 +210,10 @@ def _curve(spec: RunSpec, forecasts: np.ndarray, values: np.ndarray, starts) -> 
 
 def run_data(spec: RunSpec, data) -> ResidualCurve:
     """One run over a TimeSeries (a point per sample) or a batch list (a point per batch)."""
-    values, starts = _source(data, spec.model.window)
-    return _curve(spec, _kernel([spec], values, starts)[0], values, starts)
+    (record,) = _run_all([(spec.optimizer, spec)], data)
+    if record.diverged:
+        raise DivergedError(record.message)
+    return record.curve
 
 
 def run_stream(spec: RunSpec, series: TimeSeries) -> ResidualCurve:
@@ -279,16 +273,15 @@ class RunRecord:
 
 def _run_all(runs, data, score=tail_mean) -> list[RunRecord]:
     """One kernel call for every ``(label, spec)`` over ``data``; a diverged run stays a record."""
-    specs = [spec for _, spec in runs]
-    values, starts = _source(data, specs[0].model.window)
-    forecasts, blocks = _kernel(specs, values, starts)
+    window = runs[0][1].model.window
+    values, starts = _source(data, window)
+    resid, blocks, messages = _kernel([spec for _, spec in runs], values, starts)
     records = []
-    for (label, spec), block in zip(runs, blocks):
-        try:
-            curve = _curve(spec, forecasts[block], values, starts)
-        except DivergedError as exc:
-            records.append(RunRecord(label, spec, math.inf, None, str(exc)))
+    for (label, spec), block, message in zip(runs, blocks, messages):
+        if message:
+            records.append(RunRecord(label, spec, math.inf, None, message))
         else:
+            curve = _curve(resid[block], starts, window)
             records.append(RunRecord(label, spec, score(curve.mean), curve))
     return records
 

@@ -21,9 +21,10 @@ Each check computes its verdict, records one PASS/FAIL line for the
 terminal summary (see conftest.py), and then asserts, so a failing check
 still reports its measured numbers instead of dying silently.
 
-The slow checks run the full 30-trial protocol on 10,000-sample series;
-the whole file takes about 8 s (7.6 to 8.5 s over three runs on a 2-vCPU
-Xeon).
+The slow checks run the full 30-trial protocol on 10,000-sample series,
+with all the rules of a preset, or all of check 07's ramps, in one kernel
+call; the whole file takes about 5 s (4.4 to 5.5 s over three runs on a
+2-vCPU Xeon).
 """
 
 import functools
@@ -43,13 +44,14 @@ from test_model import fd_gradient
 from test_optimizers import ORACLES, SCRIPT, combined_deltas, deltas
 
 from streamarima.experiment import (
+    DivergedError,
     ResidualCurve,
     RunSpec,
     compare_optimizers,
     run_batched,
-    run_stream,
     tail_mean,
 )
+from streamarima.experiment import _run_all
 from streamarima.model import ModelConfig
 from streamarima.optimizers import BASELINE_NAMES, make_optimizer
 from streamarima.series import TimeSeries
@@ -126,11 +128,20 @@ def rule_spec(setting: int, name: str) -> RunSpec:
     )
 
 
+def stable_curves(runs, series: TimeSeries) -> dict:
+    """Each run's curve from one kernel call; a diverged run fails the check."""
+    records = _run_all(runs, series)
+    for r in records:
+        if r.diverged:
+            raise DivergedError(r.message)
+    return {r.label: r.curve for r in records}
+
+
 @functools.lru_cache(maxsize=None)
 def preset_curves(setting: int) -> dict[str, ResidualCurve]:
     """All eight rules on one synthetic preset, each at its own rate, 30 trials."""
-    series = series_for(setting)
-    return {name: run_stream(rule_spec(setting, name), series) for name in ALL_NAMES}
+    return stable_curves([(name, rule_spec(setting, name)) for name in ALL_NAMES],
+                         series_for(setting))
 
 
 def preset_means(setting: int) -> dict[str, float]:
@@ -270,10 +281,9 @@ def test_07_every_ramp_length_beats_amsgrad_on_preset2():
     amsgrad = means["amsgrad"]
     spec = rule_spec(2, "combined")
     series = series_for(2)
-    sweep = {
-        lam: tail_mean(run_stream(replace(spec, ramp_length=float(lam)), series).mean, 1.0)
-        for lam in LAMBDA_GRID
-    }
+    curves = stable_curves([(lam, replace(spec, ramp_length=float(lam))) for lam in LAMBDA_GRID],
+                           series)
+    sweep = {lam: tail_mean(c.mean, 1.0) for lam, c in curves.items()}
     losing = {lam: m for lam, m in sweep.items() if m > amsgrad}
     detail = ", ".join(
         f"lambda={lam} {m:.5f} ({100 * (m / amsgrad - 1):+.2f}%)" for lam, m in sweep.items()

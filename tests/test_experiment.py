@@ -1,6 +1,7 @@
 """Harness tests: residual metric, streaming vs batched runs, search loops."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -312,14 +313,21 @@ def test_a_diverged_run_leaves_the_loop_without_touching_the_others():
             assert r.message.startswith("run diverged at sample ")
         else:
             np.testing.assert_array_equal(r.curve.per_trial, alone.per_trial)
-    # the diverged run's forecasts are nan from the check that caught it on;
-    # the stable runs' rows hold real forecasts to the end
-    forecasts, blocks = _kernel([s for _, s in runs], series.values, None)
+    # the kernel's verdicts are the records' messages; the diverged run's
+    # residual rows are nan from the check that caught it on, and the stable
+    # runs' rows are finite to the end
+    resid, blocks, messages = _kernel([s for _, s in runs], series.values, None)
+    assert messages == [r.message for r in records]
+    window = wild.model.window
     for r, block in zip(records, blocks):
         if r.diverged:
-            assert np.isnan(forecasts[block, -DIVERGENCE_CHECK_INTERVAL:]).all()
+            k = int(re.match(r"run diverged at sample (\d+) ", r.message)[1])
+            caught = ((k - window) // DIVERGENCE_CHECK_INTERVAL + 1) * DIVERGENCE_CHECK_INTERVAL
+            assert caught < resid.shape[1]
+            assert np.isnan(resid[block, caught:]).all()
+            assert not np.isnan(resid[block.start, : k - window]).any()
         else:
-            assert np.isfinite(forecasts[block, -1]).all()
+            assert np.isfinite(resid[block]).all()
 
 
 def test_tail_mean():
