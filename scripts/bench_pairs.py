@@ -24,14 +24,18 @@ settings (mk 10, d 1, lr 0.05, lambda 2000), one model per rule, and keeps
 each rule's median, and the median of all rules' calls. Each probe takes
 the minimum of PROBE_REPEATS repeats per key. Each side runs them in a
 fresh interpreter, in PROBE_ROUNDS alternating rounds, and the median of
-its rounds is kept.
+its rounds is kept. The stream probe also hashes what it streamed: the
+sha256 of each rule's residuals in stream order and its final gamma, as
+float64 bytes, rule after rule. ``reproduce`` never calls ``learn_step``,
+so this is the one digest of that path.
 
 Each side also runs ``reproduce 1 2 3 7 --trials 2`` into a temporary
 directory, one command per configuration, and keeps the output files and a
 log of each command's stdout, stderr and exit status. The JSON records the
 sha256 of each side's ``<sha256>  <name>`` listing of those files, sorted
-by name, and whether the two digests are equal. This is a record of the
-outputs' bytes, not a gate: the script writes the JSON either way.
+by name, and whether the two digests are equal, and the same for the
+stream probe's digest. These are records of the outputs' bytes, not
+gates: the script writes the JSON either way.
 
 The JSON written holds every run's metrics and, for each workload and
 end-to-end metric, each side's median and quartiles, the parent's
@@ -83,9 +87,11 @@ for trials in (1, 30):
         out[f"T{{trials}}.{{label}}"] = best / (values.size - 10) * 1e6
 print(json.dumps(out))
 """
-# Prints learn_step's median microseconds per call, per rule and over all rules, as JSON.
+# Prints learn_step's median microseconds per call, per rule and over all rules, and the
+# sha256 of every rule's residuals and final gamma, as JSON.
 STREAM_PROBE = f"""
-import json, statistics, time
+import hashlib, json, statistics, time
+from array import array
 from streamarima.model import ArimaModel, ModelConfig
 from streamarima.optimizers import OPTIMIZERS, make_optimizer
 from streamarima.synthetic import generate, preset
@@ -93,21 +99,27 @@ from streamarima.synthetic import generate, preset
 values = generate(preset(3, seed=7)).values
 clock = time.perf_counter_ns
 out = {{}}
-for _ in range({PROBE_REPEATS}):
-    calls = {{}}
+for repeat in range({PROBE_REPEATS}):
+    calls, streamed = {{}}, hashlib.sha256()
     for name in OPTIMIZERS:
         model = ArimaModel(ModelConfig(mk=10, d=1))
         opt = make_optimizer(name, 10, 0.05, 2000.0 if name == "combined" else None)
         times = calls[name] = []
+        resid = array("d")
         for x in values:
             t0 = clock()
             pred = model.learn_step(opt, x)
             t1 = clock()
             if pred is not None:
                 times.append(t1 - t0)
+                resid.append(pred.residual)
+        streamed.update(resid.tobytes())
+        streamed.update(model.gamma.tobytes())
     calls["all"] = [t for name in OPTIMIZERS for t in calls[name]]
     for key, times in calls.items():
         out[key] = min(out.get(key, float("inf")), statistics.median(times) * 1e-3)
+    if out.setdefault("sha256", streamed.hexdigest()) != streamed.hexdigest():
+        raise SystemExit(f"repeat {{repeat}} streamed other bytes than repeat 0")
 print(json.dumps(out))
 """
 PROBES = {"kernel": KERNEL_PROBE, "stream": STREAM_PROBE}
@@ -264,6 +276,11 @@ def main() -> int:
             for side in (SIDES if k % 2 == 0 else SIDES[::-1]):
                 for probe, sides in rounds.items():
                     sides[side].append(probe_us(trees[side], probe))
+        # every round of a side streams the same bytes, or its probe would have failed
+        streamed = {side: rounds["stream"][side][0].pop("sha256") for side in SIDES}
+        for side in SIDES:
+            if any(r.pop("sha256") != streamed[side] for r in rounds["stream"][side][1:]):
+                raise RuntimeError(f"the {side} side's stream probe rounds streamed other bytes")
         probed = {probe: {side: {key: statistics.median(r[key] for r in sides[side])
                                  for key in sides[side][0]} for side in SIDES}
                   for probe, sides in rounds.items()}
@@ -303,6 +320,12 @@ def main() -> int:
                       "log per command (stdout, stderr, exit status), sorted by name",
             **digests,
             "outputs_identical": digests["parent"] == digests["change"],
+            "stream": {
+                "what": "sha256 of each rule's learn_step residuals and final gamma in the "
+                        "stream probe, as float64 bytes, rule after rule",
+                **streamed,
+            },
+            "stream_identical": streamed["parent"] == streamed["change"],
         },
         "trace1": {
             "command": f"python3 perfbench/run.py --workload all --seed {args.seed} "

@@ -12,15 +12,18 @@ respect to gamma is analytic: 2 * residual * (d-th differences, newest first).
 
 ``learn_step`` is the per-sample path for one model. It keeps each
 difference once, as it arrives, rather than re-differencing its window, so
-a step costs the same bookkeeping whatever mk is. The experiment harness
-runs the same recurrence for many trials at once in its kernel, over the
-whole series' ``differences``.
+a step costs the same bookkeeping whatever mk is. Once its optimizer has
+taken one checked ``step``, it updates gamma in place through the
+unchecked ``advance``, as the experiment harness's kernel does. That kernel
+runs the same recurrence for many trials at once, over the whole series'
+``differences``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,8 +65,7 @@ class ModelConfig:
         return self.mk + self.d
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(NamedTuple):
     """One scored forecast; residual = value - actual."""
 
     value: float
@@ -82,6 +84,11 @@ class ArimaModel:
     ``np.dot`` copies a reversed view into a contiguous row before its BLAS
     dot, so handing it the newest-first row directly sums the same terms in
     the same order, without the copy.
+
+    ``gamma`` is updated in place once the optimizer is ready, so a caller
+    that wants to keep its values copies it. Twice the residual is written
+    into a 0-d array before it scales the features, because numpy
+    multiplies an array by a 0-d array faster than by a Python float.
     """
 
     def __init__(self, config: ModelConfig):
@@ -92,6 +99,7 @@ class ArimaModel:
         self._i = 0
         self._newest: list[float] = []
         self._warmup: list[float] | None = []
+        self._twice_residual = np.zeros(())
 
     @property
     def warm(self) -> bool:
@@ -115,6 +123,13 @@ class ArimaModel:
         newest first, read from the ring as one contiguous slice. Absorbing
         the sample costs one subtraction per level and one write to the
         ring, whatever mk is.
+
+        Once the optimizer's state has gamma's shape, which its first
+        checked ``step`` gives it, ``gamma -= optimizer.advance(grad)``
+        updates gamma in place, without re-checking shapes or allocating.
+        Until then, or for an object that has only ``step``, gamma becomes
+        ``optimizer.step(gamma, grad)``, which raises on a gradient of the
+        wrong shape before the sample is absorbed.
         """
         actual = float(actual)
         if not math.isfinite(actual):
@@ -122,15 +137,20 @@ class ArimaModel:
         if self._warmup is not None:
             self._fill(actual)
             return None
-        mk, i, newest = self.config.mk, self._i, self._newest
+        gamma, mk, i, newest = self.gamma, self.config.mk, self._i, self._newest
         feats = self._ring[i : i + mk]
         integ = 0.0
         for level in newest:
             integ += level
-        value = float(np.dot(self.gamma, feats) + integ)
+        value = float(np.dot(gamma, feats)) + integ
         residual = value - actual
-        grad = (2.0 * residual) * feats
-        self.gamma = optimizer.step(self.gamma, grad)
+        twice = self._twice_residual
+        twice[()] = 2.0 * residual
+        grad = twice * feats
+        if getattr(optimizer, "shape", None) == gamma.shape:
+            gamma -= optimizer.advance(grad)
+        else:
+            self.gamma = optimizer.step(gamma, grad)
         x = actual
         for j, prev in enumerate(newest):
             newest[j] = x
@@ -138,4 +158,4 @@ class ArimaModel:
         i = (i or mk) - 1
         self._ring[i] = self._ring[i + mk] = x
         self._i = i
-        return Prediction(value=value, residual=residual)
+        return Prediction(value, residual)

@@ -27,10 +27,12 @@ by ramp keeps it at the edge of the slices it leaves.
 * ``step(coeffs, grad)`` returns ``coeffs - update_direction(grad)``.
 
 ``advance(grad)`` is the same update without the checks, for a caller that
-builds every gradient itself, such as the experiment kernel: the delta it
-returns is a buffer, valid until the next call. The state of a one-run
-optimizer takes the shape of its first gradient, such as ``(dim,)`` or
-``(rows, dim)``, and every later gradient must have that shape.
+builds every gradient itself: the experiment kernel, and
+``ArimaModel.learn_step`` once a checked ``step`` has fixed the state's
+shape. The delta it returns is a buffer, valid until the next call. The
+state of a one-run optimizer takes the shape of its first gradient, such
+as ``(dim,)`` or ``(rows, dim)``, and every later gradient must have that
+shape.
 
 Deltas never depend on the coefficient values themselves, only on the
 gradient history, so steps are translation equivariant. The decay rates and
@@ -140,6 +142,8 @@ class Optimizer:
         # the constants as arrays too: numpy takes two arrays faster than an array and a float
         self._mu, self._beta1, self._beta1c, self._eps, self._one = (
             np.full(shape, c) for c in (MU, BETA1, 1.0 - BETA1, EPS, 1.0))
+        # and the scalars of step t as 0-d arrays, rewritten each step, for the same reason
+        self._bias1, self._bias2, self._elapsed = np.zeros(()), np.zeros(()), np.zeros(())
         if self._runs[0][3] is None:
             spans = [...]
         else:
@@ -258,21 +262,24 @@ class Optimizer:
                 np.sqrt(v_max, out=den_max)
             if self._corr:
                 _, s_corr, den_corr = self._corr
-                np.divide(s_corr, 1.0 - BETA2**t, out=den_corr)
+                self._bias2[()] = 1.0 - BETA2**t
+                np.divide(s_corr, self._bias2, out=den_corr)
                 np.sqrt(den_corr, out=den_corr)
             if self._scal:
                 _, s_scal, den_scal = self._scal
                 np.sqrt(s_scal, out=den_scal)
             den += eps
         if self._mom:
-            np.divide(m, 1.0 - BETA1**t, out=d_mom)
+            self._bias1[()] = 1.0 - BETA1**t
+            np.divide(m, self._bias1, out=d_mom)
             d_mom *= lr
         if self._sq:
             d_sq /= den
         # the first step, and an infinite ramp, leave AMSGrad's delta exact
         if self._hand and t > 1:
             _, d, v, ramp, w, keep, one = self._hand
-            np.divide(t - 1, ramp, out=w)
+            self._elapsed[()] = t - 1
+            np.divide(self._elapsed, ramp, out=w)
             np.subtract(one, w, out=keep)
             d *= keep
             w *= v

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from oracles import Recorder, WindowOracle, forecast, probe, warmed_model
-from streamarima.model import ArimaModel, ModelConfig, differences
-from streamarima.optimizers import OPTIMIZERS, make_optimizer
+from streamarima.model import ArimaModel, ModelConfig, Prediction, differences
+from streamarima.optimizers import OPTIMIZERS, Optimizer, make_optimizer
 
 
 def fd_gradient(gamma, history, d, actual, h=1e-6):
@@ -162,6 +162,76 @@ def test_learn_step_is_the_windowed_oracle_bitwise(rule):
                 assert model.learn_step(opt, x) == pred
                 assert model.gamma.tobytes() == oracle.gamma.tobytes()
             assert model.warm and np.all(np.isfinite(model.gamma))
+
+
+@pytest.mark.parametrize("rule", OPTIMIZERS)
+def test_learn_step_checks_each_optimizer_once_then_updates_gamma_in_place(rule):
+    ramp = 7.0 if rule == "combined" else None
+    model = ArimaModel(ModelConfig(mk=3, d=1, seed=0))
+    xs = np.random.default_rng(2).normal(size=30).cumsum() * 0.1
+    # the second optimizer arrives mid-stream, fresh
+    for chunk in (xs[:15], xs[15:]):
+        opt = make_optimizer(rule, 3, 0.01, ramp)
+        checked = []
+        opt.step = lambda coeffs, grad, step=opt.step: checked.append(grad) or step(coeffs, grad)
+        held, scored = None, 0
+        for x in chunk:
+            if model.learn_step(opt, x) is None:
+                continue
+            scored += 1
+            if held is None:
+                held = model.gamma
+            assert model.gamma is held
+        assert len(checked) == 1 and opt.step_count == scored > 1
+        assert np.all(np.isfinite(model.gamma))
+
+
+def test_recorder_still_drives_an_in_place_model():
+    model = ArimaModel(ModelConfig(mk=3, d=1, seed=0))
+    opt = make_optimizer("adam", 3, 0.01)
+    for x in (0.1, 0.4, 0.2, 0.5, 0.3, 0.6):
+        model.learn_step(opt, x)
+    gamma = model.gamma.copy()
+    pred, grad = probe(model, 0.7)
+    assert model.gamma.tobytes() == gamma.tobytes()
+    assert grad.shape == (3,) and pred.residual == pred.value - 0.7
+    held = model.gamma
+    model.learn_step(opt, 0.8)
+    assert model.gamma is held and not np.array_equal(held, gamma)
+
+
+@pytest.mark.parametrize("wrong, message", [
+    (make_optimizer("basic", 4, 0.05), r"coefficient shape \(3,\) does not match dim 4"),
+    (Optimizer(3, [("basic", 0.05, None, 2)]), r"gradient shape \(3,\) differs from the first, \(2, 3\)"),
+], ids=["wrong-dim", "bank"])
+def test_a_mismatched_optimizer_raises_and_leaves_the_model_as_it_was(wrong, message):
+    config = ModelConfig(mk=3, d=1, seed=0)
+    model, twin = ArimaModel(config), ArimaModel(config)
+    opt, twin_opt = make_optimizer("momentum", 3, 0.01), make_optimizer("momentum", 3, 0.01)
+    xs = np.random.default_rng(4).normal(size=20).cumsum() * 0.1
+    for x in xs[:10]:
+        model.learn_step(opt, x)
+        twin.learn_step(twin_opt, x)
+    gamma = model.gamma
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            model.learn_step(wrong, xs[10])
+    assert model.gamma is gamma and gamma.tobytes() == twin.gamma.tobytes()
+    # the ring, the newest levels and the step count are as if the calls never came
+    for x in xs[10:]:
+        assert model.learn_step(opt, x) == twin.learn_step(twin_opt, x)
+    assert model.gamma.tobytes() == twin.gamma.tobytes()
+
+
+def test_prediction_is_a_named_pair():
+    model = warmed_model(ModelConfig(mk=2, d=0, seed=0), [0.1, 0.2])
+    pred = model.learn_step(make_optimizer("basic", 2, 0.05), 0.3)
+    assert isinstance(pred, Prediction)
+    assert pred == (pred.value, pred.residual) and pred.residual == pred.value - 0.3
+    with pytest.raises(AttributeError):
+        pred.value = 0.0
+    assert repr(pred) == f"Prediction(value={pred.value!r}, residual={pred.residual!r})"
+    assert repr(Prediction(1.5, -0.25)) == "Prediction(value=1.5, residual=-0.25)"
 
 
 def test_learn_step_updates_match_manual_sgd():
