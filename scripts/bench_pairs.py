@@ -29,6 +29,23 @@ sha256 of each rule's residuals in stream order and its final gamma, as
 float64 bytes, rule after rule. ``reproduce`` never calls ``learn_step``,
 so this is the one digest of that path.
 
+A rule timed alone in its own interpreter does not resolve against this
+host's noise, so the paired probe times both sides in one interpreter. It
+imports each side's ``src/streamarima`` under its own package name, and
+runs the two sides in alternating pairs, parent first in even pairs:
+
+* the stream: for each rule, preset 3 (data seed 7) at the stream probe's
+  settings through one model per side, PAIRED_REPEATS times. Each stream
+  is warmed up on PAIRED_WARMUP samples, then timed in PAIRED_CHUNK-sample
+  chunks of ``learn_step`` calls, one pair per chunk.
+* the kernel: the kernel probe's calls at 1 trial, each rule alone and all
+  rules, and all rules at 30 trials, PAIRED_KERNEL_PAIRS pairs each.
+
+Each pair gives one ratio of the change's time to the parent's. Per key,
+the JSON records each side's median time, the median ratio and the number
+of pairs the change won, and whether both sides computed bitwise the same
+predictions, final coefficients and residuals.
+
 Each side also runs ``reproduce 1 2 3 7 --trials 2`` into a temporary
 directory, one command per configuration, and keeps the output files and a
 log of each command's stdout, stderr and exit status. The JSON records the
@@ -42,7 +59,8 @@ end-to-end metric, each side's median and quartiles, the parent's
 interquartile range, the change in the medians, the number of pairs the
 working tree won (ties count for neither side) and the failed operations
 of each side, each probe's per-key medians for both sides with the
-change against the parent, and the output digests. Which direction is better is read from
+change against the parent, the paired probe's per-key summaries, and the
+output digests. Which direction is better is read from
 ``BENCHMARK.json``.
 """
 
@@ -123,6 +141,99 @@ for repeat in range({PROBE_REPEATS}):
 print(json.dumps(out))
 """
 PROBES = {"kernel": KERNEL_PROBE, "stream": STREAM_PROBE}
+PAIRED_REPEATS = 6
+PAIRED_WARMUP = 50
+PAIRED_CHUNK = 500
+PAIRED_KERNEL_PAIRS = 8
+# Loads both sides' packages (``src`` directories in argv) under their own names in one
+# interpreter and times them in alternating pairs: chunks of learn_step calls per rule, and
+# whole kernel calls per rule and for all rules, as JSON.
+PAIRED_PROBE = f"""
+import importlib.util, json, statistics, sys, time
+from array import array
+from dataclasses import replace
+from functools import partial
+
+def load(name, src):
+    spec = importlib.util.spec_from_file_location(
+        name, f"{{src}}/streamarima/__init__.py", submodule_search_locations=[f"{{src}}/streamarima"])
+    package = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(package)
+    return package
+
+def summary(us):
+    ratios = [c / p for p, c in zip(us["parent"], us["change"])]
+    return {{
+        **{{f"{{side}}_us": statistics.median(us[side]) for side in sides}},
+        "change_vs_parent_median": statistics.median(ratios) - 1.0,
+        "change_better_in_pairs": sum(r < 1.0 for r in ratios),
+        "pairs": len(ratios),
+    }}
+
+def order(k):
+    return ("parent", "change") if k % 2 == 0 else ("change", "parent")
+
+sides = {{"parent": load("streamarima_parent", sys.argv[1]),
+         "change": load("streamarima_change", sys.argv[2])}}
+synthetic = sides["change"].synthetic
+rules = list(sides["parent"].optimizers.OPTIMIZERS)
+clock = time.perf_counter_ns
+
+values = synthetic.generate(synthetic.preset(3, seed=7)).values
+chunks = [values[a : a + {PAIRED_CHUNK}]
+          for a in range({PAIRED_WARMUP}, values.size - {PAIRED_CHUNK} + 1, {PAIRED_CHUNK})]
+stream, identical = {{}}, True
+for name in rules:
+    us = {{side: [] for side in sides}}
+    for repeat in range({PAIRED_REPEATS}):
+        models, steps, streamed = {{}}, {{}}, {{side: array("d") for side in sides}}
+        for side, package in sides.items():
+            model = models[side] = package.ArimaModel(package.ModelConfig(mk=10, d=1))
+            opt = package.make_optimizer(name, 10, 0.05, 2000.0 if name == "combined" else None)
+            step = steps[side] = lambda x, learn=model.learn_step, opt=opt: learn(opt, x)
+            for x in values[:{PAIRED_WARMUP}]:
+                streamed[side].extend(step(x) or ())
+        for k, chunk in enumerate(chunks):
+            for side in order(k):
+                step = steps[side]
+                t0 = clock()
+                preds = [step(x) for x in chunk]
+                us[side].append((clock() - t0) * 1e-3 / len(chunk))
+                for pred in preds:
+                    streamed[side].extend(pred)
+        for side in sides:
+            streamed[side].extend(models[side].gamma)
+        identical &= streamed["parent"].tobytes() == streamed["change"].tobytes()
+    stream[name] = summary(us)
+stream["identical"] = identical
+
+values = synthetic.generate(synthetic.preset(2, seed=7)).values
+calls = {{}}
+for side, package in sides.items():
+    for trials in (1, 30):
+        base = package.RunSpec(package.ModelConfig(mk=10), "combined", 0.05, 2000.0,
+                               tuple(range(trials)))
+        specs = [replace(base, optimizer=name) for name in rules]
+        groups = {{"all": specs}}
+        if trials == 1:
+            groups = {{**{{name: [spec] for name, spec in zip(rules, specs)}}, **groups}}
+        for label, group in groups.items():
+            calls.setdefault(f"T{{trials}}.{{label}}", {{}})[side] = partial(
+                package.experiment._kernel, group, values, None)
+kernel, identical = {{}}, True
+for key, call in calls.items():
+    us = {{side: [] for side in sides}}
+    for k in range({PAIRED_KERNEL_PAIRS}):
+        resid = {{}}
+        for side in order(k):
+            t0 = clock()
+            resid[side] = call[side]()[0]
+            us[side].append((clock() - t0) * 1e-3 / (values.size - 10))
+        identical &= resid["parent"].tobytes() == resid["change"].tobytes()
+    kernel[key] = summary(us)
+kernel["identical"] = identical
+print(json.dumps({{"stream": stream, "kernel": kernel}}))
+"""
 OUTPUT_CONFIGS = ("1", "2", "3", "7")
 OUTPUT_TRIALS = "2"
 
@@ -148,6 +259,16 @@ def probe_us(tree: Path, probe: str) -> dict[str, float]:
                           text=True, env={**os.environ, "PYTHONPATH": str(tree / "src")})
     if proc.returncode != 0:
         raise RuntimeError(f"{probe} probe in {tree} exited {proc.returncode}:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def paired(trees: dict[str, Path]) -> dict:
+    """The paired in-process probe over both sides' packages."""
+    argv = [str(trees[side] / "src") for side in SIDES]
+    proc = subprocess.run([sys.executable, "-c", PAIRED_PROBE, *argv],
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"paired probe exited {proc.returncode}:\n{proc.stderr}")
     return json.loads(proc.stdout)
 
 
@@ -284,6 +405,7 @@ def main() -> int:
         probed = {probe: {side: {key: statistics.median(r[key] for r in sides[side])
                                  for key in sides[side][0]} for side in SIDES}
                   for probe, sides in rounds.items()}
+        in_process = paired(trees)
 
     doc = {
         "what": f"perfbench/run.py --workload all --seconds {seconds:g}, parent "
@@ -312,6 +434,26 @@ def main() -> int:
                     "lambda 2000, one model per rule: median microseconds per scored call, "
                     "per rule and over all rules' calls (all)",
             **probe_doc(probed["stream"]),
+        },
+        "paired": {
+            "what": "both sides' packages in one interpreter, timed in alternating pairs, "
+                    "parent first in even pairs; per key, each side's median microseconds, "
+                    "the median of the per-pair ratios, the pairs the change won, and whether "
+                    "both sides computed bitwise the same",
+            "stream": {
+                "what": f"ArimaModel.learn_step over preset 3 (data seed 7), mk 10, d 1, lr "
+                        f"0.05, lambda 2000, per rule: {PAIRED_REPEATS} streams, each warmed "
+                        f"up on {PAIRED_WARMUP} samples, then one pair per "
+                        f"{PAIRED_CHUNK}-sample chunk; microseconds per call",
+                **in_process["stream"],
+            },
+            "kernel": {
+                "what": f"experiment._kernel on preset 2 (data seed 7), mk 10, lr 0.05, lambda "
+                        f"2000, each rule alone and all rules in one call at 1 trial, and all "
+                        f"rules at 30 trials: {PAIRED_KERNEL_PAIRS} pairs of whole calls; "
+                        "microseconds per sample",
+                **in_process["kernel"],
+            },
         },
         "outputs": {
             "command": f"python3 -m streamarima reproduce <config> --trials {OUTPUT_TRIALS} "

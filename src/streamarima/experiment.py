@@ -93,7 +93,12 @@ def _kernel(specs: list[RunSpec], values: np.ndarray, starts) -> tuple[np.ndarra
     them: per sample there is one ``gamma @ f``, one residual, one gradient
     and one optimizer update for all rows. Lag row j holds the d-th
     differences of ``values[j : j + mk + d]``, newest first: a strided view,
-    never an n x mk copy. ``starts`` marks batch starts (None for a stream);
+    never an n x mk copy. The view must stay reversed and strided: numpy
+    hands ``gamma @ f`` with a contiguous ``f`` to BLAS's matrix-vector
+    product, whose per-row sums change with the number of rows, so a run's
+    rows would no longer be bitwise those of the run alone. Each gradient is
+    written into the optimizer's ``grad`` buffer, and into the new one's
+    after ``without``. ``starts`` marks batch starts (None for a stream);
     each batch leaves its first mk + d positions unscored. Returns the
     |residuals| in that row order, each run's block of rows, and each run's
     DivergedError text ("" for a run that did not diverge).
@@ -129,7 +134,7 @@ def _kernel(specs: list[RunSpec], values: np.ndarray, starts) -> tuple[np.ndarra
     gamma = np.empty(opt.shape)
     for spec, block in zip(specs, blocks):
         gamma[block] = [ArimaModel(replace(model, seed=s)).gamma for s in spec.trial_seeds]
-    grad = np.empty_like(gamma)
+    grad = opt.grad
     resid = np.empty((gamma.shape[0], actual.size))
     live = list(range(len(specs)))
     rows = slice(None)  # the residual row of each coefficient row
@@ -142,7 +147,7 @@ def _kernel(specs: list[RunSpec], values: np.ndarray, starts) -> tuple[np.ndarra
             resid[rows, j] = r
             r *= 2.0
             np.multiply(r[:, None], f, out=grad)
-            gamma -= opt.advance(grad)
+            gamma -= opt.advance()
             if (j + 1) % DIVERGENCE_CHECK_INTERVAL == 0:
                 span = slice(j + 1 - DIVERGENCE_CHECK_INTERVAL, j + 1)
                 firsts = np.abs(resid[[blocks[i].start for i in live], span])
@@ -154,7 +159,7 @@ def _kernel(specs: list[RunSpec], values: np.ndarray, starts) -> tuple[np.ndarra
                     if not live:
                         break
                     opt, kept = opt.without(left)
-                    gamma, grad = gamma[kept], grad[kept]
+                    gamma, grad = gamma[kept], opt.grad
                     rows = np.arange(resid.shape[0])[rows][kept]
         bad = diverged(np.abs(resid, out=resid))
     messages = [_verdict(spec, bad[block], window, starts) for spec, block in zip(specs, blocks)]

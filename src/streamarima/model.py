@@ -13,8 +13,9 @@ respect to gamma is analytic: 2 * residual * (d-th differences, newest first).
 ``learn_step`` is the per-sample path for one model. It keeps each
 difference once, as it arrives, rather than re-differencing its window, so
 a step costs the same bookkeeping whatever mk is. Once its optimizer has
-taken one checked ``step``, it updates gamma in place through the
-unchecked ``advance``, as the experiment harness's kernel does. That kernel
+taken one checked ``step``, it writes each gradient into the optimizer's
+``grad`` buffer and updates gamma in place through the unchecked
+``advance()``, as the experiment harness's kernel does. That kernel
 runs the same recurrence for many trials at once, over the whole series'
 ``differences``.
 """
@@ -78,7 +79,8 @@ class ArimaModel:
     Once warm, the lag window is a ring of ``2 * mk`` d-th differences,
     newest first: each new one is written at ``i`` and at ``i + mk``, one
     place before the last, so the feature row is always the one contiguous
-    slice ``ring[i : i + mk]``. The newest value of each level ``0..d-1``
+    slice ``ring[i : i + mk]``, one of the ``mk`` row views made with the
+    ring. The newest value of each level ``0..d-1``
     is a float, and a new sample is carried down the levels by one
     subtraction per level, the same operation as ``a[1:] - a[:-1]``.
     ``np.dot`` copies a reversed view into a contiguous row before its BLAS
@@ -96,10 +98,12 @@ class ArimaModel:
         rng = np.random.default_rng(config.seed)
         self.gamma = rng.uniform(-INIT_BOUND, INIT_BOUND, config.mk)
         self._ring = np.empty(2 * config.mk)
+        self._rows = [self._ring[i : i + config.mk] for i in range(config.mk)]
         self._i = 0
         self._newest: list[float] = []
         self._warmup: list[float] | None = []
         self._twice_residual = np.zeros(())
+        self._ready = None  # the optimizer whose state last passed the shape check
 
     @property
     def warm(self) -> bool:
@@ -125,8 +129,10 @@ class ArimaModel:
         ring, whatever mk is.
 
         Once the optimizer's state has gamma's shape, which its first
-        checked ``step`` gives it, ``gamma -= optimizer.advance(grad)``
-        updates gamma in place, without re-checking shapes or allocating.
+        checked ``step`` gives it, the gradient is written into
+        ``optimizer.grad`` and ``gamma -= optimizer.advance()`` updates
+        gamma in place, without allocating. The optimizer that last passed
+        that shape check is remembered, and a step with it skips the check.
         Until then, or for an object that has only ``step``, gamma becomes
         ``optimizer.step(gamma, grad)``, which raises on a gradient of the
         wrong shape before the sample is absorbed.
@@ -138,7 +144,7 @@ class ArimaModel:
             self._fill(actual)
             return None
         gamma, mk, i, newest = self.gamma, self.config.mk, self._i, self._newest
-        feats = self._ring[i : i + mk]
+        feats = self._rows[i]
         integ = 0.0
         for level in newest:
             integ += level
@@ -146,11 +152,13 @@ class ArimaModel:
         residual = value - actual
         twice = self._twice_residual
         twice[()] = 2.0 * residual
-        grad = twice * feats
-        if getattr(optimizer, "shape", None) == gamma.shape:
-            gamma -= optimizer.advance(grad)
+        if optimizer is not self._ready and getattr(optimizer, "shape", None) == gamma.shape:
+            self._ready = optimizer
+        if optimizer is self._ready:
+            np.multiply(twice, feats, out=optimizer.grad)
+            gamma -= optimizer.advance()
         else:
-            self.gamma = optimizer.step(gamma, grad)
+            self.gamma = optimizer.step(gamma, twice * feats)
         x = actual
         for j, prev in enumerate(newest):
             newest[j] = x
@@ -158,4 +166,5 @@ class ArimaModel:
         i = (i or mk) - 1
         self._ring[i] = self._ring[i + mk] = x
         self._i = i
-        return Prediction(value, residual)
+        # tuple.__new__ skips the NamedTuple's Python-level __new__
+        return tuple.__new__(Prediction, (value, residual))

@@ -26,13 +26,21 @@ by ramp keeps it at the edge of the slices it leaves.
   step would subtract from the coefficients, as a fresh array,
 * ``step(coeffs, grad)`` returns ``coeffs - update_direction(grad)``.
 
-``advance(grad)`` is the same update without the checks, for a caller that
-builds every gradient itself: the experiment kernel, and
-``ArimaModel.learn_step`` once a checked ``step`` has fixed the state's
-shape. The delta it returns is a buffer, valid until the next call. The
-state of a one-run optimizer takes the shape of its first gradient, such
-as ``(dim,)`` or ``(rows, dim)``, and every later gradient must have that
+Both copy the checked gradient into ``grad``, a buffer of the state's shape
+that the optimizer owns. ``advance()`` is the same update without the
+checks, for a caller that writes every gradient into ``grad`` itself: the
+experiment kernel, and ``ArimaModel.learn_step`` once a checked ``step``
+has fixed the state's shape. The delta it returns is one buffer, the same
+object on every call, valid until the next. The state of a one-run
+optimizer, and ``grad``, take the shape of its first gradient, such as
+``(dim,)`` or ``(rows, dim)``, and every later gradient must have that
 shape.
+
+The update is bound once, when the state is allocated, and again when a
+ramp ends or ``without`` builds a copy: ``_ops`` lists each numpy call with
+its operands, views over the rows it updates, output included, in the
+order of operations above, and ``_hand_ops`` the ramp's blend. ``advance``
+writes step t's scalars into 0-d arrays and runs the lists.
 
 Deltas never depend on the coefficient values themselves, only on the
 gradient history, so steps are translation equivariant. The decay rates and
@@ -43,6 +51,7 @@ gradient history, so steps are translation equivariant. The decay rates and
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -136,7 +145,7 @@ class Optimizer:
     def _allocate(self, shape: tuple[int, ...]) -> None:
         """Zero state and buffers of ``shape``, and each run's coefficients in its rows."""
         self.shape = shape
-        for key in ("velocity", "m", "s", "v_max", "delta",
+        for key in ("grad", "velocity", "m", "s", "v_max", "delta",
                     "_lr", "_decay", "_scale", "_ramp", "_tmp", "_tmp2", "_den"):
             setattr(self, key, np.zeros(shape))
         # the constants as arrays too: numpy takes two arrays faster than an array and a float
@@ -181,29 +190,67 @@ class Optimizer:
         return slice(self._spans[hits[0]].start, self._spans[hits[-1]].stop)
 
     def _bind(self) -> None:
-        """Views of the state and buffers over the rows of each recurrence and delta form."""
+        """Bind the update's calls to the rows of each recurrence and delta form.
 
-        def views(keep, *arrays, hull=False):
+        ``_ops`` lists ``(function, operands)`` pairs, outputs included, in the
+        order of operations of the expressions in the module docstring;
+        ``_hand_ops`` is the blend of the combined runs still on their ramp.
+        """
+
+        def at(keep, *arrays, hull=False):
             span = self._span(keep, hull)
-            return None if span is None else (span, *(a[span] for a in arrays))
+            return None if span is None else [a[span] for a in arrays]
 
+        mul, add, div, sqrt = np.multiply, np.add, np.divide, np.sqrt
+        ops = []
         # lr*g for the velocity and the step, lookahead and scaled deltas; in
         # between, adam and amsgrad rows compute it unread
-        self._lr_g = views(lambda r, _: r.velocity or r.delta in ("step", "scaled"),
-                           self._lr, self.delta, hull=True)
-        self._vel = views(lambda r, _: r.velocity, self.velocity, self.delta, self._mu)
-        self._look = views(lambda r, _: r.delta == "lookahead", self.delta, self.velocity,
-                           self._tmp, self._mu)
-        self._vdel = views(lambda r, _: r.delta == "velocity", self.delta, self.velocity)
-        self._mom = views(lambda r, _: r.moment, self.m, self._tmp, self.delta, self._lr,
-                          self._beta1, self._beta1c)
-        self._sq = views(lambda r, _: r.squared is not None, self.s, self._decay, self._scale,
-                         self._tmp, self._den, self.delta, self._eps)
-        self._max = views(lambda r, _: r.v_max, self.v_max, self.s, self._den)
-        self._corr = views(lambda r, _: r.delta == "corrected", self.s, self._den)
-        self._scal = views(lambda r, _: r.delta == "scaled", self.s, self._den)
-        self._hand = views(lambda r, ramp: r.delta == "handover" and ramp != math.inf,
-                           self.delta, self.velocity, self._ramp, self._tmp, self._tmp2, self._one)
+        if lr_g := at(lambda r, _: r.velocity or r.delta in ("step", "scaled"),
+                      self._lr, self.grad, self.delta, hull=True):
+            ops.append((mul, lr_g))
+        if vel := at(lambda r, _: r.velocity, self.velocity, self._mu, self.delta):
+            v, mu, lr_g = vel
+            ops += [(mul, (v, mu, v)), (add, (v, lr_g, v))]
+        if look := at(lambda r, _: r.delta == "lookahead", self.delta, self.velocity,
+                      self._tmp, self._mu):
+            d, v, tmp, mu = look
+            ops += [(mul, (mu, v, tmp)), (add, (d, tmp, d))]
+        if vdel := at(lambda r, _: r.delta == "velocity", self.delta, self.velocity):
+            ops.append((np.copyto, vdel))
+        if mom := at(lambda r, _: r.moment, self.m, self._tmp, self.grad, self._beta1,
+                     self._beta1c, self.delta, self._lr):
+            m, tmp, g, beta1, beta1c, d_mom, lr = mom
+            ops += [(mul, (m, beta1, m)), (mul, (beta1c, g, tmp)), (add, (m, tmp, m))]
+        if sq := at(lambda r, _: r.squared is not None, self.s, self._decay, self._scale,
+                    self._tmp, self.grad, self._den, self._eps, self.delta):
+            s, decay, scale, tmp, g, den, eps, d_sq = sq
+            ops += [(mul, (s, decay, s)), (mul, (scale, g, tmp)), (mul, (tmp, g, tmp)),
+                    (add, (s, tmp, s))]
+            if vmax := at(lambda r, _: r.v_max, self.v_max, self.s, self._den):
+                v_max, s_max, den_max = vmax
+                # numpy deprecates a positional out for maximum
+                ops += [(partial(np.maximum, out=v_max), (v_max, s_max)),
+                        (sqrt, (v_max, den_max))]
+            if corr := at(lambda r, _: r.delta == "corrected", self.s, self._den):
+                s_corr, den_corr = corr
+                ops += [(div, (s_corr, self._bias2, den_corr)), (sqrt, (den_corr, den_corr))]
+            if scal := at(lambda r, _: r.delta == "scaled", self.s, self._den):
+                ops.append((sqrt, scal))
+            ops.append((add, (den, eps, den)))
+        if mom:
+            ops += [(div, (m, self._bias1, d_mom)), (mul, (d_mom, lr, d_mom))]
+        if sq:
+            ops.append((div, (d_sq, den, d_sq)))
+        self._ops = ops
+        # the scalars of step t that the ops read
+        self._moment = any(rule.moment for rule in self._rules)
+        self._corrected = any(rule.delta == "corrected" for rule in self._rules)
+        self._hand_ops = []
+        if hand := at(lambda r, ramp: r.delta == "handover" and ramp != math.inf,
+                      self.delta, self.velocity, self._ramp, self._tmp, self._tmp2, self._one):
+            d, v, ramp, w, keep, one = hand
+            self._hand_ops = [(div, (self._elapsed, ramp, w)), (np.subtract, (one, w, keep)),
+                              (mul, (d, keep, d)), (mul, (w, v, w)), (add, (d, w, d))]
 
     def _hand_over(self, t: int) -> None:
         """Make every combined run whose ramp has ended at step t a momentum run."""
@@ -222,71 +269,29 @@ class Optimizer:
             getattr(copy, key)[...] = getattr(self, key)[rows]
         return copy, rows
 
-    def advance(self, grad: np.ndarray) -> np.ndarray:
-        """Unchecked update of every row by a float64 ``grad`` of the optimizer's shape.
+    def advance(self) -> np.ndarray:
+        """Unchecked update of every row by the gradient a caller wrote into ``grad``.
 
         The returned delta is a buffer, valid until the next call.
         """
         t = self.step_count = self.step_count + 1
         if self._ramping and (t - 1) / self._runs[self._ramping[0]][2] >= 1.0:
             self._hand_over(t)
-        if self._lr_g:
-            span, lr, d = self._lr_g
-            np.multiply(lr, grad[span], out=d)
-        if self._vel:
-            _, v, lr_g, mu = self._vel
-            v *= mu
-            v += lr_g
-        if self._look:
-            _, d, v, tmp, mu = self._look
-            np.multiply(mu, v, out=tmp)
-            d += tmp
-        if self._vdel:
-            _, d, v = self._vdel
-            np.copyto(d, v)
-        if self._mom:
-            span, m, tmp, d_mom, lr, beta1, beta1c = self._mom
-            m *= beta1
-            np.multiply(beta1c, grad[span], out=tmp)
-            m += tmp
-        if self._sq:
-            span, s, decay, scale, tmp, den, d_sq, eps = self._sq
-            g = grad[span]
-            s *= decay
-            np.multiply(scale, g, out=tmp)
-            tmp *= g
-            s += tmp
-            if self._max:
-                _, v_max, s_max, den_max = self._max
-                np.maximum(v_max, s_max, out=v_max)
-                np.sqrt(v_max, out=den_max)
-            if self._corr:
-                _, s_corr, den_corr = self._corr
-                self._bias2[()] = 1.0 - BETA2**t
-                np.divide(s_corr, self._bias2, out=den_corr)
-                np.sqrt(den_corr, out=den_corr)
-            if self._scal:
-                _, s_scal, den_scal = self._scal
-                np.sqrt(s_scal, out=den_scal)
-            den += eps
-        if self._mom:
+        if self._moment:
             self._bias1[()] = 1.0 - BETA1**t
-            np.divide(m, self._bias1, out=d_mom)
-            d_mom *= lr
-        if self._sq:
-            d_sq /= den
+        if self._corrected:
+            self._bias2[()] = 1.0 - BETA2**t
+        for op, operands in self._ops:
+            op(*operands)
         # the first step, and an infinite ramp, leave AMSGrad's delta exact
-        if self._hand and t > 1:
-            _, d, v, ramp, w, keep, one = self._hand
+        if self._hand_ops and t > 1:
             self._elapsed[()] = t - 1
-            np.divide(self._elapsed, ramp, out=w)
-            np.subtract(one, w, out=keep)
-            d *= keep
-            w *= v
-            d += w
+            for op, operands in self._hand_ops:
+                op(*operands)
         return self.delta
 
-    def _checked(self, grad) -> np.ndarray:
+    def _load(self, grad) -> None:
+        """Copy a gradient of the optimizer's shape into ``grad``, or raise."""
         grad = np.asarray(grad, dtype=np.float64)
         if grad.shape[-1:] != (self.dim,):
             raise ValueError(f"gradient shape {grad.shape} does not match dim {self.dim}")
@@ -294,16 +299,18 @@ class Optimizer:
             self._allocate(grad.shape)
         elif grad.shape != self.shape:
             raise ValueError(f"gradient shape {grad.shape} differs from the first, {self.shape}")
-        return grad
+        np.copyto(self.grad, grad)
 
     def update_direction(self, grad) -> np.ndarray:
-        return self.advance(self._checked(grad)).copy()
+        self._load(grad)
+        return self.advance().copy()
 
     def step(self, coeffs, grad) -> np.ndarray:
         coeffs = np.asarray(coeffs, dtype=np.float64)
         if coeffs.shape[-1:] != (self.dim,):
             raise ValueError(f"coefficient shape {coeffs.shape} does not match dim {self.dim}")
-        return coeffs - self.advance(self._checked(grad))
+        self._load(grad)
+        return coeffs - self.advance()
 
 
 def _rule(name: str) -> Rule:

@@ -466,6 +466,62 @@ def test_rows_step_like_separate_optimizers(name):
         np.testing.assert_array_equal(together, coeffs)
 
 
+# ------------------------------------------------------- the grad buffer
+
+
+def assert_bitwise(got, want, msg=""):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes(), msg
+
+
+@pytest.mark.parametrize("name", tuple(OPTIMIZERS))
+@pytest.mark.parametrize("rows", [None, 3])
+def test_advance_over_the_grad_buffer_is_update_direction(name, rows):
+    # a lone run allocates its buffer at its first checked call; a bank at once
+    rng = np.random.default_rng(8)
+    ramp = 4.0 if name == "combined" else None
+    opt, twin = (Optimizer(3, [(name, LR, ramp, rows)]) for _ in range(2))
+    grads = rng.normal(size=(9, *((rows, 3) if rows else (3,))))
+    if rows is None:
+        assert_bitwise(opt.update_direction(grads[0]), twin.update_direction(grads[0]))
+        grads = grads[1:]
+    buffer = opt.grad
+    for k, g in enumerate(grads):
+        np.copyto(opt.grad, g)
+        assert_bitwise(opt.advance(), twin.update_direction(g), f"{name} step {k}")
+        assert opt.grad is buffer
+    for key in ("velocity", "m", "s", "v_max"):
+        assert_bitwise(getattr(opt, key), getattr(twin, key), key)
+
+
+def test_advance_over_the_grad_buffer_across_handover_and_without():
+    # every rule in one bank; the ramps of 2 and 3 hand over at steps 3 and 4
+    rng = np.random.default_rng(9)
+    runs = [(name, LR, 2.0 if name == "combined" else None, 2) for name in OPTIMIZERS]
+    runs += [("combined", 0.03, ramp, 3) for ramp in (3.0, math.inf)]
+    runs = [runs[i] for i in rng.permutation(len(runs))]
+    bank, twin = Optimizer(3, runs), Optimizer(3, runs)
+    for k in range(12):
+        if k == 6:
+            gone = [i % 3 == 0 for i in range(len(runs))]
+            bank, rows = bank.without(gone)
+            twin, twin_rows = twin.without(gone)
+            np.testing.assert_array_equal(rows, twin_rows)
+            assert bank.grad.shape == bank.shape == (rows.size, 3)
+        g = rng.normal(size=bank.shape)
+        bank.grad[...] = g
+        assert_bitwise(bank.advance(), twin.update_direction(g), f"step {k}")
+    assert bank.step_count == twin.step_count == 12
+
+
+@pytest.mark.parametrize("name", tuple(OPTIMIZERS))
+def test_advance_returns_one_buffer(name):
+    opt = Optimizer(2, [(name, LR, 3.0 if name == "combined" else None, 2)])
+    delta = opt.advance()
+    for _ in range(5):
+        opt.grad[...] = 1.0
+        assert opt.advance() is delta is opt.delta
+
+
 # ------------------------------------------------------------ validation
 
 
