@@ -15,53 +15,43 @@ per side, on the first seed, then gives the per-layer metrics. Each side
 runs the benchmark code of its own copy; this script only calls
 ``perfbench/run.py`` and changes nothing there.
 
-Two probes time one layer per rule, without perfbench's tracer. The
-kernel probe times ``experiment._kernel`` over preset 2 (data seed 7) at
-``reproduce 2``'s settings, once per rule alone and once with all rules in
-one call, at 1 and 30 trials. The stream probe times every
-``ArimaModel.learn_step`` call over preset 3 (data seed 7) at online-step's
-settings (mk 10, d 1, lr 0.05, lambda 2000), one model per rule, and keeps
-each rule's median, and the median of all rules' calls. Each probe takes
-the minimum of PROBE_REPEATS repeats per key. Each side runs them in a
-fresh interpreter, in PROBE_ROUNDS alternating rounds, and the median of
-its rounds is kept. The stream probe also hashes what it streamed: the
-sha256 of each rule's residuals in stream order and its final gamma, as
-float64 bytes, rule after rule. ``reproduce`` never calls ``learn_step``,
-so this is the one digest of that path.
+One probe times single layers per rule, without perfbench's tracer. A rule
+timed alone in its own interpreter does not resolve against this host's
+noise, so the probe times both sides in one interpreter. It imports each
+side's ``src/streamarima`` under its own package name, and runs the two
+sides in alternating pairs, parent first in even pairs:
 
-A rule timed alone in its own interpreter does not resolve against this
-host's noise, so the paired probe times both sides in one interpreter. It
-imports each side's ``src/streamarima`` under its own package name, and
-runs the two sides in alternating pairs, parent first in even pairs:
-
-* the stream: for each rule, preset 3 (data seed 7) at the stream probe's
-  settings through one model per side, PAIRED_REPEATS times. Each stream
-  is warmed up on PAIRED_WARMUP samples, then timed in PAIRED_CHUNK-sample
-  chunks of ``learn_step`` calls, one pair per chunk.
-* the kernel: the kernel probe's calls at 1 trial, each rule alone and all
-  rules, and all rules at 30 trials, PAIRED_KERNEL_PAIRS pairs each.
+* the stream: for each rule, preset 3 (data seed 7) at online-step's
+  settings (mk 10, d 1, lr 0.05, lambda 2000) through one model per side,
+  PAIRED_REPEATS times. Each stream is warmed up on PAIRED_WARMUP samples,
+  then timed in PAIRED_CHUNK-sample chunks of ``learn_step`` calls, one
+  pair per chunk.
+* the kernel: ``experiment._kernel`` over preset 2 (data seed 7) at
+  ``reproduce 2``'s settings, each rule alone and all rules in one call at
+  1 trial, and all rules at 30 trials, PAIRED_KERNEL_PAIRS pairs each.
 
 Each pair gives one ratio of the change's time to the parent's. Per key,
 the JSON records each side's median time, the median ratio and the number
-of pairs the change won, and whether both sides computed bitwise the same
-predictions, final coefficients and residuals.
+of pairs the change won, and whether both sides' kernels computed bitwise
+the same residuals. Each side's stream is also hashed: the sha256 of every
+prediction (value, residual) it streamed and each model's final gamma, as
+float64 bytes, rule after rule. ``reproduce`` never calls ``learn_step``,
+so this is the one digest of that path.
 
 Each side also runs ``reproduce 1 2 3 7 --trials 2`` into a temporary
 directory, one command per configuration, and keeps the output files and a
 log of each command's stdout, stderr and exit status. The JSON records the
 sha256 of each side's ``<sha256>  <name>`` listing of those files, sorted
 by name, and whether the two digests are equal, and the same for the
-stream probe's digest. These are records of the outputs' bytes, not
-gates: the script writes the JSON either way.
+streams' digests. These are records of the outputs' bytes, not gates: the
+script writes the JSON either way.
 
 The JSON written holds every run's metrics and, for each workload and
 end-to-end metric, each side's median and quartiles, the parent's
 interquartile range, the change in the medians, the number of pairs the
 working tree won (ties count for neither side) and the failed operations
-of each side, each probe's per-key medians for both sides with the
-change against the parent, the paired probe's per-key summaries, and the
-output digests. Which direction is better is read from
-``BENCHMARK.json``.
+of each side, the probe's per-key summaries, and the output digests.
+Which direction is better is read from ``BENCHMARK.json``.
 """
 
 from __future__ import annotations
@@ -79,77 +69,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 PAIRS = 10
-PROBE_ROUNDS = 5
-PROBE_REPEATS = 3
-# Prints the kernel's microseconds per sample (one step of all its rows) as JSON.
-KERNEL_PROBE = f"""
-import json, time
-from dataclasses import replace
-from streamarima.experiment import RunSpec, _kernel
-from streamarima.model import ModelConfig
-from streamarima.optimizers import OPTIMIZERS
-from streamarima.synthetic import generate, preset
-
-values = generate(preset(2, seed=7)).values
-out = {{}}
-for trials in (1, 30):
-    base = RunSpec(ModelConfig(mk=10), "combined", 0.05, 2000.0, tuple(range(trials)))
-    groups = {{name: [replace(base, optimizer=name)] for name in OPTIMIZERS}}
-    groups["all"] = [replace(base, optimizer=name) for name in OPTIMIZERS]
-    for label, specs in groups.items():
-        best = float("inf")
-        for _ in range({PROBE_REPEATS}):
-            start = time.perf_counter()
-            _kernel(specs, values, None)
-            best = min(best, time.perf_counter() - start)
-        out[f"T{{trials}}.{{label}}"] = best / (values.size - 10) * 1e6
-print(json.dumps(out))
-"""
-# Prints learn_step's median microseconds per call, per rule and over all rules, and the
-# sha256 of every rule's residuals and final gamma, as JSON.
-STREAM_PROBE = f"""
-import hashlib, json, statistics, time
-from array import array
-from streamarima.model import ArimaModel, ModelConfig
-from streamarima.optimizers import OPTIMIZERS, make_optimizer
-from streamarima.synthetic import generate, preset
-
-values = generate(preset(3, seed=7)).values
-clock = time.perf_counter_ns
-out = {{}}
-for repeat in range({PROBE_REPEATS}):
-    calls, streamed = {{}}, hashlib.sha256()
-    for name in OPTIMIZERS:
-        model = ArimaModel(ModelConfig(mk=10, d=1))
-        opt = make_optimizer(name, 10, 0.05, 2000.0 if name == "combined" else None)
-        times = calls[name] = []
-        resid = array("d")
-        for x in values:
-            t0 = clock()
-            pred = model.learn_step(opt, x)
-            t1 = clock()
-            if pred is not None:
-                times.append(t1 - t0)
-                resid.append(pred.residual)
-        streamed.update(resid.tobytes())
-        streamed.update(model.gamma.tobytes())
-    calls["all"] = [t for name in OPTIMIZERS for t in calls[name]]
-    for key, times in calls.items():
-        out[key] = min(out.get(key, float("inf")), statistics.median(times) * 1e-3)
-    if out.setdefault("sha256", streamed.hexdigest()) != streamed.hexdigest():
-        raise SystemExit(f"repeat {{repeat}} streamed other bytes than repeat 0")
-print(json.dumps(out))
-"""
-PROBES = {"kernel": KERNEL_PROBE, "stream": STREAM_PROBE}
 PAIRED_REPEATS = 6
 PAIRED_WARMUP = 50
 PAIRED_CHUNK = 500
 PAIRED_KERNEL_PAIRS = 8
 # Loads both sides' packages (``src`` directories in argv) under their own names in one
 # interpreter and times them in alternating pairs: chunks of learn_step calls per rule, and
-# whole kernel calls per rule and for all rules, as JSON.
+# whole kernel calls per rule and for all rules, and hashes each side's streams, as JSON.
 PAIRED_PROBE = f"""
-import importlib.util, json, statistics, sys, time
+import hashlib, importlib.util, json, statistics, sys, time
 from array import array
 from dataclasses import replace
 from functools import partial
@@ -182,7 +110,7 @@ clock = time.perf_counter_ns
 values = synthetic.generate(synthetic.preset(3, seed=7)).values
 chunks = [values[a : a + {PAIRED_CHUNK}]
           for a in range({PAIRED_WARMUP}, values.size - {PAIRED_CHUNK} + 1, {PAIRED_CHUNK})]
-stream, identical = {{}}, True
+stream, digests = {{}}, {{side: hashlib.sha256() for side in sides}}
 for name in rules:
     us = {{side: [] for side in sides}}
     for repeat in range({PAIRED_REPEATS}):
@@ -203,9 +131,8 @@ for name in rules:
                     streamed[side].extend(pred)
         for side in sides:
             streamed[side].extend(models[side].gamma)
-        identical &= streamed["parent"].tobytes() == streamed["change"].tobytes()
+            digests[side].update(streamed[side].tobytes())
     stream[name] = summary(us)
-stream["identical"] = identical
 
 values = synthetic.generate(synthetic.preset(2, seed=7)).values
 calls = {{}}
@@ -232,7 +159,8 @@ for key, call in calls.items():
         identical &= resid["parent"].tobytes() == resid["change"].tobytes()
     kernel[key] = summary(us)
 kernel["identical"] = identical
-print(json.dumps({{"stream": stream, "kernel": kernel}}))
+print(json.dumps({{"stream": stream, "kernel": kernel,
+                  "sha256": {{side: digests[side].hexdigest() for side in sides}}}}))
 """
 OUTPUT_CONFIGS = ("1", "2", "3", "7")
 OUTPUT_TRIALS = "2"
@@ -251,15 +179,6 @@ def run_bench(tree: Path, seed: int, seconds: float, trace: int) -> tuple[dict, 
     lines = proc.stdout.strip().splitlines()
     machine = json.loads(next(x for x in lines if x.startswith("machine "))[len("machine "):])
     return json.loads(lines[-1]), machine
-
-
-def probe_us(tree: Path, probe: str) -> dict[str, float]:
-    """One run of a probe against the package in ``tree``."""
-    proc = subprocess.run([sys.executable, "-c", PROBES[probe]], cwd=tree, capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": str(tree / "src")})
-    if proc.returncode != 0:
-        raise RuntimeError(f"{probe} probe in {tree} exited {proc.returncode}:\n{proc.stderr}")
-    return json.loads(proc.stdout)
 
 
 def paired(trees: dict[str, Path]) -> dict:
@@ -333,18 +252,6 @@ def values(results: dict) -> dict:
     }
 
 
-def probe_doc(sides: dict[str, dict[str, float]]) -> dict:
-    """Both sides' per-key medians of rounds and the change against the parent."""
-    return {
-        "rounds": PROBE_ROUNDS,
-        "repeats_per_round": PROBE_REPEATS,
-        "order": "alternating: parent first in even rounds, change first in odd rounds",
-        **sides,
-        "change_vs_parent": {key: sides["change"][key] / sides["parent"][key] - 1.0
-                             for key in sides["parent"]},
-    }
-
-
 def main() -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -392,19 +299,6 @@ def main() -> int:
                   f"parent {wall['parent']:.4f} change {wall['change']:.4f}", file=sys.stderr)
         traced = {side: values(run_bench(trees[side], args.seed, seconds, 1)[0])
                   for side in SIDES}
-        rounds = {probe: {side: [] for side in SIDES} for probe in PROBES}
-        for k in range(PROBE_ROUNDS):
-            for side in (SIDES if k % 2 == 0 else SIDES[::-1]):
-                for probe, sides in rounds.items():
-                    sides[side].append(probe_us(trees[side], probe))
-        # every round of a side streams the same bytes, or its probe would have failed
-        streamed = {side: rounds["stream"][side][0].pop("sha256") for side in SIDES}
-        for side in SIDES:
-            if any(r.pop("sha256") != streamed[side] for r in rounds["stream"][side][1:]):
-                raise RuntimeError(f"the {side} side's stream probe rounds streamed other bytes")
-        probed = {probe: {side: {key: statistics.median(r[key] for r in sides[side])
-                                 for key in sides[side][0]} for side in SIDES}
-                  for probe, sides in rounds.items()}
         in_process = paired(trees)
 
     doc = {
@@ -423,23 +317,10 @@ def main() -> int:
             "runs": [{"seed": r["seed"], "first": r["first"],
                       **{s: values(r[s]) for s in SIDES}} for r in runs],
         },
-        "kernel": {
-            "what": "experiment._kernel on preset 2 (data seed 7), mk 10, lr 0.05, lambda "
-                    "2000: each rule alone and all rules in one call (T<trials>.all), at 1 "
-                    "and 30 trials; microseconds per sample, one step of all the call's rows",
-            **probe_doc(probed["kernel"]),
-        },
-        "stream": {
-            "what": "ArimaModel.learn_step over preset 3 (data seed 7), mk 10, d 1, lr 0.05, "
-                    "lambda 2000, one model per rule: median microseconds per scored call, "
-                    "per rule and over all rules' calls (all)",
-            **probe_doc(probed["stream"]),
-        },
         "paired": {
             "what": "both sides' packages in one interpreter, timed in alternating pairs, "
                     "parent first in even pairs; per key, each side's median microseconds, "
-                    "the median of the per-pair ratios, the pairs the change won, and whether "
-                    "both sides computed bitwise the same",
+                    "the median of the per-pair ratios and the pairs the change won",
             "stream": {
                 "what": f"ArimaModel.learn_step over preset 3 (data seed 7), mk 10, d 1, lr "
                         f"0.05, lambda 2000, per rule: {PAIRED_REPEATS} streams, each warmed "
@@ -451,7 +332,8 @@ def main() -> int:
                 "what": f"experiment._kernel on preset 2 (data seed 7), mk 10, lr 0.05, lambda "
                         f"2000, each rule alone and all rules in one call at 1 trial, and all "
                         f"rules at 30 trials: {PAIRED_KERNEL_PAIRS} pairs of whole calls; "
-                        "microseconds per sample",
+                        "microseconds per sample; identical: whether both sides computed "
+                        "bitwise the same residuals",
                 **in_process["kernel"],
             },
         },
@@ -463,11 +345,12 @@ def main() -> int:
             **digests,
             "outputs_identical": digests["parent"] == digests["change"],
             "stream": {
-                "what": "sha256 of each rule's learn_step residuals and final gamma in the "
-                        "stream probe, as float64 bytes, rule after rule",
-                **streamed,
+                "what": "sha256 of every learn_step prediction (value, residual) and each "
+                        "model's final gamma in the paired probe's streams, as float64 bytes, "
+                        "rule after rule",
+                **in_process["sha256"],
             },
-            "stream_identical": streamed["parent"] == streamed["change"],
+            "stream_identical": in_process["sha256"]["parent"] == in_process["sha256"]["change"],
         },
         "trace1": {
             "command": f"python3 perfbench/run.py --workload all --seed {args.seed} "

@@ -97,11 +97,11 @@ def _kernel(specs: list[RunSpec], values: np.ndarray, starts) -> tuple[np.ndarra
     hands ``gamma @ f`` with a contiguous ``f`` to BLAS's matrix-vector
     product, whose per-row sums change with the number of rows, so a run's
     rows would no longer be bitwise those of the run alone. Each gradient is
-    written into the optimizer's ``grad`` buffer, and into the new one's
-    after ``without``. ``starts`` marks batch starts (None for a stream);
-    each batch leaves its first mk + d positions unscored. Returns the
-    |residuals| in that row order, each run's block of rows, and each run's
-    DivergedError text ("" for a run that did not diverge).
+    written into the optimizer's ``grad`` buffer. ``starts`` marks batch
+    starts (None for a stream); each batch leaves its first mk + d positions
+    unscored. Returns the |residuals| in that row order, each run's block of
+    rows, and each run's DivergedError text ("" for a run that did not
+    diverge).
 
     Every DIVERGENCE_CHECK_INTERVAL samples, a run whose first trial has
     diverged leaves the loop: its rows leave the coefficient array and the
@@ -134,7 +134,6 @@ def _kernel(specs: list[RunSpec], values: np.ndarray, starts) -> tuple[np.ndarra
     gamma = np.empty(opt.shape)
     for spec, block in zip(specs, blocks):
         gamma[block] = [ArimaModel(replace(model, seed=s)).gamma for s in spec.trial_seeds]
-    grad = opt.grad
     resid = np.empty((gamma.shape[0], actual.size))
     live = list(range(len(specs)))
     rows = slice(None)  # the residual row of each coefficient row
@@ -146,7 +145,7 @@ def _kernel(specs: list[RunSpec], values: np.ndarray, starts) -> tuple[np.ndarra
             r -= actual[j]
             resid[rows, j] = r
             r *= 2.0
-            np.multiply(r[:, None], f, out=grad)
+            np.multiply(r[:, None], f, out=opt.grad)
             gamma -= opt.advance()
             if (j + 1) % DIVERGENCE_CHECK_INTERVAL == 0:
                 span = slice(j + 1 - DIVERGENCE_CHECK_INTERVAL, j + 1)
@@ -159,7 +158,7 @@ def _kernel(specs: list[RunSpec], values: np.ndarray, starts) -> tuple[np.ndarra
                     if not live:
                         break
                     opt, kept = opt.without(left)
-                    gamma, grad = gamma[kept], opt.grad
+                    gamma = gamma[kept]
                     rows = np.arange(resid.shape[0])[rows][kept]
         bad = diverged(np.abs(resid, out=resid))
     messages = [_verdict(spec, bad[block], window, starts) for spec, block in zip(specs, blocks)]

@@ -103,7 +103,6 @@ class ArimaModel:
         self._newest: list[float] = []
         self._warmup: list[float] | None = []
         self._twice_residual = np.zeros(())
-        self._ready = None  # the optimizer whose state last passed the shape check
 
     @property
     def warm(self) -> bool:
@@ -131,11 +130,10 @@ class ArimaModel:
         Once the optimizer's state has gamma's shape, which its first
         checked ``step`` gives it, the gradient is written into
         ``optimizer.grad`` and ``gamma -= optimizer.advance()`` updates
-        gamma in place, without allocating. The optimizer that last passed
-        that shape check is remembered, and a step with it skips the check.
-        Until then, or for an object that has only ``step``, gamma becomes
-        ``optimizer.step(gamma, grad)``, which raises on a gradient of the
-        wrong shape before the sample is absorbed.
+        gamma in place, without allocating. Until then, or for an object
+        that has only ``step``, gamma becomes ``optimizer.step(gamma, grad)``,
+        which raises on a gradient of the wrong shape before the sample is
+        absorbed.
         """
         actual = float(actual)
         if not math.isfinite(actual):
@@ -152,9 +150,7 @@ class ArimaModel:
         residual = value - actual
         twice = self._twice_residual
         twice[()] = 2.0 * residual
-        if optimizer is not self._ready and getattr(optimizer, "shape", None) == gamma.shape:
-            self._ready = optimizer
-        if optimizer is self._ready:
+        if getattr(optimizer, "shape", None) == gamma.shape:
             np.multiply(twice, feats, out=optimizer.grad)
             gamma -= optimizer.advance()
         else:
@@ -166,5 +162,4 @@ class ArimaModel:
         i = (i or mk) - 1
         self._ring[i] = self._ring[i + mk] = x
         self._i = i
-        # tuple.__new__ skips the NamedTuple's Python-level __new__
-        return tuple.__new__(Prediction, (value, residual))
+        return Prediction(value, residual)

@@ -202,7 +202,7 @@ class Optimizer:
             return None if span is None else [a[span] for a in arrays]
 
         mul, add, div, sqrt = np.multiply, np.add, np.divide, np.sqrt
-        ops = []
+        ops, corr = [], None
         # lr*g for the velocity and the step, lookahead and scaled deltas; in
         # between, adam and amsgrad rows compute it unread
         if lr_g := at(lambda r, _: r.velocity or r.delta in ("step", "scaled"),
@@ -243,8 +243,8 @@ class Optimizer:
             ops.append((div, (d_sq, den, d_sq)))
         self._ops = ops
         # the scalars of step t that the ops read
-        self._moment = any(rule.moment for rule in self._rules)
-        self._corrected = any(rule.delta == "corrected" for rule in self._rules)
+        self._moment = mom is not None
+        self._corrected = corr is not None
         self._hand_ops = []
         if hand := at(lambda r, ramp: r.delta == "handover" and ramp != math.inf,
                       self.delta, self.velocity, self._ramp, self._tmp, self._tmp2, self._one):

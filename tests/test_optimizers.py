@@ -484,11 +484,12 @@ def test_advance_over_the_grad_buffer_is_update_direction(name, rows):
     if rows is None:
         assert_bitwise(opt.update_direction(grads[0]), twin.update_direction(grads[0]))
         grads = grads[1:]
-    buffer = opt.grad
+    buffer, delta = opt.grad, opt.delta
     for k, g in enumerate(grads):
         np.copyto(opt.grad, g)
-        assert_bitwise(opt.advance(), twin.update_direction(g), f"{name} step {k}")
-        assert opt.grad is buffer
+        got = opt.advance()
+        assert_bitwise(got, twin.update_direction(g), f"{name} step {k}")
+        assert got is delta and opt.grad is buffer
     for key in ("velocity", "m", "s", "v_max"):
         assert_bitwise(getattr(opt, key), getattr(twin, key), key)
 
@@ -511,15 +512,6 @@ def test_advance_over_the_grad_buffer_across_handover_and_without():
         bank.grad[...] = g
         assert_bitwise(bank.advance(), twin.update_direction(g), f"step {k}")
     assert bank.step_count == twin.step_count == 12
-
-
-@pytest.mark.parametrize("name", tuple(OPTIMIZERS))
-def test_advance_returns_one_buffer(name):
-    opt = Optimizer(2, [(name, LR, 3.0 if name == "combined" else None, 2)])
-    delta = opt.advance()
-    for _ in range(5):
-        opt.grad[...] = 1.0
-        assert opt.advance() is delta is opt.delta
 
 
 # ------------------------------------------------------------ validation
