@@ -15,11 +15,12 @@ per side, on the first seed, then gives the per-layer metrics. Each side
 runs the benchmark code of its own copy; this script only calls
 ``perfbench/run.py`` and changes nothing there.
 
-One probe times single layers per rule, without perfbench's tracer. A rule
-timed alone in its own interpreter does not resolve against this host's
-noise, so the probe times both sides in one interpreter. It imports each
-side's ``src/streamarima`` under its own package name, and runs the two
-sides in alternating pairs, parent first in even pairs:
+One probe, ``scripts/paired_probe.py``, times single layers per rule,
+without perfbench's tracer. A rule timed alone in its own interpreter does
+not resolve against this host's noise, so the probe times both sides in one
+interpreter. It imports each side's ``src/streamarima`` under its own
+package name, and runs the two sides in alternating pairs, parent first in
+even pairs:
 
 * the stream: for each rule, preset 3 (data seed 7) at online-step's
   settings (mk 10, d 1, lr 0.05, lambda 2000) through one model per side,
@@ -66,102 +67,11 @@ import sys
 import tempfile
 from pathlib import Path
 
+from paired_probe import PAIRED_CHUNK, PAIRED_KERNEL_PAIRS, PAIRED_REPEATS, PAIRED_WARMUP, SIDES
+
 ROOT = Path(__file__).resolve().parent.parent
-SIDES = ("parent", "change")
+PROBE = Path(__file__).resolve().with_name("paired_probe.py")
 PAIRS = 10
-PAIRED_REPEATS = 6
-PAIRED_WARMUP = 50
-PAIRED_CHUNK = 500
-PAIRED_KERNEL_PAIRS = 8
-# Loads both sides' packages (``src`` directories in argv) under their own names in one
-# interpreter and times them in alternating pairs: chunks of learn_step calls per rule, and
-# whole kernel calls per rule and for all rules, and hashes each side's streams, as JSON.
-PAIRED_PROBE = f"""
-import hashlib, importlib.util, json, statistics, sys, time
-from array import array
-from dataclasses import replace
-from functools import partial
-
-def load(name, src):
-    spec = importlib.util.spec_from_file_location(
-        name, f"{{src}}/streamarima/__init__.py", submodule_search_locations=[f"{{src}}/streamarima"])
-    package = sys.modules[name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(package)
-    return package
-
-def summary(us):
-    ratios = [c / p for p, c in zip(us["parent"], us["change"])]
-    return {{
-        **{{f"{{side}}_us": statistics.median(us[side]) for side in sides}},
-        "change_vs_parent_median": statistics.median(ratios) - 1.0,
-        "change_better_in_pairs": sum(r < 1.0 for r in ratios),
-        "pairs": len(ratios),
-    }}
-
-def order(k):
-    return ("parent", "change") if k % 2 == 0 else ("change", "parent")
-
-sides = {{"parent": load("streamarima_parent", sys.argv[1]),
-         "change": load("streamarima_change", sys.argv[2])}}
-synthetic = sides["change"].synthetic
-rules = list(sides["parent"].optimizers.OPTIMIZERS)
-clock = time.perf_counter_ns
-
-values = synthetic.generate(synthetic.preset(3, seed=7)).values
-chunks = [values[a : a + {PAIRED_CHUNK}]
-          for a in range({PAIRED_WARMUP}, values.size - {PAIRED_CHUNK} + 1, {PAIRED_CHUNK})]
-stream, digests = {{}}, {{side: hashlib.sha256() for side in sides}}
-for name in rules:
-    us = {{side: [] for side in sides}}
-    for repeat in range({PAIRED_REPEATS}):
-        models, steps, streamed = {{}}, {{}}, {{side: array("d") for side in sides}}
-        for side, package in sides.items():
-            model = models[side] = package.ArimaModel(package.ModelConfig(mk=10, d=1))
-            opt = package.make_optimizer(name, 10, 0.05, 2000.0 if name == "combined" else None)
-            step = steps[side] = lambda x, learn=model.learn_step, opt=opt: learn(opt, x)
-            for x in values[:{PAIRED_WARMUP}]:
-                streamed[side].extend(step(x) or ())
-        for k, chunk in enumerate(chunks):
-            for side in order(k):
-                step = steps[side]
-                t0 = clock()
-                preds = [step(x) for x in chunk]
-                us[side].append((clock() - t0) * 1e-3 / len(chunk))
-                for pred in preds:
-                    streamed[side].extend(pred)
-        for side in sides:
-            streamed[side].extend(models[side].gamma)
-            digests[side].update(streamed[side].tobytes())
-    stream[name] = summary(us)
-
-values = synthetic.generate(synthetic.preset(2, seed=7)).values
-calls = {{}}
-for side, package in sides.items():
-    for trials in (1, 30):
-        base = package.RunSpec(package.ModelConfig(mk=10), "combined", 0.05, 2000.0,
-                               tuple(range(trials)))
-        specs = [replace(base, optimizer=name) for name in rules]
-        groups = {{"all": specs}}
-        if trials == 1:
-            groups = {{**{{name: [spec] for name, spec in zip(rules, specs)}}, **groups}}
-        for label, group in groups.items():
-            calls.setdefault(f"T{{trials}}.{{label}}", {{}})[side] = partial(
-                package.experiment._kernel, group, values, None)
-kernel, identical = {{}}, True
-for key, call in calls.items():
-    us = {{side: [] for side in sides}}
-    for k in range({PAIRED_KERNEL_PAIRS}):
-        resid = {{}}
-        for side in order(k):
-            t0 = clock()
-            resid[side] = call[side]()[0]
-            us[side].append((clock() - t0) * 1e-3 / (values.size - 10))
-        identical &= resid["parent"].tobytes() == resid["change"].tobytes()
-    kernel[key] = summary(us)
-kernel["identical"] = identical
-print(json.dumps({{"stream": stream, "kernel": kernel,
-                  "sha256": {{side: digests[side].hexdigest() for side in sides}}}}))
-"""
 OUTPUT_CONFIGS = ("1", "2", "3", "7")
 OUTPUT_TRIALS = "2"
 
@@ -184,7 +94,7 @@ def run_bench(tree: Path, seed: int, seconds: float, trace: int) -> tuple[dict, 
 def paired(trees: dict[str, Path]) -> dict:
     """The paired in-process probe over both sides' packages."""
     argv = [str(trees[side] / "src") for side in SIDES]
-    proc = subprocess.run([sys.executable, "-c", PAIRED_PROBE, *argv],
+    proc = subprocess.run([sys.executable, str(PROBE), *argv],
                           capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"paired probe exited {proc.returncode}:\n{proc.stderr}")

@@ -25,7 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .model import ArimaModel, ModelConfig, differences
-from .optimizers import OPTIMIZERS, Optimizer
+from .optimizers import Optimizer, _check_settings, _rule
 from .series import MicroBatch, TimeSeries, normalize
 
 TAIL_FRACTION = 0.1
@@ -52,15 +52,10 @@ class RunSpec:
     trial_seeds: tuple[int, ...] = (0,)
 
     def __post_init__(self):
-        if self.optimizer not in OPTIMIZERS:
-            known = ", ".join(sorted(OPTIMIZERS))
-            raise ValueError(f"unknown optimizer {self.optimizer!r}, expected one of: {known}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        # a ramp on another rule is accepted here, and dropped when the run is built
+        _check_settings(_rule(self.optimizer), self.learning_rate, self.ramp_length)
         if len(self.trial_seeds) == 0:
             raise ValueError("at least one trial seed is required")
-        if self.optimizer == "combined" and self.ramp_length is None:
-            raise ValueError("combined optimizer requires ramp_length")
 
     @property
     def trials(self) -> int:

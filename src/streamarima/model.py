@@ -12,12 +12,11 @@ respect to gamma is analytic: 2 * residual * (d-th differences, newest first).
 
 ``learn_step`` is the per-sample path for one model. It keeps each
 difference once, as it arrives, rather than re-differencing its window, so
-a step costs the same bookkeeping whatever mk is. Once its optimizer has
-taken one checked ``step``, it writes each gradient into the optimizer's
-``grad`` buffer and updates gamma in place through the unchecked
-``advance()``, as the experiment harness's kernel does. That kernel
-runs the same recurrence for many trials at once, over the whole series'
-``differences``.
+a step costs the same bookkeeping whatever mk is. It writes each gradient
+into the optimizer's ``grad`` buffer and updates gamma in place through the
+unchecked ``advance()``, as the experiment harness's kernel does. That
+kernel runs the same recurrence for many trials at once, over the whole
+series' ``differences``.
 """
 
 from __future__ import annotations
@@ -87,9 +86,9 @@ class ArimaModel:
     dot, so handing it the newest-first row directly sums the same terms in
     the same order, without the copy.
 
-    ``gamma`` is updated in place once the optimizer is ready, so a caller
-    that wants to keep its values copies it. Twice the residual is written
-    into a 0-d array before it scales the features, because numpy
+    ``gamma`` is one array for the life of the model, updated in place, so
+    a caller that wants to keep its values copies it. Twice the residual is
+    written into a 0-d array before it scales the features, because numpy
     multiplies an array by a 0-d array faster than by a Python float.
     """
 
@@ -127,13 +126,10 @@ class ArimaModel:
         the sample costs one subtraction per level and one write to the
         ring, whatever mk is.
 
-        Once the optimizer's state has gamma's shape, which its first
-        checked ``step`` gives it, the gradient is written into
-        ``optimizer.grad`` and ``gamma -= optimizer.advance()`` updates
-        gamma in place, without allocating. Until then, or for an object
-        that has only ``step``, gamma becomes ``optimizer.step(gamma, grad)``,
-        which raises on a gradient of the wrong shape before the sample is
-        absorbed.
+        The gradient is written into ``optimizer.grad`` and
+        ``gamma -= optimizer.advance()`` updates gamma in place, without
+        allocating. An optimizer whose ``shape`` is not gamma's raises
+        before anything changes.
         """
         actual = float(actual)
         if not math.isfinite(actual):
@@ -142,6 +138,8 @@ class ArimaModel:
             self._fill(actual)
             return None
         gamma, mk, i, newest = self.gamma, self.config.mk, self._i, self._newest
+        if optimizer.shape != gamma.shape:
+            raise ValueError(f"optimizer shape {optimizer.shape} is not gamma's, {gamma.shape}")
         feats = self._rows[i]
         integ = 0.0
         for level in newest:
@@ -150,11 +148,8 @@ class ArimaModel:
         residual = value - actual
         twice = self._twice_residual
         twice[()] = 2.0 * residual
-        if getattr(optimizer, "shape", None) == gamma.shape:
-            np.multiply(twice, feats, out=optimizer.grad)
-            gamma -= optimizer.advance()
-        else:
-            self.gamma = optimizer.step(gamma, twice * feats)
+        np.multiply(twice, feats, out=optimizer.grad)
+        gamma -= optimizer.advance()
         x = actual
         for j, prev in enumerate(newest):
             newest[j] = x

@@ -26,15 +26,13 @@ by ramp keeps it at the edge of the slices it leaves.
   step would subtract from the coefficients, as a fresh array,
 * ``step(coeffs, grad)`` returns ``coeffs - update_direction(grad)``.
 
-Both copy the checked gradient into ``grad``, a buffer of the state's shape
-that the optimizer owns. ``advance()`` is the same update without the
-checks, for a caller that writes every gradient into ``grad`` itself: the
-experiment kernel, and ``ArimaModel.learn_step`` once a checked ``step``
-has fixed the state's shape. The delta it returns is one buffer, the same
-object on every call, valid until the next. The state of a one-run
-optimizer, and ``grad``, take the shape of its first gradient, such as
-``(dim,)`` or ``(rows, dim)``, and every later gradient must have that
-shape.
+Both check that their arguments have the optimizer's ``shape``, fixed at
+construction: ``(dim,)`` for a lone run, ``(rows, dim)`` for a bank. They
+copy the gradient into ``grad``, a buffer of that shape that the optimizer
+owns. ``advance()`` is the same update without the checks, for a caller
+that writes every gradient into ``grad`` itself: the experiment kernel and
+``ArimaModel.learn_step``. The delta it returns is one buffer, the same
+object on every call, valid until the next.
 
 The update is bound once, when the state is allocated, and again when a
 ramp ends or ``without`` builds a copy: ``_ops`` lists each numpy call with
@@ -108,9 +106,9 @@ class Optimizer:
 
     ``runs`` lists ``(name, learning_rate, ramp_length, rows)``, with a
     ramp length for ``combined`` runs only. ``blocks[i]`` is the slice of
-    rows of run i. ``rows`` None, for a lone run, takes the shape of the
-    first gradient, and the run's block is then ``...``. ``without`` drops
-    runs, such as the ones that have diverged.
+    rows of run i. ``rows`` None, for a lone run, makes the shape ``(dim,)``
+    and the run's block ``...``. ``without`` drops runs, such as the ones
+    that have diverged.
 
     ``combined`` weighs AMSGrad's delta by ``1 - w`` and Momentum's by ``w``,
     with ``w = (t - 1) / ramp_length`` at step t: the first step is pure
@@ -125,25 +123,26 @@ class Optimizer:
         self._given = list(runs)
         runs = [(_rule(name), float(lr), ramp, rows) for name, lr, ramp, rows in runs]
         for rule, lr, ramp, rows in runs:
-            if not (math.isfinite(lr) and lr > 0.0):
-                raise ValueError(f"learning_rate must be finite and > 0, got {lr}")
+            _check_settings(rule, lr, ramp)
             if rule.delta != "handover" and ramp is not None:
                 raise ValueError(f"{rule.name} takes no ramp_length, got {ramp}")
-            if rule.delta == "handover" and not (ramp is not None and ramp > 0.0):
-                raise ValueError(f"ramp_length must be > 0, got {ramp}")
         if None in [rows for *_, rows in runs] and len(runs) != 1:
-            raise ValueError("only a lone run takes its rows from the first gradient")
+            raise ValueError("only a lone run may leave its rows unset")
         # sorted() is stable, so runs of one rule and ramp keep their order
         self._order = sorted(range(len(runs)), key=lambda i: (
             DELTAS.index(runs[i][0].delta), runs[i][2] or 0.0))
         self._runs = [runs[i] for i in self._order]
         self.step_count = 0
-        self.shape = None
-        if runs[0][3] is not None:
-            self._allocate((sum(rows for *_, rows in runs), self.dim))
+        self._allocate()
 
-    def _allocate(self, shape: tuple[int, ...]) -> None:
-        """Zero state and buffers of ``shape``, and each run's coefficients in its rows."""
+    def _allocate(self) -> None:
+        """Fix the shape; zero the state and buffers; put each run's coefficients in its rows."""
+        if self._runs[0][3] is None:
+            shape, spans = (self.dim,), [...]
+        else:
+            stops = np.cumsum([rows for *_, rows in self._runs]).tolist()
+            shape = (stops[-1], self.dim)
+            spans = [slice(stop - rows, stop) for stop, (*_, rows) in zip(stops, self._runs)]
         self.shape = shape
         for key in ("grad", "velocity", "m", "s", "v_max", "delta",
                     "_lr", "_decay", "_scale", "_ramp", "_tmp", "_tmp2", "_den"):
@@ -153,11 +152,6 @@ class Optimizer:
             np.full(shape, c) for c in (MU, BETA1, 1.0 - BETA1, EPS, 1.0))
         # and the scalars of step t as 0-d arrays, rewritten each step, for the same reason
         self._bias1, self._bias2, self._elapsed = np.zeros(()), np.zeros(()), np.zeros(())
-        if self._runs[0][3] is None:
-            spans = [...]
-        else:
-            stops = np.cumsum([rows for *_, rows in self._runs]).tolist()
-            spans = [slice(stop - rows, stop) for stop, (*_, rows) in zip(stops, self._runs)]
         self._spans = spans
         self.blocks = [None] * len(spans)
         for i, span in zip(self._order, spans):
@@ -290,26 +284,20 @@ class Optimizer:
                 op(*operands)
         return self.delta
 
-    def _load(self, grad) -> None:
-        """Copy a gradient of the optimizer's shape into ``grad``, or raise."""
-        grad = np.asarray(grad, dtype=np.float64)
-        if grad.shape[-1:] != (self.dim,):
-            raise ValueError(f"gradient shape {grad.shape} does not match dim {self.dim}")
-        if self.shape is None:
-            self._allocate(grad.shape)
-        elif grad.shape != self.shape:
-            raise ValueError(f"gradient shape {grad.shape} differs from the first, {self.shape}")
-        np.copyto(self.grad, grad)
+    def _checked(self, what: str, array) -> np.ndarray:
+        """``array`` as float64 if it has the optimizer's shape; else raise."""
+        array = np.asarray(array, dtype=np.float64)
+        if array.shape != self.shape:
+            raise ValueError(f"{what} shape {array.shape} is not the optimizer's, {self.shape}")
+        return array
 
     def update_direction(self, grad) -> np.ndarray:
-        self._load(grad)
+        np.copyto(self.grad, self._checked("gradient", grad))
         return self.advance().copy()
 
     def step(self, coeffs, grad) -> np.ndarray:
-        coeffs = np.asarray(coeffs, dtype=np.float64)
-        if coeffs.shape[-1:] != (self.dim,):
-            raise ValueError(f"coefficient shape {coeffs.shape} does not match dim {self.dim}")
-        self._load(grad)
+        coeffs = self._checked("coefficient", coeffs)
+        np.copyto(self.grad, self._checked("gradient", grad))
         return coeffs - self.advance()
 
 
@@ -319,6 +307,14 @@ def _rule(name: str) -> Rule:
     except KeyError:
         known = ", ".join(sorted(OPTIMIZERS))
         raise ValueError(f"unknown optimizer {name!r}, expected one of: {known}") from None
+
+
+def _check_settings(rule: Rule, learning_rate: float, ramp_length: float | None) -> None:
+    """Raise unless the rate is finite and > 0 and, for ``combined``, the ramp length is > 0."""
+    if not (math.isfinite(learning_rate) and learning_rate > 0.0):
+        raise ValueError(f"learning_rate must be finite and > 0, got {learning_rate}")
+    if rule.delta == "handover" and not (ramp_length is not None and ramp_length > 0.0):
+        raise ValueError(f"{rule.name} requires a ramp_length > 0, got {ramp_length}")
 
 
 # A one-run optimizer's type carries its rule's name, so that a tool that

@@ -4,9 +4,10 @@ Each one is written from the definitions in README.md, not from the package
 code: the forecast formula, a forecaster that re-differences its raw window
 on every step, the per-batch residual, a micro-batch splitter, a per-sample
 ``learn_step`` loop and the plot's per-point coordinate map.
-``Recorder`` is an optimizer that keeps every gradient ``learn_step`` hands
-it and never moves the coefficients, so the forecaster's gradient is
-checked on the path that training uses.
+``Recorder`` is an optimizer that keeps every gradient ``learn_step`` writes
+into its ``grad`` buffer and returns a zero delta from ``advance()``, so the
+forecaster's gradient is checked on the path that training uses, and the
+coefficients keep their bits.
 """
 
 from dataclasses import replace
@@ -36,20 +37,23 @@ def forecast(gamma, history, d):
 
 
 class Recorder:
-    """Records the gradient of every step and leaves the coefficients as they are."""
+    """An optimizer over ``dim`` coefficients that records each gradient and never moves them."""
 
-    def __init__(self):
+    def __init__(self, dim):
+        self.shape = (dim,)
+        self.grad = np.zeros(dim)
+        self.zero = np.zeros(dim)
         self.grads = []
 
-    def step(self, coeffs, grad):
-        self.grads.append(np.array(grad, dtype=np.float64))
-        return np.array(coeffs, dtype=np.float64)
+    def advance(self):
+        self.grads.append(self.grad.copy())
+        return self.zero
 
 
 def warmed_model(config, history, gamma=None):
     """A model whose lag window holds ``history`` (mk + d samples)."""
     model = ArimaModel(config)
-    recorder = Recorder()
+    recorder = Recorder(config.mk)
     for x in history:
         assert model.learn_step(recorder, x) is None
     assert model.warm
@@ -60,7 +64,7 @@ def warmed_model(config, history, gamma=None):
 
 def probe(model, actual):
     """The Prediction and the gradient of one learn_step; gamma keeps its values."""
-    recorder = Recorder()
+    recorder = Recorder(model.config.mk)
     pred = model.learn_step(recorder, actual)
     return pred, recorder.grads[0]
 

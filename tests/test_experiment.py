@@ -446,3 +446,10 @@ def test_runspec_validation():
     with pytest.raises(ValueError, match="trial seed"):
         spec_for(seeds=())
     assert spec_for(seeds=(0, 1, 2)).trials == 3
+    # combined's ramp is checked when the spec is built, by the optimizers' own check
+    for bad in (None, -1.0, 0.0, float("nan")):
+        with pytest.raises(ValueError, match=f"combined requires a ramp_length > 0, got {bad}"):
+            spec_for(optimizer="combined", ramp=bad)
+    assert spec_for(optimizer="combined", ramp=math.inf).ramp_length == math.inf
+    # another rule's ramp is accepted, and dropped when the run is built
+    assert spec_for(ramp=2000.0).ramp_length == 2000.0

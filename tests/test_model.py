@@ -151,7 +151,7 @@ def test_learn_step_is_the_windowed_oracle_bitwise(rule):
                 assert model.warm == twin.warm == (k >= config.window)
                 want = oracle.learn_step(oracle_opt, x)
                 if want is None:
-                    assert twin.learn_step(Recorder(), x) is None
+                    assert twin.learn_step(Recorder(mk), x) is None
                     assert model.learn_step(opt, x) is None
                     continue
                 twin.gamma = model.gamma.copy()
@@ -166,23 +166,24 @@ def test_learn_step_is_the_windowed_oracle_bitwise(rule):
 
 @pytest.mark.parametrize("rule", OPTIMIZERS)
 def test_learn_step_checks_each_optimizer_once_then_updates_gamma_in_place(rule):
+    # learn_step checks the optimizer's shape, and never takes the checked step
     ramp = 7.0 if rule == "combined" else None
     model = ArimaModel(ModelConfig(mk=3, d=1, seed=0))
+    held = model.gamma
     xs = np.random.default_rng(2).normal(size=30).cumsum() * 0.1
     # the second optimizer arrives mid-stream, fresh
     for chunk in (xs[:15], xs[15:]):
         opt = make_optimizer(rule, 3, 0.01, ramp)
         checked = []
         opt.step = lambda coeffs, grad, step=opt.step: checked.append(grad) or step(coeffs, grad)
-        held, scored = None, 0
+        scored = 0
         for x in chunk:
+            before = model.gamma.copy()
             if model.learn_step(opt, x) is None:
                 continue
             scored += 1
-            if held is None:
-                held = model.gamma
-            assert model.gamma is held
-        assert len(checked) == 1 and opt.step_count == scored > 1
+            assert model.gamma is held and not np.array_equal(held, before)
+        assert checked == [] and opt.step_count == scored > 1
         assert np.all(np.isfinite(model.gamma))
 
 
@@ -201,8 +202,8 @@ def test_recorder_still_drives_an_in_place_model():
 
 
 @pytest.mark.parametrize("wrong, message", [
-    (make_optimizer("basic", 4, 0.05), r"coefficient shape \(3,\) does not match dim 4"),
-    (Optimizer(3, [("basic", 0.05, None, 2)]), r"gradient shape \(3,\) differs from the first, \(2, 3\)"),
+    (make_optimizer("basic", 4, 0.05), r"optimizer shape \(4,\) is not gamma's, \(3,\)"),
+    (Optimizer(3, [("basic", 0.05, None, 2)]), r"optimizer shape \(2, 3\) is not gamma's, \(3,\)"),
 ], ids=["wrong-dim", "bank"])
 def test_a_mismatched_optimizer_raises_and_leaves_the_model_as_it_was(wrong, message):
     config = ModelConfig(mk=3, d=1, seed=0)

@@ -323,11 +323,10 @@ def test_combined_handover_matches_warmed_momentum():
     # run that saw the same gradient history; AMSGrad stops advancing there,
     # so its state is that of an AMSGrad run that saw only the first 3 steps
     rng = np.random.default_rng(5)
-    for shape in ((2,), (3, 2)):
-        grads = rng.normal(size=(8, *shape))
-        c = make_optimizer("combined", 2, LR, ramp_length=3.0)
-        m = make_optimizer("momentum", 2, LR)
-        a = make_optimizer("amsgrad", 2, LR)
+    for rows in (None, 3):
+        c, m, a = (Optimizer(2, [(name, LR, ramp, rows)])
+                   for name, ramp in (("combined", 3.0), ("momentum", None), ("amsgrad", None)))
+        grads = rng.normal(size=(8, *c.shape))
         for k, g in enumerate(grads):
             dc = c.update_direction(g)
             dm = m.update_direction(g)
@@ -431,11 +430,11 @@ def test_update_ignores_coefficient_values():
 
 @pytest.mark.parametrize("name", BASELINE_NAMES + ("combined",))
 def test_rows_step_like_separate_optimizers(name):
-    # state broadcasts from (dim,) to (rows, dim), one row per trial
+    # a bank of 4 rows of one run, one row per trial
     rng = np.random.default_rng(6)
-    hyper = {"ramp_length": 3.0} if name == "combined" else {}
-    together = make_optimizer(name, 3, LR, **hyper)
-    alone = [make_optimizer(name, 3, LR, **hyper) for _ in range(4)]
+    ramp = 3.0 if name == "combined" else None
+    together = Optimizer(3, [(name, LR, ramp, 4)])
+    alone = [make_optimizer(name, 3, LR, ramp) for _ in range(4)]
     coeffs = rng.normal(size=(4, 3))
     rows = [c.copy() for c in coeffs]
     for _ in range(6):
@@ -476,14 +475,14 @@ def assert_bitwise(got, want, msg=""):
 @pytest.mark.parametrize("name", tuple(OPTIMIZERS))
 @pytest.mark.parametrize("rows", [None, 3])
 def test_advance_over_the_grad_buffer_is_update_direction(name, rows):
-    # a lone run allocates its buffer at its first checked call; a bank at once
+    # a lone run and a bank are both built at their final shape
     rng = np.random.default_rng(8)
     ramp = 4.0 if name == "combined" else None
+    lone = make_optimizer(name, 3, LR, ramp)
+    assert lone.shape == lone.grad.shape == (3,)
     opt, twin = (Optimizer(3, [(name, LR, ramp, rows)]) for _ in range(2))
-    grads = rng.normal(size=(9, *((rows, 3) if rows else (3,))))
-    if rows is None:
-        assert_bitwise(opt.update_direction(grads[0]), twin.update_direction(grads[0]))
-        grads = grads[1:]
+    grads = rng.normal(size=(8, *((rows, 3) if rows else (3,))))
+    assert opt.shape == opt.grad.shape == grads.shape[1:]
     buffer, delta = opt.grad, opt.delta
     for k, g in enumerate(grads):
         np.copyto(opt.grad, g)
@@ -550,9 +549,15 @@ def test_gradient_shape_mismatch():
         opt.update_direction(np.zeros(2))
     with pytest.raises(ValueError, match="shape"):
         opt.step(np.zeros(2), np.zeros(3))
-    # state takes the first gradient's shape, and every later one must match it
+    # a lone run's shape is (dim,) from the start, and refuses a bank's gradient
     opt = make_optimizer("adam", 3, LR)
-    opt.update_direction(np.zeros((2, 3)))
-    assert opt.m.shape == (2, 3)
-    with pytest.raises(ValueError, match="differs from the first"):
-        opt.update_direction(np.zeros(3))
+    with pytest.raises(ValueError, match=r"gradient shape \(2, 3\) is not the optimizer's, \(3,\)"):
+        opt.update_direction(np.zeros((2, 3)))
+    assert opt.step_count == 0 and opt.m.shape == (3,)
+    # the coefficients must have the optimizer's shape too, not only its last axis
+    lone, bank = make_optimizer("momentum", 3, LR), Optimizer(3, [("momentum", LR, None, 2)])
+    with pytest.raises(ValueError, match=r"coefficient shape \(2, 3\) is not the optimizer's, \(3,\)"):
+        lone.step(np.zeros((2, 3)), np.ones(3))
+    with pytest.raises(ValueError, match=r"coefficient shape \(3,\) is not the optimizer's, \(2, 3\)"):
+        bank.step(np.zeros(3), np.ones((2, 3)))
+    assert lone.step_count == bank.step_count == 0
