@@ -7,8 +7,8 @@ preset at every rate in RATE_GRID, with TRIAL_SEEDS and the preset's
 reference window PRESET_MK. The data is an independent realization of the
 preset, TUNING_SEED, so the checks score a different one. A rate's score is
 the mean of the trial-averaged |residual| curve over the whole stream, the
-same score the checks use; the search itself is experiment.grid_search with
-that score, so a diverged rate scores inf and ties go to the smaller rate.
+same score the checks use and the one experiment.grid_search ranks by, so
+a diverged rate scores inf and ties go to the smaller rate.
 
 stdout gets the settings as comment lines followed by the RATES table, in
 the form tests/test_acceptance.py holds them, so a diff against the test
@@ -23,9 +23,8 @@ per rate, on the same host).
 
 import sys
 from dataclasses import replace
-from functools import partial
 
-from streamarima.experiment import RunSpec, grid_search, tail_mean
+from streamarima.experiment import RunSpec, grid_search
 from streamarima.model import ModelConfig
 from streamarima.optimizers import OPTIMIZERS
 from streamarima.synthetic import generate, preset
@@ -36,7 +35,6 @@ RAMP_LENGTH = 2000.0
 RATE_GRID = (5e-4, 1e-3, 2e-3, 5e-3, 1e-2, 2e-2, 5e-2, 0.1, 0.2, 0.5, 1.0)
 PRESET_MK = {1: 5, 2: 10, 3: 10}
 ALL_NAMES = tuple(OPTIMIZERS)
-STREAM_MEAN = partial(tail_mean, fraction=1.0)
 
 
 def best_rates(setting: int) -> dict[str, float]:
@@ -51,7 +49,7 @@ def best_rates(setting: int) -> dict[str, float]:
     chosen = {}
     for name in ALL_NAMES:
         spec = replace(base, optimizer=name)
-        chosen[name], records = grid_search(spec, series, RATE_GRID, score=STREAM_MEAN)
+        chosen[name], records = grid_search(spec, series, RATE_GRID)
         for r in records:
             rate = r.spec.learning_rate
             print(f"preset {setting} {name:9s} lr {rate:<7g} {r.score:.6f}", file=sys.stderr)

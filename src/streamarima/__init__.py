@@ -3,7 +3,8 @@
 The package covers the full loop: synthetic or file-based data, an online
 AR model over differenced history, seven gradient-descent update rules
 plus a combined AMSGrad-to-Momentum optimizer, and an experiment harness
-with residual curves, sweeps and deterministic CSV/SVG output.
+with residual curves, each run scored by its whole-stream mean, sweeps,
+rate search and deterministic CSV/SVG output.
 
 The names below are the entry points; everything else is importable from
 its submodule.
@@ -14,10 +15,8 @@ from .experiment import (
     RunSpec,
     compare_optimizers,
     grid_search,
-    run_batched,
-    run_stream,
+    run_data,
     sweep_lambda,
-    tail_mean,
 )
 from .ingest import load_batch_dir
 from .model import ArimaModel, ModelConfig
@@ -37,8 +36,6 @@ __all__ = [
     "load_batch_dir",
     "make_optimizer",
     "preset",
-    "run_batched",
-    "run_stream",
+    "run_data",
     "sweep_lambda",
-    "tail_mean",
 ]

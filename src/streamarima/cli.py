@@ -5,13 +5,14 @@ Commands
 synth        generate a synthetic preset series to CSV
 run          stream one optimizer over a series file or batch directory
 sweep-lambda combined-optimizer ramp sweep plus three reference rules
-grid-search  pick a learning rate by tail-window residual
+grid-search  pick a learning rate by whole-stream mean residual
 reproduce    canned configurations 1-7 matching the documented experiments
 
-Outputs are CSV (always unsmoothed) and optional SVG (smoothed view). All
-files are written atomically and identical command lines produce identical
-CSV bytes. Relative output paths resolve against $STREAMARIMA_OUT_DIR when
-it is set.
+Outputs are CSV (always unsmoothed) and optional SVG (smoothed view). A
+sweep or grid summary scores each run by the whole-stream mean of its
+trial-averaged |residual| curve, in its mean_residual column. All files are
+written atomically and identical command lines produce identical CSV bytes.
+Relative output paths resolve against $STREAMARIMA_OUT_DIR when it is set.
 """
 
 from __future__ import annotations
@@ -107,14 +108,14 @@ def series_csv(series: TimeSeries) -> str:
 
 
 def sweep_csv(records) -> str:
-    lines = ["label,final_residual,diverged"]
+    lines = ["label,mean_residual,diverged"]
     for r in records:
         lines.append(f"{r.label},{repr(r.score)},{int(r.diverged)}")
     return "\n".join(lines) + "\n"
 
 
 def grid_csv(best: float, records) -> str:
-    lines = ["rate,tail_mean,diverged,best"]
+    lines = ["rate,mean_residual,diverged,best"]
     for r in records:
         rate = r.spec.learning_rate
         lines.append(f"{repr(rate)},{repr(r.score)},{int(r.diverged)},{int(rate == best)}")
@@ -207,22 +208,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--smooth", type=int, default=50,
                    help="moving-average window for the SVG view")
 
-    p = sub.add_parser("sweep-lambda", help="ramp sweep for the combined optimizer")
+    p = sub.add_parser("sweep-lambda", help="combined ramp sweep, scored by whole-stream mean")
     _add_data_flags(p)
     _add_model_flags(p, trials_default=1)
     p.add_argument("--grid", default=LAMBDA_GRID,
                    help="comma-separated ramp lengths")
-    p.add_argument("--out", required=True, help="sweep summary CSV path")
+    p.add_argument("--out", required=True, help="summary CSV: label,mean_residual,diverged")
     p.add_argument("--svg", default=None, help="optional SVG plot path")
     p.add_argument("--smooth", type=int, default=50)
 
-    p = sub.add_parser("grid-search", help="pick a learning rate from a grid")
+    p = sub.add_parser("grid-search", help="pick the rate with the lowest whole-stream mean")
     _add_data_flags(p)
     _add_model_flags(p, trials_default=1)
     p.add_argument("--optimizer", choices=sorted(OPTIMIZERS), required=True)
     p.add_argument("--lambda", dest="ramp", type=float, default=None)
     p.add_argument("--rates", required=True, help="comma-separated learning rates")
-    p.add_argument("--out", default=None, help="optional per-rate CSV path")
+    p.add_argument("--out", default=None, help="optional CSV: rate,mean_residual,diverged,best")
 
     p = sub.add_parser("reproduce", help="run a canned experiment configuration")
     p.add_argument("figure", type=int, choices=tuple(range(1, 8)))
@@ -319,7 +320,7 @@ def _cmd_grid(args) -> int:
     rates = _parse_floats(args.rates, "rate grid")
     best, records = grid_search(spec, data, rates)
     for r in records:
-        status = "diverged" if r.diverged else f"tail={r.score:.6g}"
+        status = "diverged" if r.diverged else f"mean={r.score:.6g}"
         print(f"rate {r.spec.learning_rate:g}: {status}")
     print(f"best rate: {best:g}")
     if args.out:

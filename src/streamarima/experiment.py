@@ -6,13 +6,15 @@ coefficient initialization seed, so every curve is an average over inits
 on identical data. One kernel call advances every trial of every run of a
 comparison, sweep or grid together, over lag features computed once per
 series; a batched run is the same kernel over the concatenated batches,
-and a single run is the one-run case of the same call. The kernel keeps
-the residual it computes for the gradient, and residual curves are its
-absolute values, per sample or per batch. Divergence (a non-finite
-residual, or one past DIVERGENCE_FACTOR times the data's largest
-magnitude) is judged by one rule, in the kernel, and ends a run cleanly
-instead of poisoning downstream aggregation: a diverged run is kept as a
-record.
+and a single run, ``run_data``, is the one-run case of the same call. The
+kernel keeps the residual it computes for the gradient, and residual
+curves are its absolute values, per sample or per batch. Every run is
+scored by one number, the mean of its trial-averaged curve over the whole
+stream; comparisons, sweeps and grid searches rank runs by it. Divergence
+(a non-finite residual, or one past DIVERGENCE_FACTOR times the data's
+largest magnitude) is judged by one rule, in the kernel, and ends a run
+cleanly instead of poisoning downstream aggregation: a diverged run is
+kept as a record, scored infinity.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .model import ArimaModel, ModelConfig, differences
 from .optimizers import Optimizer, _check_settings, _rule
 from .series import MicroBatch, TimeSeries, normalize
 
-TAIL_FRACTION = 0.1
 # A scored |residual| past this many times the largest |sample| of the run's
 # data is a blow-up, reported like a non-finite one.
 DIVERGENCE_FACTOR = 1e6
@@ -208,32 +209,14 @@ def _curve(resid: np.ndarray, starts, window: int) -> ResidualCurve:
 
 
 def run_data(spec: RunSpec, data) -> ResidualCurve:
-    """One run over a TimeSeries (a point per sample) or a batch list (a point per batch)."""
+    """One run over a TimeSeries (a point per sample) or a batch list (a point per batch).
+
+    Over a batch list, model and optimizer state persist across batches.
+    """
     (record,) = _run_all([(spec.optimizer, spec)], data)
     if record.diverged:
         raise DivergedError(record.message)
     return record.curve
-
-
-def run_stream(spec: RunSpec, series: TimeSeries) -> ResidualCurve:
-    """Per-sample run over one contiguous series, averaged over trials."""
-    return run_data(spec, series)
-
-
-def run_batched(spec: RunSpec, batches: list[MicroBatch]) -> ResidualCurve:
-    """Per-batch run; model and optimizer state persist across batches."""
-    return run_data(spec, batches)
-
-
-def tail_mean(values, fraction: float = TAIL_FRACTION) -> float:
-    """Mean over the trailing ``fraction`` of a curve (at least one point)."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
-        raise ValueError("cannot take the tail of an empty curve")
-    if not (0 < fraction <= 1):
-        raise ValueError(f"fraction must lie in (0, 1], got {fraction}")
-    k = max(1, math.ceil(fraction * values.size))
-    return float(values[-k:].mean())
 
 
 def normalize_batches(batches: list[MicroBatch]) -> list[MicroBatch]:
@@ -261,7 +244,7 @@ class RunRecord:
 
     label: str
     spec: RunSpec
-    score: float  # the curve's score, inf for a diverged run
+    score: float  # the whole-stream mean of the curve, inf for a diverged run
     curve: ResidualCurve | None = field(repr=False)
     message: str = ""  # the DivergedError text of a diverged run
 
@@ -270,7 +253,7 @@ class RunRecord:
         return self.curve is None
 
 
-def _run_all(runs, data, score=tail_mean) -> list[RunRecord]:
+def _run_all(runs, data) -> list[RunRecord]:
     """One kernel call for every ``(label, spec)`` over ``data``; a diverged run stays a record."""
     window = runs[0][1].model.window
     values, starts = _source(data, window)
@@ -281,7 +264,7 @@ def _run_all(runs, data, score=tail_mean) -> list[RunRecord]:
             records.append(RunRecord(label, spec, math.inf, None, message))
         else:
             curve = _curve(resid[block], starts, window)
-            records.append(RunRecord(label, spec, score(curve.mean), curve))
+            records.append(RunRecord(label, spec, float(curve.mean.mean()), curve))
     return records
 
 
@@ -290,20 +273,17 @@ def compare_optimizers(spec: RunSpec, data, optimizers: tuple[str, ...]) -> list
     return _run_all([(name, replace(spec, optimizer=name)) for name in optimizers], data)
 
 
-def grid_search(spec: RunSpec, data, rate_grid, score=tail_mean) -> tuple[float, list[RunRecord]]:
-    """Pick the learning rate whose averaged curve has the lowest score.
+def grid_search(spec: RunSpec, data, rate_grid) -> tuple[float, list[RunRecord]]:
+    """Pick the learning rate whose averaged curve has the lowest whole-stream mean.
 
-    ``score`` maps the trial-averaged curve to a number (default: its
-    tail-window mean). Diverged rates score infinity; ties go to the
-    smaller rate; a grid where everything diverges is an error.
+    Diverged rates score infinity; ties go to the smaller rate; a grid
+    where everything diverges is an error.
     """
     rates = [float(r) for r in rate_grid]
     if not rates:
         raise ValueError("rate grid is empty")
-    if any(r <= 0 for r in rates):
-        raise ValueError("learning rates must be > 0")
     runs = [(f"lr_{r:g}", replace(spec, learning_rate=r)) for r in rates]
-    records = _run_all(runs, data, score)
+    records = _run_all(runs, data)
     stable = [r for r in records if not r.diverged]
     if not stable:
         raise ValueError("no stable rate: every candidate in the grid diverged")
@@ -314,8 +294,8 @@ def grid_search(spec: RunSpec, data, rate_grid, score=tail_mean) -> tuple[float,
 def sweep_lambda(spec: RunSpec, data, lambda_grid) -> list[RunRecord]:
     """Run the combined optimizer across ramp lengths, plus SWEEP_BASELINES.
 
-    Every record is scored by the tail-window mean of its averaged curve; a
-    diverged run is kept in the summary with an infinite score.
+    Every record is scored by the whole-stream mean of its averaged curve;
+    a diverged run is kept in the summary with an infinite score.
     """
     ramps = [float(r) for r in lambda_grid]
     if not ramps:

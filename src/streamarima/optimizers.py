@@ -122,10 +122,14 @@ class Optimizer:
         self.dim = int(dim)
         self._given = list(runs)
         runs = [(_rule(name), float(lr), ramp, rows) for name, lr, ramp, rows in runs]
+        if not runs:
+            raise ValueError("at least one run is required")
         for rule, lr, ramp, rows in runs:
             _check_settings(rule, lr, ramp)
             if rule.delta != "handover" and ramp is not None:
                 raise ValueError(f"{rule.name} takes no ramp_length, got {ramp}")
+            if rows is not None and not (isinstance(rows, int) and rows >= 1):
+                raise ValueError(f"a run needs an int rows >= 1, got {rows!r}")
         if None in [rows for *_, rows in runs] and len(runs) != 1:
             raise ValueError("only a lone run may leave its rows unset")
         # sorted() is stable, so runs of one rule and ramp keep their order
@@ -253,7 +257,15 @@ class Optimizer:
         self._bind()
 
     def without(self, gone) -> tuple[Optimizer, np.ndarray]:
-        """A copy without the runs for which ``gone`` is true, and which row each of its rows was."""
+        """A copy without the runs for which ``gone`` is true, and which row each of its rows was.
+
+        ``gone`` has one flag per run, and the optimizer must be a bank: a
+        lone run has no rows to drop.
+        """
+        if len(gone) != len(self.blocks):
+            raise ValueError(f"gone has {len(gone)} flags for {len(self.blocks)} runs")
+        if self.blocks == [...]:
+            raise ValueError("a lone run has no rows to drop")
         kept = [i for i, out in enumerate(gone) if not out]
         copy = Optimizer(self.dim, [self._given[i] for i in kept])
         copy.step_count = self.step_count  # its next step hands over what has ended

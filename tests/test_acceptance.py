@@ -46,10 +46,10 @@ from test_optimizers import ORACLES, SCRIPT, combined_deltas, deltas
 from streamarima.experiment import (
     DivergedError,
     ResidualCurve,
+    RunRecord,
     RunSpec,
     compare_optimizers,
-    run_batched,
-    tail_mean,
+    run_data,
 )
 from streamarima.experiment import _run_all
 from streamarima.model import ModelConfig
@@ -128,25 +128,25 @@ def rule_spec(setting: int, name: str) -> RunSpec:
     )
 
 
-def stable_curves(runs, series: TimeSeries) -> dict:
-    """Each run's curve from one kernel call; a diverged run fails the check."""
+def stable_records(runs, series: TimeSeries) -> dict:
+    """Each run's record from one kernel call; a diverged run fails the check."""
     records = _run_all(runs, series)
     for r in records:
         if r.diverged:
             raise DivergedError(r.message)
-    return {r.label: r.curve for r in records}
+    return {r.label: r for r in records}
 
 
 @functools.lru_cache(maxsize=None)
-def preset_curves(setting: int) -> dict[str, ResidualCurve]:
+def preset_records(setting: int) -> dict[str, RunRecord]:
     """All eight rules on one synthetic preset, each at its own rate, 30 trials."""
-    return stable_curves([(name, rule_spec(setting, name)) for name in ALL_NAMES],
-                         series_for(setting))
+    return stable_records([(name, rule_spec(setting, name)) for name in ALL_NAMES],
+                          series_for(setting))
 
 
 def preset_means(setting: int) -> dict[str, float]:
-    """Whole-stream mean of each rule's trial-averaged |residual| curve."""
-    return {name: tail_mean(c.mean, 1.0) for name, c in preset_curves(setting).items()}
+    """Each rule's score: the whole-stream mean of its trial-averaged |residual| curve."""
+    return {name: r.score for name, r in preset_records(setting).items()}
 
 
 def fmt_rated(setting: int, means: dict[str, float]) -> str:
@@ -156,8 +156,8 @@ def fmt_rated(setting: int, means: dict[str, float]) -> str:
     )
 
 
-def fmt_tails(tails: dict[str, float]) -> str:
-    ordered = sorted(tails.items(), key=lambda kv: kv[1])
+def fmt_means(means: dict[str, float]) -> str:
+    ordered = sorted(means.items(), key=lambda kv: kv[1])
     return ", ".join(f"{name} {value:.4f}" for name, value in ordered)
 
 
@@ -256,9 +256,10 @@ def window_mean(curve: ResidualCurve, lo: int, hi: int) -> float:
 
 
 def test_06_preset3_shift_response_and_tail_minimum():
-    curves = preset_curves(3)
+    records = preset_records(3)
     spike_ok = all(
-        window_mean(c, 5000, 5500) > window_mean(c, 4500, 5000) for c in curves.values()
+        window_mean(r.curve, 5000, 5500) > window_mean(r.curve, 4500, 5000)
+        for r in records.values()
     )
     means = preset_means(3)
     min_name = min(means, key=means.get)
@@ -281,9 +282,9 @@ def test_07_every_ramp_length_beats_amsgrad_on_preset2():
     amsgrad = means["amsgrad"]
     spec = rule_spec(2, "combined")
     series = series_for(2)
-    curves = stable_curves([(lam, replace(spec, ramp_length=float(lam))) for lam in LAMBDA_GRID],
-                           series)
-    sweep = {lam: tail_mean(c.mean, 1.0) for lam, c in curves.items()}
+    records = stable_records([(lam, replace(spec, ramp_length=float(lam)))
+                              for lam in LAMBDA_GRID], series)
+    sweep = {lam: r.score for lam, r in records.items()}
     losing = {lam: m for lam, m in sweep.items() if m > amsgrad}
     detail = ", ".join(
         f"lambda={lam} {m:.5f} ({100 * (m / amsgrad - 1):+.2f}%)" for lam, m in sweep.items()
@@ -313,7 +314,7 @@ def test_rate_table_matches_search_settings():
         assert set(rates.values()) <= set(search.RATE_GRID)
 
 def test_08_batch_residual_matches_per_sample_records():
-    # run_batched against the per-batch oracle over a per-sample learn_step loop
+    # a batched run_data against the per-batch oracle over a per-sample learn_step loop
     rng = np.random.default_rng(31)
     worst = 0.0
     checked = 0
@@ -332,7 +333,7 @@ def test_08_batch_residual_matches_per_sample_records():
             ramp_length=25.0,
             trial_seeds=(round_,),
         )
-        curve = run_batched(spec, batches)
+        curve = run_data(spec, batches)
         values = series.values
         preds = np.concatenate([np.full(mk, np.nan), learn_step_forecasts(spec, values)[0]])
         for k in range(len(batches)):
@@ -407,10 +408,10 @@ def test_10_bearing_smoke_run():
     )
     records = compare_optimizers(spec, batches, ("amsgrad", "combined"))
     finite = not any(r.diverged for r in records)
-    tails = {r.label: r.score for r in records}
-    ok = finite and tails["combined"] <= tails["amsgrad"]
+    means = {r.label: r.score for r in records}
+    ok = finite and means["combined"] <= means["amsgrad"]
     check(
         "10 bearing data smoke run",
         ok,
-        f"finite: {finite}; tails: {fmt_tails(tails)}",
+        f"finite: {finite}; whole-stream means: {fmt_means(means)}",
     )

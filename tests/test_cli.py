@@ -255,11 +255,11 @@ def test_sweep_lambda_summary(tmp_path, small_csv):
     )
     assert code == 0
     lines = out.read_text().splitlines()
-    assert lines[0] == "label,final_residual,diverged"
+    assert lines[0] == "label,mean_residual,diverged"
     labels = [row.split(",")[0] for row in lines[1:]]
     assert labels == ["combined_lambda_5", "combined_lambda_20", "amsgrad", "basic", "momentum"]
     assert all(row.split(",")[2] == "0" for row in lines[1:])
-    assert sha256(out) == "13fb791c3ca2537a975e4d9d9e033206048e631036fc63ad2eb47dbf2f4efb49"
+    assert sha256(out) == "d18117bf7db32fb4dee779079adc4743543fc712d50edfb2b077d96d398bce86"
 
 
 def test_grid_search_reports_best(tmp_path, small_csv, capsys):
@@ -271,10 +271,11 @@ def test_grid_search_reports_best(tmp_path, small_csv, capsys):
     assert code == 0
     stdout = capsys.readouterr().out
     assert "best rate:" in stdout and "rate 1e+12: diverged" in stdout
+    assert "rate 0.05: mean=" in stdout
     lines = out.read_text().splitlines()
-    assert lines[0] == "rate,tail_mean,diverged,best"
+    assert lines[0] == "rate,mean_residual,diverged,best"
     assert sum(row.split(",")[3] == "1" for row in lines[1:]) == 1
-    assert sha256(out) == "13bb476d0d3b058578c2034d98f3dccbeb85e46d2f592983d2149131a60d1543"
+    assert sha256(out) == "033957b3ef00b0944296ab89da7f3c3b9aba7c614a852729ad82449508abe5b8"
 
 
 def test_reproduce_batched_requires_data(capsys):

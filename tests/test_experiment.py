@@ -19,11 +19,8 @@ from streamarima.experiment import (
     compare_optimizers,
     grid_search,
     normalize_batches,
-    run_batched,
     run_data,
-    run_stream,
     sweep_lambda,
-    tail_mean,
 )
 from streamarima.experiment import _kernel, _run_all
 from streamarima.model import ModelConfig
@@ -64,8 +61,8 @@ def test_batch_residual_skips_exactly_the_window():
     assert batch_residual(preds, actuals, 3) == pytest.approx(4.0, abs=1e-15)
 
 
-def test_run_stream_shape_and_indices(short_series):
-    curve = run_stream(spec_for(seeds=(0, 1)), short_series)
+def test_stream_run_shape_and_indices(short_series):
+    curve = run_data(spec_for(seeds=(0, 1)), short_series)
     assert curve.granularity == "sample"
     assert curve.per_trial.shape == (2, 397)
     np.testing.assert_array_equal(curve.indices, np.arange(3, 400))
@@ -73,32 +70,32 @@ def test_run_stream_shape_and_indices(short_series):
     assert np.all(np.isfinite(curve.mean))
 
 
-def test_run_stream_is_deterministic(short_series):
-    a = run_stream(spec_for(optimizer="combined", ramp=50.0), short_series)
-    b = run_stream(spec_for(optimizer="combined", ramp=50.0), short_series)
+def test_stream_run_is_deterministic(short_series):
+    a = run_data(spec_for(optimizer="combined", ramp=50.0), short_series)
+    b = run_data(spec_for(optimizer="combined", ramp=50.0), short_series)
     np.testing.assert_array_equal(a.per_trial, b.per_trial)
 
 
 def test_per_trial_rows_match_single_seed_runs(short_series):
-    multi = run_stream(spec_for(seeds=(0, 1, 2)), short_series)
-    solo = run_stream(spec_for(seeds=(1,)), short_series)
+    multi = run_data(spec_for(seeds=(0, 1, 2)), short_series)
+    solo = run_data(spec_for(seeds=(1,)), short_series)
     np.testing.assert_array_equal(multi.per_trial[1], solo.per_trial[0])
 
 
-def test_run_stream_rejects_short_series():
+def test_stream_run_rejects_short_series():
     with pytest.raises(ValueError, match="too short"):
-        run_stream(spec_for(mk=5), TimeSeries(np.zeros(5)))
+        run_data(spec_for(mk=5), TimeSeries(np.zeros(5)))
 
 
 def test_combined_requires_ramp(short_series):
     with pytest.raises(ValueError, match="ramp_length"):
-        run_stream(spec_for(optimizer="combined"), short_series)
+        run_data(spec_for(optimizer="combined"), short_series)
 
 
 def test_batched_run_keeps_model_state_across_batches(short_series):
     spec = spec_for(optimizer="momentum")
-    stream = run_stream(spec, short_series).per_trial
-    curve = run_batched(spec, microbatches(short_series, 100))
+    stream = run_data(spec, short_series).per_trial
+    curve = run_data(spec, microbatches(short_series, 100))
     # the batch boundaries change what is scored, never what the model sees:
     # batch k scores samples 100k + 3 onward, stream positions 100k onward
     want = np.stack([stream[:, s : s + 100 - 3].mean(axis=1) for s in range(0, 400, 100)], axis=1)
@@ -109,7 +106,7 @@ def test_batched_details_agree_with_curve(short_series):
     # each batch's point is the per-batch oracle over a learn_step loop
     spec = spec_for(seeds=(0,))
     batches = microbatches(short_series, 80)
-    curve = run_batched(spec, batches)
+    curve = run_data(spec, batches)
     assert curve.granularity == "batch"
     np.testing.assert_array_equal(curve.indices, np.arange(5))
     values = short_series.values
@@ -123,22 +120,22 @@ def test_batched_details_agree_with_curve(short_series):
 def test_batched_scoring_skips_window_positions_every_batch(short_series):
     # mk + d = 4 positions go unscored at the start of every batch, of any size
     spec = RunSpec(model=ModelConfig(mk=3, d=1), optimizer="basic", learning_rate=0.05)
-    stream = run_stream(spec, short_series).per_trial
+    stream = run_data(spec, short_series).per_trial
     sizes = (50, 37, 61, 252)
     starts = np.cumsum((0,) + sizes[:-1])
     batches = [
         MicroBatch(TimeSeries(short_series.values[s : s + n]), k)
         for k, (s, n) in enumerate(zip(starts, sizes))
     ]
-    curve = run_batched(spec, batches)
+    curve = run_data(spec, batches)
     want = np.stack([stream[:, s : s + n - 4].mean(axis=1) for s, n in zip(starts, sizes)], axis=1)
     np.testing.assert_array_equal(curve.per_trial, want)
 
 
-def test_run_batched_rejects_batch_shorter_than_window():
+def test_batched_run_rejects_batch_shorter_than_window():
     tiny = [MicroBatch(TimeSeries(np.zeros(3)), 0)]
     with pytest.raises(ValueError, match="batch 0 has 3 samples"):
-        run_batched(spec_for(mk=3), tiny)
+        run_data(spec_for(mk=3), tiny)
 
 
 def test_run_data_dispatch(short_series):
@@ -149,26 +146,26 @@ def test_run_data_dispatch(short_series):
 
 def test_diverged_run_raises(short_series):
     with pytest.raises(DivergedError, match="diverged"):
-        run_stream(spec_for(lr=1e12), short_series)
+        run_data(spec_for(lr=1e12), short_series)
 
 
 def test_divergence_names_first_diverging_trial(short_series):
     # at lr 1e12 every trial diverges; the error names the first one
     spec = spec_for(lr=1e12, seeds=(4, 5))
     with pytest.raises(DivergedError, match=r"at sample \d+ .*rate 1e\+12, trial seed 4\)"):
-        run_stream(spec, short_series)
+        run_data(spec, short_series)
     batches = microbatches(short_series, 100)
     with pytest.raises(DivergedError, match=r"in batch 0 at offset \d+ .*trial seed 4\)"):
-        run_batched(spec, batches)
+        run_data(spec, batches)
     # only scored positions count: with mk = 3, offset 3 is a batch's first.
     # The blow-up starts at sample 4, batch 1's unscored offset 0.
     with pytest.raises(DivergedError, match=r"in batch 1 at offset 3 "):
-        run_batched(spec, microbatches(short_series, 4))
+        run_data(spec, microbatches(short_series, 4))
     # the first trial names the run even when a later one diverges hundreds of
     # samples earlier (trial seed 0 alone diverges at sample 74)
     series = generate(GeneratorSpec(alpha=(0.6, -0.3), length=2000, seed=1, burn_in=50))
     with pytest.raises(DivergedError, match=r"at sample 515 .*trial seed 2\)"):
-        run_stream(spec_for(mk=6, lr=1.85, seeds=(2, 0)), series)
+        run_data(spec_for(mk=6, lr=1.85, seeds=(2, 0)), series)
 
 
 # ------------------------------------------- kernel against learn_step
@@ -203,10 +200,10 @@ def test_kernel_matches_per_sample_learn_step(data):
         k = int(bad[trial].argmax()) + window
         with pytest.raises(DivergedError,
                            match=rf"at sample {k} .*trial seed {spec.trial_seeds[trial]}\)"):
-            run_stream(spec, TimeSeries(values))
+            run_data(spec, TimeSeries(values))
         return
 
-    got = run_stream(spec, TimeSeries(values))
+    got = run_data(spec, TimeSeries(values))
     np.testing.assert_allclose(got.per_trial, resid, rtol=1e-12, atol=1e-12)
 
     starts = np.cumsum([0] + sizes[:-1])
@@ -215,7 +212,7 @@ def test_kernel_matches_per_sample_learn_step(data):
         for k, (s, n) in enumerate(zip(starts, sizes))
     ]
     per_batch = [resid[:, s : s + n - window].mean(axis=1) for s, n in zip(starts, sizes)]
-    curve = run_batched(spec, batches)
+    curve = run_data(spec, batches)
     np.testing.assert_allclose(curve.per_trial, np.stack(per_batch, axis=1), rtol=1e-12, atol=1e-12)
 
 
@@ -230,8 +227,8 @@ def test_trial_rows_are_bitwise_independent_of_other_trials(optimizer):
             ramp_length=100.0,
             trial_seeds=(3, 0, 7, 11),
         )
-        together = run_stream(spec, values).per_trial
-        alone = run_stream(replace(spec, trial_seeds=(7,)), values).per_trial
+        together = run_data(spec, values).per_trial
+        alone = run_data(replace(spec, trial_seeds=(7,)), values).per_trial
         np.testing.assert_array_equal(together[2], alone[0])
 
 
@@ -330,16 +327,6 @@ def test_a_diverged_run_leaves_the_loop_without_touching_the_others():
             assert np.isfinite(resid[block]).all()
 
 
-def test_tail_mean():
-    assert tail_mean(np.arange(10.0)) == pytest.approx(9.0)
-    assert tail_mean(np.arange(10.0), 0.25) == pytest.approx(8.0)  # ceil(2.5) = 3
-    assert tail_mean([5.0], 0.01) == pytest.approx(5.0)
-    with pytest.raises(ValueError, match="empty"):
-        tail_mean([])
-    with pytest.raises(ValueError, match="fraction"):
-        tail_mean([1.0], 0.0)
-
-
 def test_residual_curve_validation():
     idx = np.arange(3)
     with pytest.raises(ValueError, match="granularity"):
@@ -371,7 +358,7 @@ def test_compare_optimizers_returns_requested_curves(short_series):
     for r in records:
         assert r.spec.optimizer == r.label and not r.diverged and r.message == ""
         assert r.curve.per_trial.shape == (1, 397)
-        assert r.score == tail_mean(r.curve.mean)
+        assert r.score == float(r.curve.mean.mean())
 
 
 def test_compare_optimizers_keeps_the_rules_that_did_not_diverge():
@@ -383,7 +370,7 @@ def test_compare_optimizers_keeps_the_rules_that_did_not_diverge():
     assert list(stable) == ["adagrad", "rmsprop", "adam", "amsgrad"]
     for r in stable.values():
         assert r.curve.per_trial.max() <= 69.0
-        alone = run_stream(r.spec, generate(preset(2, seed=7)))
+        alone = run_data(r.spec, generate(preset(2, seed=7)))
         np.testing.assert_array_equal(r.curve.per_trial, alone.per_trial)
     for r in records:
         if r.diverged:
@@ -402,20 +389,27 @@ def test_grid_search_picks_lowest_tail(short_series):
     assert records[1].diverged and records[1].score == float("inf")
     assert "rate 1e+12" in records[1].message
 
-    grid = grid_search(spec, short_series, [0.01, 0.05, 0.2])[1]
-    tails = {r.spec.learning_rate: r.score for r in grid}
-    best, _ = grid_search(spec, short_series, [0.01, 0.05, 0.2])
-    assert tails[best] == min(tails.values())
+    # every rate is scored by its whole-stream mean, per sample on a series
+    # and per batch on a batch list, and the best rate has the lowest
+    for data in (short_series, microbatches(short_series, 100)):
+        best, grid = grid_search(spec, data, [0.01, 0.05, 0.2])
+        for r in grid:
+            assert r.score == float(r.curve.mean.mean())
+            assert r.curve.granularity == ("sample" if data is short_series else "batch")
+        scores = {r.spec.learning_rate: r.score for r in grid}
+        assert scores[best] == min(scores.values())
 
 
 def test_grid_search_validation(short_series):
     spec = spec_for()
     with pytest.raises(ValueError, match="grid is empty"):
         grid_search(spec, short_series, [])
-    with pytest.raises(ValueError, match="must be > 0"):
-        grid_search(spec, short_series, [0.0, 0.1])
+    # a rate is checked where every run's is, when its RunSpec is built
+    for bad in (0.0, -0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="learning_rate must be finite and > 0"):
+            grid_search(spec, short_series, [bad, 0.1])
     with pytest.raises(DivergedError):
-        run_stream(spec_for(lr=1e12), short_series)
+        run_data(spec_for(lr=1e12), short_series)
     with pytest.raises(ValueError, match="no stable rate"):
         grid_search(spec, short_series, [1e12, 1e13])
 
@@ -432,7 +426,7 @@ def test_sweep_lambda_labels_and_baselines(short_series):
     for e in entries:
         assert np.isfinite(e.score) and not e.diverged
         assert e.curve is not None
-        assert e.score == pytest.approx(tail_mean(e.curve.mean), abs=1e-15)
+        assert e.score == float(e.curve.mean.mean())
     with pytest.raises(ValueError, match="ramp grid"):
         sweep_lambda(spec_for(), short_series, [])
 

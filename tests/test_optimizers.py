@@ -543,6 +543,29 @@ def test_constructor_validation():
         make_optimizer("combined", 2, LR, ramp_length=5.0, momentum=0.5)
 
 
+def test_constructor_rejects_bad_run_lists():
+    with pytest.raises(ValueError, match="at least one run is required"):
+        Optimizer(3, [])
+    for rows in (0, -1, 2.5):
+        with pytest.raises(ValueError, match=f"a run needs an int rows >= 1, got {rows}"):
+            Optimizer(3, [("basic", LR, None, 2), ("adam", LR, None, rows)])
+    with pytest.raises(ValueError, match="only a lone run"):
+        Optimizer(3, [("basic", LR, None, None), ("adam", LR, None, None)])
+
+
+def test_without_takes_one_flag_per_run_of_a_bank():
+    with pytest.raises(ValueError, match="a lone run has no rows to drop"):
+        make_optimizer("basic", 3, LR).without([False])
+    bank = Optimizer(3, [("basic", LR, None, 2), ("adam", LR, None, 1)])
+    for gone in ([False], [True], [False, False, False]):
+        with pytest.raises(ValueError, match=f"gone has {len(gone)} flags for 2 runs"):
+            bank.without(gone)
+    with pytest.raises(ValueError, match="at least one run is required"):
+        bank.without([True, True])
+    kept, rows = bank.without([True, False])
+    assert kept.shape == (1, 3) and rows.tolist() == [2]
+
+
 def test_gradient_shape_mismatch():
     opt = make_optimizer("basic", 3, LR)
     with pytest.raises(ValueError, match="shape"):

@@ -16,5 +16,5 @@ def test_quick_start_python_example_runs():
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(compile(example, str(README), "exec"), {})
-    # the one print is the tail mean of a trial-averaged |residual| curve
+    # the one print is the whole-stream mean of a trial-averaged |residual| curve
     assert 0.0 < float(out.getvalue()) < 1.0
