@@ -42,10 +42,11 @@ so this is the one digest of that path.
 Each side also runs ``reproduce 1 2 3 7 --trials 2`` into a temporary
 directory, one command per configuration, and keeps the output files and a
 log of each command's stdout, stderr and exit status. The JSON records the
-sha256 of each side's ``<sha256>  <name>`` listing of those files, sorted
-by name, and whether the two digests are equal, and the same for the
-streams' digests. These are records of the outputs' bytes, not gates: the
-script writes the JSON either way.
+sha256 of each of those files per side, by name, whether the two sides
+wrote the same files with the same bytes, and the names that differ, so
+that a deliberate change to one file does not hide whether the others
+held; and the same for the streams' digests. These are records of the
+outputs' bytes, not gates: the script writes the JSON either way.
 
 The JSON written holds every run's metrics and, for each workload and
 end-to-end metric, each side's median and quartiles, the parent's
@@ -101,8 +102,8 @@ def paired(trees: dict[str, Path]) -> dict:
     return json.loads(proc.stdout)
 
 
-def output_digest(tree: Path) -> str:
-    """sha256 of the sorted listing of the files and logs that ``reproduce`` writes from ``tree``."""
+def output_digests(tree: Path) -> dict[str, str]:
+    """The sha256 of each file and log that ``reproduce`` writes from ``tree``, by name."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     with tempfile.TemporaryDirectory(prefix="bench_outputs-") as tmp:
         out = Path(tmp) / "out"
@@ -113,9 +114,8 @@ def output_digest(tree: Path) -> str:
             proc = subprocess.run(cmd, cwd=tmp, env=env, capture_output=True, text=True)
             (out / f"reproduce{config}.log").write_text(
                 f"{proc.stdout}{proc.stderr}exit {proc.returncode}\n", encoding="utf-8")
-        listing = "".join(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}\n"
-                          for path in sorted(out.iterdir()))
-    return hashlib.sha256(listing.encode()).hexdigest()
+        return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in sorted(out.iterdir())}
 
 
 def quartiles(values: list[float]) -> dict[str, float]:
@@ -193,7 +193,7 @@ def main() -> int:
             subprocess.run(["tar", "-x", "-C", str(trees[side])], input=archive.stdout,
                            check=True)
 
-        digests = {side: output_digest(trees[side]) for side in SIDES}
+        digests = {side: output_digests(trees[side]) for side in SIDES}
         runs, host = [], None
         for k in range(PAIRS):
             seed = args.seed + k
@@ -250,10 +250,13 @@ def main() -> int:
         "outputs": {
             "command": f"python3 -m streamarima reproduce <config> --trials {OUTPUT_TRIALS} "
                        f"--out-dir out, for config in {' '.join(OUTPUT_CONFIGS)}",
-            "digest": "sha256 of the '<sha256>  <name>' lines of the output files and of a "
-                      "log per command (stdout, stderr, exit status), sorted by name",
+            "digest": "per side, the sha256 of each output file and of a log per command "
+                      "(stdout, stderr, exit status), by name; differing: the names whose "
+                      "bytes differ or that only one side wrote",
             **digests,
             "outputs_identical": digests["parent"] == digests["change"],
+            "differing": sorted(name for name in digests["parent"].keys() | digests["change"]
+                                if digests["parent"].get(name) != digests["change"].get(name)),
             "stream": {
                 "what": "sha256 of every learn_step prediction (value, residual) and each "
                         "model's final gamma in the paired probe's streams, as float64 bytes, "

@@ -1,9 +1,9 @@
 """Experiment harness: streaming runs, batched runs, sweeps and grids.
 
-A run is specified once (model shape, optimizer, rate, trial seeds) and
-replayed over a fixed data realization; trials differ only in the model's
-coefficient initialization seed, so every curve is an average over inits
-on identical data. One kernel call advances every trial of every run of a
+A run is specified once, as a RunSpec that states only what runs, and
+replayed over a fixed data realization; each trial seed draws one model's
+initial coefficients, so every curve is an average over inits on
+identical data. One kernel call advances every trial of every run of a
 comparison, sweep or grid together, over lag features computed once per
 series; a batched run is the same kernel over the concatenated batches,
 and a single run, ``run_data``, is the one-run case of the same call. The
@@ -27,7 +27,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .model import ArimaModel, ModelConfig, differences
-from .optimizers import Optimizer, _check_settings, _rule
+from .optimizers import Optimizer, _check_settings, _is_int, _rule
 from .series import MicroBatch, TimeSeries, normalize
 
 # A scored |residual| past this many times the largest |sample| of the run's
@@ -44,7 +44,7 @@ class DivergedError(RuntimeError):
 
 @dataclass(frozen=True)
 class RunSpec:
-    """Everything needed to replay one experiment deterministically."""
+    """One run, replayable: a ``ramp_length`` given to a rule other than ``combined`` is None."""
 
     model: ModelConfig
     optimizer: str
@@ -53,10 +53,15 @@ class RunSpec:
     trial_seeds: tuple[int, ...] = (0,)
 
     def __post_init__(self):
-        # a ramp on another rule is accepted here, and dropped when the run is built
-        _check_settings(_rule(self.optimizer), self.learning_rate, self.ramp_length)
+        rule = _rule(self.optimizer)
+        _check_settings(rule, self.learning_rate, self.ramp_length)
+        if rule.delta != "handover":
+            object.__setattr__(self, "ramp_length", None)
         if len(self.trial_seeds) == 0:
             raise ValueError("at least one trial seed is required")
+        for seed in self.trial_seeds:
+            if not (_is_int(seed) and seed >= 0):
+                raise ValueError(f"trial seeds must be ints >= 0, got {seed!r}")
 
     @property
     def trials(self) -> int:
@@ -123,13 +128,11 @@ def _kernel(specs: list[RunSpec], values: np.ndarray, starts) -> tuple[np.ndarra
         return ~(resid <= bound) & scored[span]
 
     opt = Optimizer(model.mk, [
-        (spec.optimizer, spec.learning_rate,
-         spec.ramp_length if spec.optimizer == "combined" else None, spec.trials)
-        for spec in specs])
+        (spec.optimizer, spec.learning_rate, spec.ramp_length, spec.trials) for spec in specs])
     blocks = opt.blocks
     gamma = np.empty(opt.shape)
     for spec, block in zip(specs, blocks):
-        gamma[block] = [ArimaModel(replace(model, seed=s)).gamma for s in spec.trial_seeds]
+        gamma[block] = [ArimaModel(model, s).gamma for s in spec.trial_seeds]
     resid = np.empty((gamma.shape[0], actual.size))
     live = list(range(len(specs)))
     rows = slice(None)  # the residual row of each coefficient row
@@ -302,5 +305,5 @@ def sweep_lambda(spec: RunSpec, data, lambda_grid) -> list[RunRecord]:
         raise ValueError("ramp grid is empty")
     runs = [(f"combined_lambda_{r:g}", replace(spec, optimizer="combined", ramp_length=r))
             for r in ramps]
-    runs += [(name, replace(spec, optimizer=name, ramp_length=None)) for name in SWEEP_BASELINES]
+    runs += [(name, replace(spec, optimizer=name)) for name in SWEEP_BASELINES]
     return _run_all(runs, data)

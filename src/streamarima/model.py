@@ -16,7 +16,7 @@ a step costs the same bookkeeping whatever mk is. It writes each gradient
 into the optimizer's ``grad`` buffer and updates gamma in place through the
 unchecked ``advance()``, as the experiment harness's kernel does. That
 kernel runs the same recurrence for many trials at once, over the whole
-series' ``differences``.
+series' ``differences``, with each trial's coefficients drawn by ``ArimaModel``.
 """
 
 from __future__ import annotations
@@ -27,10 +27,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .optimizers import Optimizer
+from .optimizers import Optimizer, _is_int
 
 
-INIT_BOUND = 0.5  # coefficients start at U[-INIT_BOUND, INIT_BOUND]
+INIT_BOUND = 0.5  # a seed draws the coefficients from U[-INIT_BOUND, INIT_BOUND]
 
 
 def differences(x: np.ndarray, d: int) -> list[np.ndarray]:
@@ -48,17 +48,16 @@ def differences(x: np.ndarray, d: int) -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Structure and initialization seed of one forecaster instance."""
+    """Structure of one forecaster: ``mk`` coefficients over d-th differences."""
 
     mk: int
     d: int = 0
-    seed: int = 0
 
     def __post_init__(self):
-        if self.mk < 1:
-            raise ValueError(f"mk must be >= 1, got {self.mk}")
-        if self.d < 0:
-            raise ValueError(f"d must be >= 0, got {self.d}")
+        if not (_is_int(self.mk) and self.mk >= 1):
+            raise ValueError(f"mk must be an int >= 1, got {self.mk!r}")
+        if not (_is_int(self.d) and self.d >= 0):
+            raise ValueError(f"d must be an int >= 0, got {self.d!r}")
 
     @property
     def window(self) -> int:
@@ -73,7 +72,7 @@ class Prediction(NamedTuple):
 
 
 class ArimaModel:
-    """Streaming forecaster with an online-updated coefficient vector.
+    """Streaming forecaster whose coefficients, drawn from ``seed``, are updated online.
 
     Once warm, the lag window is a ring of ``2 * mk`` d-th differences,
     newest first: each new one is written at ``i`` and at ``i + mk``, one
@@ -92,9 +91,9 @@ class ArimaModel:
     multiplies an array by a 0-d array faster than by a Python float.
     """
 
-    def __init__(self, config: ModelConfig):
+    def __init__(self, config: ModelConfig, seed: int = 0):
         self.config = config
-        rng = np.random.default_rng(config.seed)
+        rng = np.random.default_rng(seed)
         self.gamma = rng.uniform(-INIT_BOUND, INIT_BOUND, config.mk)
         self._ring = np.empty(2 * config.mk)
         self._rows = [self._ring[i : i + config.mk] for i in range(config.mk)]

@@ -117,8 +117,8 @@ class Optimizer:
     """
 
     def __init__(self, dim: int, runs):
-        if dim < 1:
-            raise ValueError(f"dim must be >= 1, got {dim}")
+        if not (_is_int(dim) and dim >= 1):
+            raise ValueError(f"dim must be an int >= 1, got {dim!r}")
         self.dim = int(dim)
         self._given = list(runs)
         runs = [(_rule(name), float(lr), ramp, rows) for name, lr, ramp, rows in runs]
@@ -128,7 +128,7 @@ class Optimizer:
             _check_settings(rule, lr, ramp)
             if rule.delta != "handover" and ramp is not None:
                 raise ValueError(f"{rule.name} takes no ramp_length, got {ramp}")
-            if rows is not None and not (isinstance(rows, int) and rows >= 1):
+            if rows is not None and not (_is_int(rows) and rows >= 1):
                 raise ValueError(f"a run needs an int rows >= 1, got {rows!r}")
         if None in [rows for *_, rows in runs] and len(runs) != 1:
             raise ValueError("only a lone run may leave its rows unset")
@@ -319,6 +319,11 @@ def _rule(name: str) -> Rule:
     except KeyError:
         known = ", ".join(sorted(OPTIMIZERS))
         raise ValueError(f"unknown optimizer {name!r}, expected one of: {known}") from None
+
+
+def _is_int(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _check_settings(rule: Rule, learning_rate: float, ramp_length: float | None) -> None:

@@ -10,8 +10,6 @@ forecaster's gradient is checked on the path that training uses, and the
 coefficients keep their bits.
 """
 
-from dataclasses import replace
-
 import numpy as np
 
 from streamarima.model import ArimaModel
@@ -50,9 +48,9 @@ class Recorder:
         return self.zero
 
 
-def warmed_model(config, history, gamma=None):
-    """A model whose lag window holds ``history`` (mk + d samples)."""
-    model = ArimaModel(config)
+def warmed_model(config, history, gamma=None, seed=0):
+    """A model drawn from ``seed`` whose lag window holds ``history`` (mk + d samples)."""
+    model = ArimaModel(config, seed)
     recorder = Recorder(config.mk)
     for x in history:
         assert model.learn_step(recorder, x) is None
@@ -122,9 +120,8 @@ def learn_step_forecasts(spec, values):
     """Forecasts of a learn_step loop, one model and optimizer per trial."""
     rows = []
     for seed in spec.trial_seeds:
-        model = ArimaModel(replace(spec.model, seed=seed))
-        ramp = spec.ramp_length if spec.optimizer == "combined" else None
-        opt = make_optimizer(spec.optimizer, spec.model.mk, spec.learning_rate, ramp)
+        model = ArimaModel(spec.model, seed)
+        opt = make_optimizer(spec.optimizer, spec.model.mk, spec.learning_rate, spec.ramp_length)
         preds = (model.learn_step(opt, x) for x in values)
         rows.append([p.value for p in preds if p is not None])
     return np.array(rows)

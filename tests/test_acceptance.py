@@ -169,7 +169,7 @@ def test_01_analytic_gradient_matches_finite_differences():
         d = int(rng.integers(0, 2))
         history = rng.normal(scale=2.0, size=mk + d)
         actual = float(rng.normal(scale=2.0))
-        model = warmed_model(ModelConfig(mk=mk, d=d, seed=trial), history)
+        model = warmed_model(ModelConfig(mk=mk, d=d), history, seed=trial)
         _, analytic = probe(model, actual)
         numeric = fd_gradient(model.gamma, history, d, actual)
         rel = np.abs(analytic - numeric) / np.maximum(

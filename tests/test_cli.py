@@ -353,20 +353,33 @@ def test_invalid_numeric_flag_fails_closed(small_csv, batch_dir, data):
 
 def test_reproduce_is_the_explicit_commands(tmp_path):
     # configuration 2: synth --preset 2 --seed 7, then one run per rule;
-    # configuration 7: sweep-lambda over the same series
+    # configuration 7: sweep-lambda over the same series; configuration 6,
+    # the batched d > 0 one: one run per rule over a directory of csv batches
     canned = tmp_path / "canned"
     assert run_cli("reproduce", 2, "--trials", 2, "--out-dir", canned) == 0
     assert run_cli("reproduce", 7, "--trials", 2, "--out-dir", canned) == 0
     series = tmp_path / "s2.csv"
     assert run_cli("synth", "--preset", 2, "--seed", 7, "--out", series) == 0
-    model = ["--data", series, "--mk", 10, "--lr", 0.05, "--trials", 2]
-    for name in ALL_OPTIMIZERS:
-        out = tmp_path / f"{name}.csv"
-        ramp = ["--lambda", 2000] if name == "combined" else []
-        assert run_cli("run", *model, "--optimizer", name, *ramp, "--out", out) == 0
-        assert out.read_bytes() == (canned / f"config2_{name}.csv").read_bytes(), name
+    batches = tmp_path / "batches"
+    batches.mkdir()
+    walk = np.random.default_rng(6).normal(size=4 * 300).cumsum()
+    for k in range(4):
+        lines = ["value", *map(repr, walk[300 * k : 300 * (k + 1)].tolist())]
+        (batches / f"batch_{k}.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
+    assert run_cli("reproduce", 6, "--data", batches, "--trials", 1, "--out-dir", canned) == 0
+
+    for fid, model, ramp in (
+        (2, ["--data", series, "--mk", 10, "--lr", 0.05, "--trials", 2], 2000),
+        (6, ["--data", batches, "--d", 1, "--mk", 60, "--lr", 0.01, "--trials", 1], 102400),
+    ):
+        for name in ALL_OPTIMIZERS:
+            out = tmp_path / f"{fid}_{name}.csv"
+            given = ["--lambda", ramp] if name == "combined" else []
+            assert run_cli("run", *model, "--optimizer", name, *given, "--out", out) == 0
+            assert out.read_bytes() == (canned / f"config{fid}_{name}.csv").read_bytes(), name
     out = tmp_path / "sweep.csv"
-    assert run_cli("sweep-lambda", *model, "--out", out) == 0
+    assert run_cli("sweep-lambda", "--data", series, "--mk", 10, "--lr", 0.05, "--trials", 2,
+                   "--out", out) == 0
     assert out.read_bytes() == (canned / "config7_sweep.csv").read_bytes()
 
 

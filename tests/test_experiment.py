@@ -357,6 +357,8 @@ def test_compare_optimizers_returns_requested_curves(short_series):
     assert [r.label for r in records] == ["basic", "amsgrad", "combined"]
     for r in records:
         assert r.spec.optimizer == r.label and not r.diverged and r.message == ""
+        # only combined has a ramp, so each record's spec states the ramp it ran
+        assert r.spec.ramp_length == (50.0 if r.label == "combined" else None)
         assert r.curve.per_trial.shape == (1, 397)
         assert r.score == float(r.curve.mean.mean())
 
@@ -415,7 +417,7 @@ def test_grid_search_validation(short_series):
 
 
 def test_sweep_lambda_labels_and_baselines(short_series):
-    entries = sweep_lambda(spec_for(), short_series, [5, 10])
+    entries = sweep_lambda(spec_for(optimizer="combined", ramp=50.0), short_series, [5, 10])
     assert [e.label for e in entries] == [
         "combined_lambda_5",
         "combined_lambda_10",
@@ -423,6 +425,7 @@ def test_sweep_lambda_labels_and_baselines(short_series):
         "basic",
         "momentum",
     ]
+    assert [e.spec.ramp_length for e in entries] == [5.0, 10.0, None, None, None]
     for e in entries:
         assert np.isfinite(e.score) and not e.diverged
         assert e.curve is not None
@@ -445,5 +448,13 @@ def test_runspec_validation():
         with pytest.raises(ValueError, match=f"combined requires a ramp_length > 0, got {bad}"):
             spec_for(optimizer="combined", ramp=bad)
     assert spec_for(optimizer="combined", ramp=math.inf).ramp_length == math.inf
-    # another rule's ramp is accepted, and dropped when the run is built
-    assert spec_for(ramp=2000.0).ramp_length == 2000.0
+    # another rule has no ramp, so the spec states none
+    assert spec_for(ramp=2000.0).ramp_length is None
+    assert RunSpec(ModelConfig(mk=3), "basic", 0.05, 2000.0).ramp_length is None
+    assert RunSpec(ModelConfig(mk=3), "basic", 0.05, 2000.0) == spec_for()
+    # trial seeds are ints >= 0: -1 used to fail in the kernel, after the
+    # data was loaded, and 1.5 with numpy's TypeError
+    for bad in (-1, 1.5, 2.0, "3", True, None):
+        with pytest.raises(ValueError, match=f"trial seeds must be ints >= 0, got {bad!r}"):
+            spec_for(seeds=(0, bad))
+    assert spec_for(seeds=(np.int64(4), 0)).trials == 2

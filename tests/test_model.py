@@ -4,6 +4,8 @@ Forecasts and gradients are read off ``learn_step`` itself, through an
 optimizer that records the gradient and leaves the coefficients alone.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -75,11 +77,11 @@ def test_analytic_gradient_matches_finite_differences():
     for trial in range(120):
         mk = int(rng.integers(1, 21))
         d = int(rng.integers(0, 2))
-        config = ModelConfig(mk=mk, d=d, seed=trial)
+        config = ModelConfig(mk=mk, d=d)
         history = rng.normal(scale=2.0, size=mk + d)
         actual = float(rng.normal(scale=2.0))
 
-        model = warmed_model(config, history)
+        model = warmed_model(config, history, seed=trial)
         _, analytic = probe(model, actual)
         numeric = fd_gradient(model.gamma, history, d, actual)
         rel = np.abs(analytic - numeric) / np.maximum(
@@ -90,9 +92,9 @@ def test_analytic_gradient_matches_finite_differences():
 
 
 def test_gradient_is_twice_residual_times_features():
-    config = ModelConfig(mk=3, d=0, seed=1)
+    config = ModelConfig(mk=3, d=0)
     history = np.array([0.2, -0.4, 0.9])
-    model = warmed_model(config, history)
+    model = warmed_model(config, history, seed=1)
     gamma = model.gamma.copy()
     actual = 0.3
     pred, grad = probe(model, actual)
@@ -104,7 +106,7 @@ def test_gradient_is_twice_residual_times_features():
 
 
 def test_warmup_contract():
-    config = ModelConfig(mk=2, d=1, seed=0)
+    config = ModelConfig(mk=2, d=1)
     model = ArimaModel(config)
     opt = make_optimizer("basic", 2, 0.05)
     assert config.window == 3
@@ -121,7 +123,7 @@ def test_warmup_contract():
 
 
 def test_history_eviction_keeps_last_window():
-    config = ModelConfig(mk=3, d=1, seed=0)
+    config = ModelConfig(mk=3, d=1)
     model = ArimaModel(config)
     opt = make_optimizer("basic", 3, 1e-9)
     xs = np.arange(10.0)
@@ -141,9 +143,9 @@ def test_learn_step_is_the_windowed_oracle_bitwise(rule):
     ramp = 7.0 if rule == "combined" else None
     for d in (0, 1, 2, 3):
         for mk in (1, 2, 10):
-            config = ModelConfig(mk=mk, d=d, seed=mk + d)
+            config = ModelConfig(mk=mk, d=d)
             xs = rng.normal(size=4 * config.window + 5).cumsum() * 0.1
-            model, twin = ArimaModel(config), ArimaModel(config)
+            model, twin = ArimaModel(config, mk + d), ArimaModel(config, mk + d)
             oracle = WindowOracle(mk, d, model.gamma)
             opt = make_optimizer(rule, mk, 0.01, ramp)
             oracle_opt = make_optimizer(rule, mk, 0.01, ramp)
@@ -168,7 +170,7 @@ def test_learn_step_is_the_windowed_oracle_bitwise(rule):
 def test_learn_step_checks_each_optimizer_once_then_updates_gamma_in_place(rule):
     # learn_step checks the optimizer's shape, and never takes the checked step
     ramp = 7.0 if rule == "combined" else None
-    model = ArimaModel(ModelConfig(mk=3, d=1, seed=0))
+    model = ArimaModel(ModelConfig(mk=3, d=1))
     held = model.gamma
     xs = np.random.default_rng(2).normal(size=30).cumsum() * 0.1
     # the second optimizer arrives mid-stream, fresh
@@ -188,7 +190,7 @@ def test_learn_step_checks_each_optimizer_once_then_updates_gamma_in_place(rule)
 
 
 def test_recorder_still_drives_an_in_place_model():
-    model = ArimaModel(ModelConfig(mk=3, d=1, seed=0))
+    model = ArimaModel(ModelConfig(mk=3, d=1))
     opt = make_optimizer("adam", 3, 0.01)
     for x in (0.1, 0.4, 0.2, 0.5, 0.3, 0.6):
         model.learn_step(opt, x)
@@ -206,7 +208,7 @@ def test_recorder_still_drives_an_in_place_model():
     (Optimizer(3, [("basic", 0.05, None, 2)]), r"optimizer shape \(2, 3\) is not gamma's, \(3,\)"),
 ], ids=["wrong-dim", "bank"])
 def test_a_mismatched_optimizer_raises_and_leaves_the_model_as_it_was(wrong, message):
-    config = ModelConfig(mk=3, d=1, seed=0)
+    config = ModelConfig(mk=3, d=1)
     model, twin = ArimaModel(config), ArimaModel(config)
     opt, twin_opt = make_optimizer("momentum", 3, 0.01), make_optimizer("momentum", 3, 0.01)
     xs = np.random.default_rng(4).normal(size=20).cumsum() * 0.1
@@ -225,7 +227,7 @@ def test_a_mismatched_optimizer_raises_and_leaves_the_model_as_it_was(wrong, mes
 
 
 def test_prediction_is_a_named_pair():
-    model = warmed_model(ModelConfig(mk=2, d=0, seed=0), [0.1, 0.2])
+    model = warmed_model(ModelConfig(mk=2, d=0), [0.1, 0.2])
     pred = model.learn_step(make_optimizer("basic", 2, 0.05), 0.3)
     assert isinstance(pred, Prediction)
     assert pred == (pred.value, pred.residual) and pred.residual == pred.value - 0.3
@@ -237,8 +239,8 @@ def test_prediction_is_a_named_pair():
 
 def test_learn_step_updates_match_manual_sgd():
     lr = 0.05
-    config = ModelConfig(mk=2, d=0, seed=3)
-    model = ArimaModel(config)
+    config = ModelConfig(mk=2, d=0)
+    model = ArimaModel(config, 3)
     opt = make_optimizer("basic", 2, lr)
     model.learn_step(opt, 0.5)
     model.learn_step(opt, -0.2)
@@ -262,7 +264,7 @@ def test_prediction_uses_only_past_samples():
     ys[-1] += 100.0
 
     def run(series):
-        config = ModelConfig(mk=4, d=0, seed=0)
+        config = ModelConfig(mk=4, d=0)
         model = ArimaModel(config)
         opt = make_optimizer("momentum", 4, 0.05)
         return [
@@ -275,7 +277,7 @@ def test_prediction_uses_only_past_samples():
 
 
 def test_rejects_non_finite_samples():
-    model = ArimaModel(ModelConfig(mk=2, d=0, seed=0))
+    model = ArimaModel(ModelConfig(mk=2, d=0))
     opt = make_optimizer("basic", 2, 0.05)
     with pytest.raises(ValueError, match="invalid sample"):
         model.learn_step(opt, float("nan"))
@@ -284,12 +286,16 @@ def test_rejects_non_finite_samples():
 
 
 def test_initialization_is_seeded_and_bounded():
-    a = ArimaModel(ModelConfig(mk=50, d=0, seed=11))
-    b = ArimaModel(ModelConfig(mk=50, d=0, seed=11))
-    c = ArimaModel(ModelConfig(mk=50, d=0, seed=12))
+    a = ArimaModel(ModelConfig(mk=50, d=0), 11)
+    b = ArimaModel(ModelConfig(mk=50, d=0), seed=11)
+    c = ArimaModel(ModelConfig(mk=50, d=0), 12)
     np.testing.assert_array_equal(a.gamma, b.gamma)
     assert not np.array_equal(a.gamma, c.gamma)
     assert np.all(a.gamma >= -0.5) and np.all(a.gamma <= 0.5)
+    want = np.random.default_rng(11).uniform(-0.5, 0.5, 50)
+    assert a.gamma.tobytes() == want.tobytes()
+    config = ModelConfig(mk=3)
+    assert ArimaModel(config).gamma.tobytes() == ArimaModel(config, 0).gamma.tobytes()
 
 
 def test_config_validation():
@@ -298,3 +304,15 @@ def test_config_validation():
     with pytest.raises(ValueError, match="d must be"):
         ModelConfig(mk=2, d=-1)
     assert ModelConfig(mk=5, d=2).window == 7
+    # only ints: 2.5 used to fail later, in numpy, with a TypeError
+    for bad in (2.5, 3.0, "3", True):
+        with pytest.raises(ValueError, match=f"mk must be an int >= 1, got {bad!r}"):
+            ModelConfig(mk=bad)
+        with pytest.raises(ValueError, match=f"d must be an int >= 0, got {bad!r}"):
+            ModelConfig(mk=2, d=bad)
+    config = ModelConfig(mk=np.int64(4), d=np.int32(1))
+    assert config.window == 5 and ArimaModel(config).gamma.shape == (4,)
+    # the config is the shape alone; the seed is the model's
+    assert [f.name for f in dataclasses.fields(ModelConfig)] == ["mk", "d"]
+    with pytest.raises(TypeError, match="seed"):
+        ModelConfig(mk=3, seed=5)

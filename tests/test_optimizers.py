@@ -531,8 +531,13 @@ def test_make_optimizer_rejects_unknown_name():
 
 
 def test_constructor_validation():
-    with pytest.raises(ValueError, match="dim"):
-        make_optimizer("basic", 0, LR)
+    # dim is an int >= 1: a float used to build int(dim) coefficients
+    for bad in (0, -1, 2.5, 2.0, "3", True):
+        with pytest.raises(ValueError, match=f"dim must be an int >= 1, got {bad!r}"):
+            make_optimizer("basic", bad, LR)
+        with pytest.raises(ValueError, match=f"dim must be an int >= 1, got {bad!r}"):
+            Optimizer(bad, [("basic", LR, None, 2)])
+    assert make_optimizer("adam", np.int64(3), LR).shape == (3,)
     for bad in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="learning_rate"):
             make_optimizer("basic", 2, bad)
@@ -546,7 +551,7 @@ def test_constructor_validation():
 def test_constructor_rejects_bad_run_lists():
     with pytest.raises(ValueError, match="at least one run is required"):
         Optimizer(3, [])
-    for rows in (0, -1, 2.5):
+    for rows in (0, -1, 2.5, True):
         with pytest.raises(ValueError, match=f"a run needs an int rows >= 1, got {rows}"):
             Optimizer(3, [("basic", LR, None, 2), ("adam", LR, None, rows)])
     with pytest.raises(ValueError, match="only a lone run"):
