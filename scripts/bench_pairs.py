@@ -30,18 +30,23 @@ even pairs:
 * the kernel: ``experiment._kernel`` over preset 2 (data seed 7) at
   ``reproduce 2``'s settings, each rule alone and all rules in one call at
   1 trial, and all rules at 30 trials, PAIRED_KERNEL_PAIRS pairs each.
+* the render: ``plotting.render_svg`` over ``reproduce 2``'s 8 curves,
+  each computed once at data seed 7 and 2 trials and smoothed over 50
+  samples, with that command's title and labels, PAIRED_RENDER_PAIRS pairs.
 
 Each pair gives one ratio of the change's time to the parent's. Per key,
 the JSON records each side's median time, the median ratio and the number
-of pairs the change won, and whether both sides' kernels computed bitwise
-the same residuals. Each side's stream is also hashed: the sha256 of every
+of pairs the change won, whether both sides' kernels computed bitwise the
+same residuals, and whether both sides rendered the same SVG bytes. Each side's stream is also hashed: the sha256 of every
 prediction (value, residual) it streamed and each model's final gamma, as
 float64 bytes, rule after rule. ``reproduce`` never calls ``learn_step``,
 so this is the one digest of that path.
 
 Each side also runs ``reproduce 1 2 3 7 --trials 2`` into a temporary
-directory, one command per configuration, and keeps the output files and a
-log of each command's stdout, stderr and exit status. The JSON records the
+directory, one command per configuration, and ``reproduce 4 5 --trials 2``
+on the 40 batch files that its own ``scripts/make_demo_batches.py
+--batches 40`` writes, and keeps the output files and a log of each
+command's stdout, stderr and exit status. The JSON records the
 sha256 of each of those files per side, by name, whether the two sides
 wrote the same files with the same bytes, and the names that differ, so
 that a deliberate change to one file does not hide whether the others
@@ -68,12 +73,21 @@ import sys
 import tempfile
 from pathlib import Path
 
-from paired_probe import PAIRED_CHUNK, PAIRED_KERNEL_PAIRS, PAIRED_REPEATS, PAIRED_WARMUP, SIDES
+from paired_probe import (
+    PAIRED_CHUNK,
+    PAIRED_KERNEL_PAIRS,
+    PAIRED_RENDER_PAIRS,
+    PAIRED_REPEATS,
+    PAIRED_WARMUP,
+    SIDES,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 PROBE = Path(__file__).resolve().with_name("paired_probe.py")
 PAIRS = 10
 OUTPUT_CONFIGS = ("1", "2", "3", "7")
+BATCHED_CONFIGS = ("4", "5")
+DEMO_BATCHES = "40"
 OUTPUT_TRIALS = "2"
 
 
@@ -107,10 +121,15 @@ def output_digests(tree: Path) -> dict[str, str]:
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     with tempfile.TemporaryDirectory(prefix="bench_outputs-") as tmp:
         out = Path(tmp) / "out"
-        for config in OUTPUT_CONFIGS:
-            # relative to the temporary directory, so that stdout names the same path on both sides
+        # paths are relative to the temporary directory, so that stdout names
+        # the same paths on both sides
+        subprocess.run([sys.executable, str(tree / "scripts" / "make_demo_batches.py"),
+                        "--batches", DEMO_BATCHES, "--out-dir", "demo"],
+                       cwd=tmp, env=env, capture_output=True, check=True)
+        for config in OUTPUT_CONFIGS + BATCHED_CONFIGS:
+            data = ("--data", "demo") if config in BATCHED_CONFIGS else ()
             cmd = [sys.executable, "-m", "streamarima", "reproduce", config,
-                   "--trials", OUTPUT_TRIALS, "--out-dir", "out"]
+                   "--trials", OUTPUT_TRIALS, *data, "--out-dir", "out"]
             proc = subprocess.run(cmd, cwd=tmp, env=env, capture_output=True, text=True)
             (out / f"reproduce{config}.log").write_text(
                 f"{proc.stdout}{proc.stderr}exit {proc.returncode}\n", encoding="utf-8")
@@ -246,10 +265,20 @@ def main() -> int:
                         "bitwise the same residuals",
                 **in_process["kernel"],
             },
+            "render": {
+                "what": f"plotting.render_svg over reproduce 2's 8 curves (data seed 7, 2 "
+                        f"trials, smoothed over 50 samples): {PAIRED_RENDER_PAIRS} pairs of whole "
+                        "calls; microseconds per call; identical: whether both sides rendered "
+                        "the same SVG bytes",
+                **in_process["render"],
+            },
         },
         "outputs": {
             "command": f"python3 -m streamarima reproduce <config> --trials {OUTPUT_TRIALS} "
-                       f"--out-dir out, for config in {' '.join(OUTPUT_CONFIGS)}",
+                       f"--out-dir out, for config in {' '.join(OUTPUT_CONFIGS)}; and with "
+                       f"--data demo for config in {' '.join(BATCHED_CONFIGS)}, after "
+                       f"python3 scripts/make_demo_batches.py --batches {DEMO_BATCHES} "
+                       "--out-dir demo",
             "digest": "per side, the sha256 of each output file and of a log per command "
                       "(stdout, stderr, exit status), by name; differing: the names whose "
                       "bytes differ or that only one side wrote",

@@ -6,14 +6,17 @@
 Loads each ``src/streamarima`` under its own package name and times the two
 sides in alternating pairs, parent first in even pairs: chunks of
 ``learn_step`` calls per rule, and whole ``experiment._kernel`` calls per
-rule and for all rules. It also hashes each side's streams. Prints one JSON
-object with the keys ``stream``, ``kernel`` and ``sha256``;
+rule and for all rules, and whole ``plotting.render_svg`` calls over
+``reproduce 2``'s smoothed curves. It also hashes each side's streams.
+Prints one JSON object with the keys ``stream``, ``kernel``, ``render`` and
+``sha256``;
 ``scripts/bench_pairs.py`` runs it and describes what each key holds.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib
 import importlib.util
 import json
 import statistics
@@ -27,6 +30,7 @@ PAIRED_REPEATS = 6
 PAIRED_WARMUP = 50
 PAIRED_CHUNK = 500
 PAIRED_KERNEL_PAIRS = 8
+PAIRED_RENDER_PAIRS = 20
 SIDES = ("parent", "change")
 
 
@@ -118,6 +122,28 @@ def probe_kernel(sides: dict, rules: list[str]) -> dict:
     return kernel
 
 
+def probe_render(sides: dict, rules: list[str]) -> dict:
+    """Whole render_svg calls over reproduce 2's smoothed curves, and whether both agree."""
+    clock = time.perf_counter_ns
+    plotting = {side: importlib.import_module(f"{pkg.__name__}.plotting")
+                for side, pkg in sides.items()}
+    package = sides["change"]
+    series = package.synthetic.generate(package.synthetic.preset(2, seed=7))
+    spec = package.RunSpec(package.ModelConfig(mk=10), "combined", 0.05, 2000.0, (0, 1))
+    plotted = {r.label: plotting["change"].smooth_curve(r.curve.indices, r.curve.mean, 50)
+               for r in package.compare_optimizers(spec, series, tuple(rules))}
+    calls = {side: partial(plotting[side].render_svg, plotted, title="configuration 2",
+                           x_label="sample", y_label="mean |residual|")
+             for side in sides}
+    us, svg = {side: [] for side in sides}, {}
+    for k in range(PAIRED_RENDER_PAIRS):
+        for side in order(k):
+            t0 = clock()
+            svg[side] = calls[side]()
+            us[side].append((clock() - t0) * 1e-3)
+    return {**summary(us), "identical": svg["parent"] == svg["change"]}
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print("usage: paired_probe.py PARENT_SRC CHANGE_SRC", file=sys.stderr)
@@ -126,7 +152,8 @@ def main(argv: list[str]) -> int:
     rules = list(sides["parent"].optimizers.OPTIMIZERS)
     stream, sha256 = probe_stream(sides, rules)
     kernel = probe_kernel(sides, rules)
-    print(json.dumps({"stream": stream, "kernel": kernel, "sha256": sha256}))
+    render = probe_render(sides, rules)
+    print(json.dumps({"stream": stream, "kernel": kernel, "render": render, "sha256": sha256}))
     return 0
 
 

@@ -61,21 +61,24 @@ CONFIGS = {
 
 
 def _resolve_out(path_str: str) -> Path:
+    """The output path ``path_str`` names; an existing directory is an error."""
     path = Path(path_str)
     base = os.environ.get(OUT_DIR_ENV)
     if base and not path.is_absolute():
         path = Path(base) / path
-    if path.parent != Path("."):
-        path.parent.mkdir(parents=True, exist_ok=True)
+    if path.is_dir():
+        raise ValueError(f"{path}: is a directory")
     return path
 
 
 def write_text_atomic(path: Path, text: str) -> None:
     """Write ``text`` to a fresh temporary file beside ``path``, then rename it over ``path``.
 
-    The temporary name is unique, so two runs writing the same path never
-    share it, and it is removed if anything fails before the rename.
+    A missing parent directory is created first. The temporary name is
+    unique, so two runs writing the same path never share it, and it is
+    removed if anything fails before the rename.
     """
+    path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
@@ -268,9 +271,10 @@ def _write_outputs(args, files: dict, curves: dict[str, ResidualCurve],
     """Write ``files`` (path to a function that renders its text) and, when
     ``args.svg`` is set, the plot of ``curves``; return the paths, the plot's last.
 
-    The plot is rendered before the first write, so a plot that cannot be
-    drawn leaves no file behind. Each file's text is rendered just before
-    it is written, so only one is held at a time.
+    Every path is resolved and checked, and the plot rendered, before the
+    first write, so a bad path or a plot that cannot be drawn leaves no
+    file behind. Each file's text is rendered just before it is written,
+    so only one is held at a time.
     """
     if args.svg:
         svg = _svg_from_curves(curves, args.smooth, title)

@@ -27,8 +27,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .model import ArimaModel, ModelConfig, differences
-from .optimizers import Optimizer, _check_settings, _is_int, _rule
-from .series import MicroBatch, TimeSeries, normalize
+from .optimizers import Optimizer, _check_settings, _rule
+from .series import MicroBatch, TimeSeries, _is_int, normalize
 
 # A scored |residual| past this many times the largest |sample| of the run's
 # data is a blow-up, reported like a non-finite one.

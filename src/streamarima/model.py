@@ -27,7 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .optimizers import Optimizer, _is_int
+from .optimizers import Optimizer
+from .series import _is_int
 
 
 INIT_BOUND = 0.5  # a seed draws the coefficients from U[-INIT_BOUND, INIT_BOUND]

@@ -54,6 +54,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .series import _is_int
+
 MU = 0.9  # Momentum and Nesterov velocity decay
 RHO = 0.9  # RMSProp squared-gradient decay
 BETA1 = 0.9  # Adam and AMSGrad first-moment decay
@@ -319,11 +321,6 @@ def _rule(name: str) -> Rule:
     except KeyError:
         known = ", ".join(sorted(OPTIMIZERS))
         raise ValueError(f"unknown optimizer {name!r}, expected one of: {known}") from None
-
-
-def _is_int(value) -> bool:
-    """Whether ``value`` is a Python or numpy integer; a bool is not."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _check_settings(rule: Rule, learning_rate: float, ramp_length: float | None) -> None:

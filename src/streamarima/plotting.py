@@ -4,6 +4,11 @@ The renderer is intentionally tiny: fixed canvas, one polyline per labeled
 curve, a legend, and min/mid/max tick labels. Output is a pure function of
 the input arrays, with no timestamps or generated ids, so identical runs
 produce identical bytes.
+
+Each coordinate is written with two decimals, the bytes ``"%.2f"`` gives.
+A curve's pixel coordinates are computed on whole arrays, and its
+``points`` attribute is encoded in one numpy pass; a curve that the pass
+cannot write exactly is written point by point (see ``_polyline_points``).
 """
 
 from __future__ import annotations
@@ -54,6 +59,57 @@ def smooth_curve(indices, values, window: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _fmt(x: float) -> str:
     return f"{x:.2f}"
+
+
+# The array path of _polyline_points writes rint(100 v) as an int32.
+_FAST_BOUND = float(np.iinfo(np.int32).max)
+
+
+def _polyline_points(x: np.ndarray, y: np.ndarray) -> str:
+    """The ``points`` attribute of a polyline: ``"%.2f,%.2f"`` per point, space-separated.
+
+    ``"%.2f" % v`` writes K / 100, where K is the exact value 100 v rounded
+    to the nearest integer, half to even. The array path writes
+    ``k = rint(c)`` instead, where ``c = fl(100 v)`` is the product rounded
+    to the nearest double and rint also rounds half to even. Below
+    c = 2**31 - 1, the bound that keeps k in an int32, every half-integer
+    h is a double and rounding is monotone, so c lies on the same side of
+    h as 100 v, or on h itself. k and K can therefore differ only where c
+    is a half-integer, that is, where ``|c - k| == 0.5``; ``c - k`` is
+    exact (Sterbenz's lemma). A polyline with such a value of c, with c at
+    or past the bound, with a non-finite value or with a value whose sign
+    bit is set (negatives and -0.0) is written point by point with
+    ``"%.2f"``, so every byte is the per-point formula's.
+
+    On the array path each value fills one row of a uint8 matrix: the
+    digits of ``k // 100`` with blanks (0) before the leading one, ``.``,
+    the two digits of ``k % 100``, then ``,`` after x and a space after y.
+    The non-blank bytes, less the last space, are decoded once.
+    """
+    v = np.column_stack((x, y)).ravel()
+    if v.size == 0:
+        return ""
+    c = v * 100.0
+    k = np.rint(c)
+    if not (np.all(c < _FAST_BOUND) and not np.signbit(v).any()
+            and np.all(np.abs(c - k) < 0.5)):
+        return " ".join(map("%.2f,%.2f".__mod__, zip(x.tolist(), y.tolist())))
+    q = k.astype(np.int32)
+    width = len(str(q.max() // 100))
+    text = np.empty((v.size, width + 4), dtype=np.uint8)
+    # digits right to left: the two of k % 100, then those of k // 100
+    for col in (width + 2, width + 1, *range(width - 1, -1, -1)):
+        tens = q // 10
+        digit = q - tens * 10 + ord("0")
+        if col < width - 1:
+            digit *= q != 0
+        text[:, col] = digit
+        q = tens
+    text[:, width] = ord(".")
+    text[0::2, width + 3] = ord(",")
+    text[1::2, width + 3] = ord(" ")
+    flat = text.ravel()[:-1]
+    return flat[flat != 0].tobytes().decode("ascii")
 
 
 def render_svg(
@@ -130,10 +186,9 @@ def render_svg(
     rules = list(OPTIMIZERS) if all(label in OPTIMIZERS for label in curves) else None
     for k, (label, (x, y)) in enumerate(curves.items()):
         color = PALETTE[(rules.index(label) if rules else k) % len(PALETTE)]
-        # px and py take whole arrays, and "%.2f" % v is _fmt(v) for a float
-        x = px(np.asarray(x, dtype=np.float64)).tolist()
-        y = py(np.asarray(y, dtype=np.float64)).tolist()
-        pts = " ".join(map("%.2f,%.2f".__mod__, zip(x, y)))
+        # px and py take whole arrays, and _polyline_points writes _fmt(v) per value
+        pts = _polyline_points(px(np.asarray(x, dtype=np.float64)),
+                               py(np.asarray(y, dtype=np.float64)))
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.2"/>'
         )

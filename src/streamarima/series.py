@@ -13,6 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TimeSeries:
     """Evenly indexed sample sequence; ``values[0]`` is sample 0."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import TimeSeries, normalize
+from .series import TimeSeries, _is_int, normalize
 
 EXPLOSION_LIMIT = 1e6
 
@@ -36,8 +36,9 @@ class CoefficientShift:
     beta: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.at_index < 1:
-            raise ValueError(f"shift index must be >= 1, got {self.at_index}")
+        if not (_is_int(self.at_index) and self.at_index >= 1):
+            raise ValueError(f"at_index (the shift index) must be an int >= 1, "
+                             f"got {self.at_index!r}")
 
 
 @dataclass(frozen=True)
@@ -55,12 +56,14 @@ class GeneratorSpec:
     def __post_init__(self):
         if len(self.alpha) < 1:
             raise ValueError("at least one autoregressive coefficient is required")
-        if self.length < 1:
-            raise ValueError(f"length must be >= 1, got {self.length}")
+        if not (_is_int(self.length) and self.length >= 1):
+            raise ValueError(f"length must be an int >= 1, got {self.length!r}")
         if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
             raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
-        if self.burn_in < 0:
-            raise ValueError(f"burn_in must be >= 0, got {self.burn_in}")
+        if not (_is_int(self.burn_in) and self.burn_in >= 0):
+            raise ValueError(f"burn_in must be an int >= 0, got {self.burn_in!r}")
+        if not (_is_int(self.seed) and 0 <= self.seed < 2**128):
+            raise ValueError(f"seed must be an int in [0, 2**128), got {self.seed!r}")
 
 
 def gaussian_innovations(seed: int, count: int, std: float) -> np.ndarray:

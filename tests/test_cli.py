@@ -159,6 +159,34 @@ def test_run_errors_exit_nonzero(tmp_path, small_csv, capsys):
     assert not out.exists()
 
 
+def test_generator_seeds_out_of_range_fail_closed(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    assert run_cli("synth", "--preset", 1, "--seed", -1, "--out", out) == 1
+    assert capsys.readouterr().err == "error: seed must be an int in [0, 2**128), got -1\n"
+    assert run_cli("reproduce", 1, "--data-seed", -3, "--out-dir", tmp_path / "r") == 1
+    assert capsys.readouterr().err == "error: seed must be an int in [0, 2**128), got -3\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_output_path_that_is_a_directory_writes_nothing(tmp_path, small_csv, capsys):
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    csv, svg = tmp_path / "x.csv", tmp_path / "x.svg"
+    for flags in (("--out", csv, "--svg", taken), ("--out", taken, "--svg", svg)):
+        assert run_cli("run", "--data", small_csv, "--optimizer", "basic", "--mk", 3, *flags) == 1
+        assert capsys.readouterr().err == f"error: {taken}: is a directory\n"
+        assert list(tmp_path.iterdir()) == [taken]
+    assert run_cli("synth", "--preset", 1, "--out", taken) == 1
+    assert capsys.readouterr().err == f"error: {taken}: is a directory\n"
+    # reproduce checks all nine of its paths before it writes the first
+    out = tmp_path / "r"
+    (out / "config1_adam.csv").mkdir(parents=True)
+    assert run_cli("reproduce", 1, "--trials", 1, "--out-dir", out) == 1
+    assert capsys.readouterr().err == f"error: {out / 'config1_adam.csv'}: is a directory\n"
+    assert [p.name for p in out.iterdir()] == ["config1_adam.csv"]
+    assert list(taken.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "flags",
     [

@@ -10,7 +10,13 @@ from hypothesis.extra import numpy as hnp
 
 from oracles import polyline_points
 from streamarima.optimizers import OPTIMIZERS
-from streamarima.plotting import PALETTE, moving_average, render_svg, smooth_curve
+from streamarima.plotting import (
+    PALETTE,
+    _polyline_points,
+    moving_average,
+    render_svg,
+    smooth_curve,
+)
 
 
 def test_moving_average_trailing():
@@ -114,3 +120,50 @@ def plotted_curves(draw):
 def test_polyline_points_match_the_per_point_formula(curves):
     svg = render_svg(curves, title="t")
     assert re.findall(r'<polyline points="([^"]*)"', svg) == polyline_points(curves)
+
+
+def per_point(x, y):
+    """The points attribute written one "%.2f" pair at a time."""
+    return " ".join(map("%.2f,%.2f".__mod__, zip(x.tolist(), y.tolist())))
+
+
+# Kinds of values a polyline can hold: plain plot coordinates, values of
+# 1000 and more up past the array path's bound (c = 100 v < 2**31 - 1),
+# exact binary ties (k/8), the doubles at and next to x.xx5, and the
+# values that send a polyline through the per-point path.
+near_x_xx5 = st.tuples(st.integers(0, 10**7), st.sampled_from([-1.0, 0.0, 1.0])).map(
+    lambda t: float(np.nextafter((10 * t[0] + 5) / 1000, (10 * t[0] + 5) / 1000 + t[1]))
+)
+value_kinds = {
+    "plain": st.floats(0, 1000),
+    "large": st.floats(1000, 3e7),
+    "ties": st.integers(0, 3 * 10**6).map(lambda k: k / 8),
+    "near_x_xx5": near_x_xx5,
+    "signed": st.one_of(st.just(-0.0), st.floats(-1e4, -0.0), st.floats(0, 1000)),
+    "non_finite": st.one_of(st.sampled_from([np.nan, np.inf, -np.inf]), st.floats(0, 1000)),
+}
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_polyline_encoder_matches_percent_format(data):
+    n = data.draw(st.integers(0, 40))
+    kinds = st.sampled_from(list(value_kinds.values()))
+    x = data.draw(hnp.arrays(np.float64, n, elements=data.draw(kinds)))
+    y = data.draw(hnp.arrays(np.float64, n, elements=data.draw(kinds)))
+    assert _polyline_points(x, y) == per_point(x, y)
+
+
+def test_polyline_encoder_writes_near_ties_per_point():
+    # 0.005 is a little above 0.005, so "%.2f" writes 0.01, but 100 * 0.005
+    # rounds to exactly 0.5, which rint takes to 0: the array path alone
+    # would write 0.00. 0.375 and 1.125 are exact ties, rounded half to even.
+    x = np.array([0.005, 1.125, 70.0])
+    y = np.array([0.375, 2.675, 1234.5])
+    assert np.rint(x[0] * 100.0) == 0.0
+    assert _polyline_points(x, y) == "0.01,0.38 1.12,2.67 70.00,1234.50"
+    # the same points off the ties take the array path
+    x, y = x + 0.001, y + 0.001
+    assert _polyline_points(x, y) == "0.01,0.38 1.13,2.68 70.00,1234.50"
+    assert _polyline_points(x, y) == per_point(x, y)
+    assert _polyline_points(np.array([]), np.array([])) == ""

@@ -133,3 +133,21 @@ def test_spec_validation():
         GeneratorSpec(alpha=(0.5,), burn_in=-1)
     with pytest.raises(ValueError, match="shift index"):
         CoefficientShift(at_index=0, alpha=(0.5,), beta=())
+
+
+def test_integer_fields_are_checked_at_construction():
+    for field, bad, rule in (
+        ("seed", (1.5, True, -1, 2**128, "3"), r"seed must be an int in \[0, 2\*\*128\)"),
+        ("length", (2.5, True, 0), "length must be an int >= 1"),
+        ("burn_in", (1.5, False, -1), "burn_in must be an int >= 0"),
+    ):
+        for value in bad:
+            with pytest.raises(ValueError, match=rule):
+                GeneratorSpec(alpha=(0.5,), **{field: value})
+    for value in (2.5, True, 0):
+        with pytest.raises(ValueError, match="at_index"):
+            CoefficientShift(at_index=value, alpha=(0.5,))
+    # numpy integers and the largest Philox key are accepted
+    spec = GeneratorSpec(alpha=(0.5,), length=np.int64(5), burn_in=np.int32(2), seed=2**128 - 1)
+    assert len(generate(spec)) == 5
+    assert CoefficientShift(at_index=np.int64(1), alpha=(0.5,)).at_index == 1
