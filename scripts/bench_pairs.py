@@ -27,9 +27,15 @@ even pairs:
   PAIRED_REPEATS times. Each stream is warmed up on PAIRED_WARMUP samples,
   then timed in PAIRED_CHUNK-sample chunks of ``learn_step`` calls, one
   pair per chunk.
-* the kernel: ``experiment._kernel`` over preset 2 (data seed 7) at
-  ``reproduce 2``'s settings, each rule alone and all rules in one call at
-  1 trial, and all rules at 30 trials, PAIRED_KERNEL_PAIRS pairs each.
+* the kernel: ``experiment._kernel`` in PAIRED_KERNEL_PAIRS pairs of short
+  calls per key, pair k over the k-th PAIRED_KERNEL_SAMPLES-sample segment
+  of the key's series, each call from cold state. Over preset 2 (data seed
+  7) at ``reproduce 2``'s settings: each rule alone and all rules in one
+  call at 1 trial, all rules at 30 trials, and ``reproduce 7``'s sweep at
+  30 trials, its 7 ramps scaled by the segment's share of the series. And
+  batched-files' shape, ``combined`` at mk 300, 3 trials, lr 5e-3 and
+  lambda 102400, over the demo generator's series normalized by its
+  first batch.
 * the render: ``plotting.render_svg`` over ``reproduce 2``'s 8 curves,
   each computed once at data seed 7 and 2 trials and smoothed over 50
   samples, with that command's title and labels, PAIRED_RENDER_PAIRS pairs.
@@ -76,6 +82,7 @@ from pathlib import Path
 from paired_probe import (
     PAIRED_CHUNK,
     PAIRED_KERNEL_PAIRS,
+    PAIRED_KERNEL_SAMPLES,
     PAIRED_RENDER_PAIRS,
     PAIRED_REPEATS,
     PAIRED_WARMUP,
@@ -258,11 +265,14 @@ def main() -> int:
                 **in_process["stream"],
             },
             "kernel": {
-                "what": f"experiment._kernel on preset 2 (data seed 7), mk 10, lr 0.05, lambda "
-                        f"2000, each rule alone and all rules in one call at 1 trial, and all "
-                        f"rules at 30 trials: {PAIRED_KERNEL_PAIRS} pairs of whole calls; "
-                        "microseconds per sample; identical: whether both sides computed "
-                        "bitwise the same residuals",
+                "what": f"experiment._kernel, {PAIRED_KERNEL_PAIRS} pairs of "
+                        f"{PAIRED_KERNEL_SAMPLES}-sample calls per key, pair k over the k-th "
+                        "segment of the series: T1.<rule>, T1.all and T30.all on preset 2 (data "
+                        "seed 7), mk 10, lr 0.05, lambda 2000; T30.sweep, reproduce 7's ramps "
+                        "scaled by 1/10 plus its 3 baselines, 30 trials; batched_files, combined "
+                        "at mk 300, 3 trials, lr 5e-3, lambda 102400 on the demo generator's "
+                        "series; microseconds per sample; identical: whether both sides "
+                        "computed bitwise the same residuals",
                 **in_process["kernel"],
             },
             "render": {

@@ -1,15 +1,20 @@
 #!/usr/bin/env python3
-"""Write a directory of demo batch files in the two-column sensor format.
+"""Write a directory of demo batch files in the sensor or the one-column csv format.
 
-The batched experiment configurations expect a directory of whitespace
-separated files, one batch per file. Real vibration dumps are not shipped
-with the package, so this script fakes a drive-of-files from the synthetic
-generator: channel 0 is the series, channel 1 is a noisy copy, which is
-enough to exercise channel selection and the batched pipeline end to end.
+The batched experiment configurations expect a directory of files, one
+batch per file. Real vibration dumps are not shipped with the package, so
+this script fakes a drive-of-files from the synthetic generator. In the
+default ``bearing`` format each file has two whitespace separated columns:
+channel 0 is the series, channel 1 is a noisy copy, which is enough to
+exercise channel selection and the batched pipeline end to end. In the
+``csv`` format each file holds the series alone under the header ``value``,
+the layout that configuration 6 reads.
 
     python3 scripts/make_demo_batches.py --out-dir demo_batches
     python3 -m streamarima run --data demo_batches --format bearing \
         --optimizer combined --lambda 1000 --mk 30 --trials 2 --out demo.csv
+    python3 scripts/make_demo_batches.py --format csv --out-dir demo_csv
+    python3 -m streamarima reproduce 6 --data demo_csv --trials 2
 """
 
 import argparse
@@ -26,6 +31,7 @@ def main() -> int:
     ap.add_argument("--batches", type=int, default=10)
     ap.add_argument("--batch-size", type=int, default=2048)
     ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--format", choices=("bearing", "csv"), default="bearing")
     args = ap.parse_args()
 
     total = args.batches * args.batch_size
@@ -42,7 +48,10 @@ def main() -> int:
     out.mkdir(parents=True, exist_ok=True)
     for k in range(args.batches):
         sl = slice(k * args.batch_size, (k + 1) * args.batch_size)
-        rows = "\n".join(f"{a:.8f}\t{b:.8f}" for a, b in zip(values[sl], shadow[sl]))
+        if args.format == "csv":
+            rows = "\n".join(["value", *(f"{a:.8f}" for a in values[sl])])
+        else:
+            rows = "\n".join(f"{a:.8f}\t{b:.8f}" for a, b in zip(values[sl], shadow[sl]))
         (out / f"batch_{k:04d}.txt").write_text(rows + "\n", encoding="ascii")
     print(f"wrote {args.batches} files of {args.batch_size} samples to {out}")
     return 0

@@ -5,9 +5,10 @@
 
 Loads each ``src/streamarima`` under its own package name and times the two
 sides in alternating pairs, parent first in even pairs: chunks of
-``learn_step`` calls per rule, and whole ``experiment._kernel`` calls per
-rule and for all rules, and whole ``plotting.render_svg`` calls over
-``reproduce 2``'s smoothed curves. It also hashes each side's streams.
+``learn_step`` calls per rule, short ``experiment._kernel`` calls per rule,
+for all rules, for a lambda sweep and at batched-files' shape, and whole
+``plotting.render_svg`` calls over ``reproduce 2``'s smoothed curves. It
+also hashes each side's streams.
 Prints one JSON object with the keys ``stream``, ``kernel``, ``render`` and
 ``sha256``;
 ``scripts/bench_pairs.py`` runs it and describes what each key holds.
@@ -29,9 +30,13 @@ from functools import partial
 PAIRED_REPEATS = 6
 PAIRED_WARMUP = 50
 PAIRED_CHUNK = 500
-PAIRED_KERNEL_PAIRS = 8
+PAIRED_KERNEL_PAIRS = 40
+PAIRED_KERNEL_SAMPLES = 1000
 PAIRED_RENDER_PAIRS = 20
 SIDES = ("parent", "change")
+# the ARMA coefficients of scripts/make_demo_batches.py, whose files batched-files streams
+DEMO_ALPHA, DEMO_BETA = (0.9, -0.9, 0.9, -0.4, -0.1), (0.5, 0.1)
+DEMO_BATCH = 2048
 
 
 def load(name: str, src: str):
@@ -91,31 +96,50 @@ def probe_stream(sides: dict, rules: list[str]) -> tuple[dict, dict]:
 
 
 def probe_kernel(sides: dict, rules: list[str]) -> dict:
-    """Whole kernel calls over preset 2, per rule and for all rules, and whether both agree."""
+    """Short kernel calls per key, in alternating pairs, and whether both sides agree.
+
+    Pair k times one call per side over the k-th PAIRED_KERNEL_SAMPLES-sample
+    segment of the key's series, cycling through the series; every call
+    starts from cold optimizer state at step 1.
+    """
     clock = time.perf_counter_ns
-    synthetic = sides["change"].synthetic
-    values = synthetic.generate(synthetic.preset(2, seed=7)).values
-    calls = {}
-    for side, package in sides.items():
-        for trials in (1, 30):
-            base = package.RunSpec(package.ModelConfig(mk=10), "combined", 0.05, 2000.0,
-                                   tuple(range(trials)))
-            specs = [replace(base, optimizer=name) for name in rules]
-            groups = {"all": specs}
-            if trials == 1:
-                groups = {**{name: [spec] for name, spec in zip(rules, specs)}, **groups}
-            for label, group in groups.items():
-                calls.setdefault(f"T{trials}.{label}", {})[side] = partial(
-                    package.experiment._kernel, group, values, None)
+    package = sides["change"]
+    synthetic, experiment = package.synthetic, package.experiment
+    preset2 = synthetic.generate(synthetic.preset(2, seed=7)).values
+    demo = synthetic.generate(synthetic.GeneratorSpec(
+        alpha=DEMO_ALPHA, beta=DEMO_BETA, length=10 * DEMO_BATCH, seed=0)).values
+    # normalized as batched-files' run normalizes its batches: by the first batch's range
+    demo = package.series.normalize(demo, demo[:DEMO_BATCH].min(), demo[:DEMO_BATCH].max())
+    # key: (series, mk, runs as (rule, rate, ramp, trials))
+    keys = {}
+    for trials in (1, 30):
+        runs = [(name, 0.05, 2000.0 if name == "combined" else None, trials) for name in rules]
+        if trials == 1:
+            keys.update({f"T1.{run[0]}": (preset2, 10, [run]) for run in runs})
+        keys[f"T{trials}.all"] = (preset2, 10, runs)
+    # reproduce 7's ramps scaled to the segment, so that its several ramps
+    # end one by one and the last runs alone for the second half of each call
+    scale = PAIRED_KERNEL_SAMPLES / 10_000
+    grid = importlib.import_module(f"{package.__name__}.cli").LAMBDA_GRID.split(",")
+    keys["T30.sweep"] = (preset2, 10, [
+        *(("combined", 0.05, float(ramp) * scale, 30) for ramp in grid),
+        *((name, 0.05, None, 30) for name in experiment.SWEEP_BASELINES)])
+    keys["batched_files"] = (demo, 300, [("combined", 5e-3, 102400.0, 3)])
     kernel, identical = {}, True
-    for key, call in calls.items():
+    for key, (values, mk, runs) in keys.items():
+        calls = {side: partial(pkg.experiment._kernel, [
+            pkg.RunSpec(pkg.ModelConfig(mk=mk), rule, lr, ramp, tuple(range(trials)))
+            for rule, lr, ramp, trials in runs]) for side, pkg in sides.items()}
+        size = PAIRED_KERNEL_SAMPLES + mk
+        offsets = range(0, values.size - size + 1, PAIRED_KERNEL_SAMPLES)
         us = {side: [] for side in sides}
         for k in range(PAIRED_KERNEL_PAIRS):
+            segment = values[offsets[k % len(offsets)]:][:size]
             resid = {}
             for side in order(k):
                 t0 = clock()
-                resid[side] = call[side]()[0]
-                us[side].append((clock() - t0) * 1e-3 / (values.size - 10))
+                resid[side] = calls[side](segment, None)[0]
+                us[side].append((clock() - t0) * 1e-3 / PAIRED_KERNEL_SAMPLES)
             identical &= resid["parent"].tobytes() == resid["change"].tobytes()
         kernel[key] = summary(us)
     kernel["identical"] = identical

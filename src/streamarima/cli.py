@@ -61,13 +61,20 @@ CONFIGS = {
 
 
 def _resolve_out(path_str: str) -> Path:
-    """The output path ``path_str`` names; an existing directory is an error."""
+    """The output path ``path_str`` names.
+
+    An existing directory is an error, and so is a path under a file: its
+    nearest existing ancestor must be a directory.
+    """
     path = Path(path_str)
     base = os.environ.get(OUT_DIR_ENV)
     if base and not path.is_absolute():
         path = Path(base) / path
     if path.is_dir():
         raise ValueError(f"{path}: is a directory")
+    ancestor = next(p for p in path.absolute().parents if p.exists())
+    if not ancestor.is_dir():
+        raise ValueError(f"{path}: {ancestor} is not a directory")
     return path
 
 
@@ -272,15 +279,20 @@ def _write_outputs(args, files: dict, curves: dict[str, ResidualCurve],
     ``args.svg`` is set, the plot of ``curves``; return the paths, the plot's last.
 
     Every path is resolved and checked, and the plot rendered, before the
-    first write, so a bad path or a plot that cannot be drawn leaves no
-    file behind. Each file's text is rendered just before it is written,
-    so only one is held at a time.
+    first write, so a bad path, a path named for two outputs, or a plot that
+    cannot be drawn leaves no file behind. Each file's text is rendered just
+    before it is written, so only one is held at a time.
     """
+    outputs = list(files.items())
     if args.svg:
         svg = _svg_from_curves(curves, args.smooth, title)
-        files = {**files, args.svg: lambda: svg}
-    paths = [_resolve_out(p) for p in files]
-    for path, render in zip(paths, files.values()):
+        outputs.append((args.svg, lambda: svg))
+    paths = [_resolve_out(p) for p, _ in outputs]
+    resolved = [p.resolve() for p in paths]
+    for k, path in enumerate(paths):
+        if resolved[k] in resolved[:k]:
+            raise ValueError(f"{path}: named for two outputs")
+    for path, (_, render) in zip(paths, outputs):
         write_text_atomic(path, render())
     return paths
 

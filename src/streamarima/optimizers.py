@@ -16,9 +16,27 @@ order, and ``combined`` runs by ramp length, so that the users of each
 recurrence and of each delta form are one contiguous slice. Each step then
 applies each recurrence once, in place, over its slice, with full-shape
 arrays of the per-row coefficients (rate, ``(a, b)``, ramp) and of the
-constants. A
-``combined`` run past its ramp is a ``momentum`` run from then on; sorting
-by ramp keeps it at the edge of the slices it leaves.
+constants. A ``combined`` run past its ramp is a ``momentum`` run from
+then on; sorting by ramp keeps it at the edge of the slices it leaves.
+
+The three linear recurrences are one update ``state <- decay*state +
+gain*g`` over adjacent planes of one ``(3, *shape)`` buffer: ``velocity``,
+``m`` and ``s`` are views of its planes, and the per-row decay
+(``MU | BETA1 | a``) and gain (``lr | 1-BETA1 | b``) are planes of the
+same shape, never broadcast. Recurrences that every row keeps advance as
+one group in five calls: copy ``grad`` into the group's other gradient
+planes, ``inc = gain*G``, ``inc_s *= g`` for the squared average,
+``state *= decay`` and ``state += inc``. A ``combined`` run, or a bank of
+``combined`` runs all on their ramps, groups v, m and s; a bank of adam and
+amsgrad runs groups m and s. A recurrence alone in its group, or kept by
+only some rows (a group there would be a strided view, which numpy runs
+more slowly than separate calls), keeps its own calls. The
+velocity plane of ``inc`` is the delta buffer, so ``lr*g`` is computed once.
+While exactly one distinct ramp is still running, its blend weights
+``w = (t-1)/ramp`` and ``1-w`` are Python floats in 0-d arrays rather than
+full-shape arrays. A lone ``combined`` run on its ramp so makes 14 numpy
+calls per step, down from 21, and the 8-rule bank 25 while its ramp runs,
+down from 27, and 22 after it, as before.
 
 ``make_optimizer`` builds the one-run case, with the checked calls:
 
@@ -35,9 +53,10 @@ that writes every gradient into ``grad`` itself: the experiment kernel and
 object on every call, valid until the next.
 
 The update is bound once, when the state is allocated, and again when a
-ramp ends or ``without`` builds a copy: ``_ops`` lists each numpy call with
-its operands, views over the rows it updates, output included, in the
-order of operations above, and ``_hand_ops`` the ramp's blend. ``advance``
+ramp ends or ``without`` builds a copy, so the groups and the blend's
+weights follow the rules and ramps still running: ``_ops`` lists each numpy
+call with its operands, views over the rows it updates, output included,
+in the order of operations above, and ``_hand_ops`` the ramp's blend. ``advance``
 writes step t's scalars into 0-d arrays and runs the lists.
 
 Deltas never depend on the coefficient values themselves, only on the
@@ -102,6 +121,9 @@ OPTIMIZERS: dict[str, Rule] = {rule.name: rule for rule in (
 
 BASELINE_NAMES = tuple(name for name in OPTIMIZERS if name != "combined")
 
+# The recurrences' state, in the order of the planes of an optimizer's buffers
+PLANES = ("velocity", "m", "s")
+
 
 class Optimizer:
     """Runs of update rules over one coefficient array, one block of rows per run.
@@ -150,22 +172,31 @@ class Optimizer:
             shape = (stops[-1], self.dim)
             spans = [slice(stop - rows, stop) for stop, (*_, rows) in zip(stops, self._runs)]
         self.shape = shape
-        for key in ("grad", "velocity", "m", "s", "v_max", "delta",
-                    "_lr", "_decay", "_scale", "_ramp", "_tmp", "_tmp2", "_den"):
+        # plane p of each holds recurrence p's term, in PLANES order: the state,
+        # the gradient the recurrence reads, its increment gain*g, its decay and
+        # its gain, full-shape so that a group of planes advances in one call
+        for key in ("_state", "_grads", "_inc", "_decay", "_gain"):
+            setattr(self, key, np.zeros((len(PLANES), *shape)))
+        self.velocity, self.m, self.s = self._state
+        self.grad = self._grads[0]
+        self.delta = self._inc[0]  # which holds lr*g until the delta overwrites it
+        self._decay[0], self._decay[1] = MU, BETA1
+        self._gain[1] = 1.0 - BETA1
+        for key in ("v_max", "_ramp", "_tmp", "_tmp2", "_den"):
             setattr(self, key, np.zeros(shape))
         # the constants as arrays too: numpy takes two arrays faster than an array and a float
-        self._mu, self._beta1, self._beta1c, self._eps, self._one = (
-            np.full(shape, c) for c in (MU, BETA1, 1.0 - BETA1, EPS, 1.0))
+        self._eps, self._one = np.full(shape, EPS), np.full(shape, 1.0)
         # and the scalars of step t as 0-d arrays, rewritten each step, for the same reason
-        self._bias1, self._bias2, self._elapsed = np.zeros(()), np.zeros(()), np.zeros(())
+        self._bias1, self._bias2, self._elapsed, self._w, self._keep = (
+            np.zeros(()) for _ in range(5))
         self._spans = spans
         self.blocks = [None] * len(spans)
         for i, span in zip(self._order, spans):
             self.blocks[i] = span
         for (rule, lr, ramp, _), span in zip(self._runs, spans):
-            self._lr[span] = lr
+            self._gain[0][span] = lr
             if rule.squared:
-                self._decay[span], self._scale[span] = rule.squared
+                self._decay[2][span], self._gain[2][span] = rule.squared
             if ramp is not None:
                 self._ramp[span] = ramp
         self._rules = [rule for rule, *_ in self._runs]
@@ -203,29 +234,36 @@ class Optimizer:
 
         mul, add, div, sqrt = np.multiply, np.add, np.divide, np.sqrt
         ops, corr = [], None
+        users = [self._span(keep) for keep in (lambda r, _: r.velocity, lambda r, _: r.moment,
+                                               lambda r, _: r.squared is not None)]
         # lr*g for the velocity and the step, lookahead and scaled deltas; in
-        # between, adam and amsgrad rows compute it unread
-        if lr_g := at(lambda r, _: r.velocity or r.delta in ("step", "scaled"),
-                      self._lr, self.grad, self.delta, hull=True):
-            ops.append((mul, lr_g))
-        if vel := at(lambda r, _: r.velocity, self.velocity, self._mu, self.delta):
-            v, mu, lr_g = vel
-            ops += [(mul, (v, mu, v)), (add, (v, lr_g, v))]
+        # between, adam and amsgrad rows compute it unread. Over the velocity's
+        # rows alone it is computed with the velocity's recurrence instead.
+        lr_rows = self._span(lambda r, _: r.velocity or r.delta in ("step", "scaled"), hull=True)
+        lr_g = lr_rows is not None and lr_rows != users[0]
+        if lr_g:
+            ops.append((mul, (self._gain[0][lr_rows], self.grad[lr_rows], self.delta[lr_rows])))
+        # recurrences that every row keeps advance as one group of adjacent
+        # planes, a contiguous block; over fewer rows a group would be a
+        # strided view, which numpy iterates more slowly than separate calls
+        lo = 0
+        while lo < len(PLANES):
+            hi = lo + 1
+            while hi < len(PLANES) and users[lo] is users[hi] is ...:
+                hi += 1
+            if users[lo] is not None:
+                ops += self._advance_ops(lo, hi, users[lo], lr_g)
+            lo = hi
         if look := at(lambda r, _: r.delta == "lookahead", self.delta, self.velocity,
-                      self._tmp, self._mu):
+                      self._tmp, self._decay[0]):
             d, v, tmp, mu = look
             ops += [(mul, (mu, v, tmp)), (add, (d, tmp, d))]
         if vdel := at(lambda r, _: r.delta == "velocity", self.delta, self.velocity):
             ops.append((np.copyto, vdel))
-        if mom := at(lambda r, _: r.moment, self.m, self._tmp, self.grad, self._beta1,
-                     self._beta1c, self.delta, self._lr):
-            m, tmp, g, beta1, beta1c, d_mom, lr = mom
-            ops += [(mul, (m, beta1, m)), (mul, (beta1c, g, tmp)), (add, (m, tmp, m))]
-        if sq := at(lambda r, _: r.squared is not None, self.s, self._decay, self._scale,
-                    self._tmp, self.grad, self._den, self._eps, self.delta):
-            s, decay, scale, tmp, g, den, eps, d_sq = sq
-            ops += [(mul, (s, decay, s)), (mul, (scale, g, tmp)), (mul, (tmp, g, tmp)),
-                    (add, (s, tmp, s))]
+        if mom := users[1]:
+            m, d_mom, lr = self.m[mom], self.delta[mom], self._gain[0][mom]
+        if sq := users[2]:
+            den, eps, d_sq = self._den[sq], self._eps[sq], self.delta[sq]
             if vmax := at(lambda r, _: r.v_max, self.v_max, self.s, self._den):
                 v_max, s_max, den_max = vmax
                 # numpy deprecates a positional out for maximum
@@ -245,12 +283,42 @@ class Optimizer:
         # the scalars of step t that the ops read
         self._moment = mom is not None
         self._corrected = corr is not None
-        self._hand_ops = []
+        self._hand_ops, self._one_ramp = [], None
         if hand := at(lambda r, ramp: r.delta == "handover" and ramp != math.inf,
                       self.delta, self.velocity, self._ramp, self._tmp, self._tmp2, self._one):
             d, v, ramp, w, keep, one = hand
-            self._hand_ops = [(div, (self._elapsed, ramp, w)), (np.subtract, (one, w, keep)),
-                              (mul, (d, keep, d)), (mul, (w, v, w)), (add, (d, w, d))]
+            ramps = {self._runs[k][2] for k in self._ramping}
+            if len(ramps) == 1:
+                # one ramp: its weights are the same in every row, so scalars
+                (self._one_ramp,) = ramps
+                self._hand_ops = [(mul, (d, self._keep, d)), (mul, (self._w, v, w)),
+                                  (add, (d, w, d))]
+            else:
+                self._hand_ops = [(div, (self._elapsed, ramp, w)), (np.subtract, (one, w, keep)),
+                                  (mul, (d, keep, d)), (mul, (w, v, w)), (add, (d, w, d))]
+
+    def _advance_ops(self, lo: int, hi: int, rows, lr_g: bool) -> list:
+        """The calls that advance recurrence planes ``lo`` to ``hi - 1`` over ``rows``.
+
+        The velocity's increment lr*g is already in the delta when ``lr_g``.
+        """
+        mul, g = np.multiply, self.grad[rows]
+        buffers = (self._state, self._decay, self._gain, self._inc)
+        if hi == lo + 1:
+            # one plane, in views of its rows, reading grad itself
+            state, decay, gain, inc = (a[lo, rows] for a in buffers)
+            ops = [] if lo == 0 and lr_g else [(mul, (gain, g, inc))]
+        else:
+            # a group over every row: grad is copied into its other gradient planes
+            state, decay, gain, inc = (a[lo:hi] for a in buffers)
+            ops = [(np.copyto, (self._grads[max(lo, 1):hi], g)),
+                   (mul, (gain, self._grads[lo:hi], inc))]
+        if hi == len(PLANES):
+            # the squared average's increment is (b*g)*g; an in-place call
+            # passes one view as input and output, which numpy checks fastest
+            inc_s = self._inc[-1, rows]
+            ops.append((mul, (inc_s, g, inc_s)))
+        return ops + [(mul, (state, decay, state)), (np.add, (state, inc, state))]
 
     def _hand_over(self, t: int) -> None:
         """Make every combined run whose ramp has ended at step t a momentum run."""
@@ -273,8 +341,8 @@ class Optimizer:
         copy.step_count = self.step_count  # its next step hands over what has ended
         rows = np.concatenate([np.arange(self.blocks[kept[i]].start, self.blocks[kept[i]].stop)
                                for i in copy._order])
-        for key in ("velocity", "m", "s", "v_max"):
-            getattr(copy, key)[...] = getattr(self, key)[rows]
+        copy._state[...] = self._state[:, rows]
+        copy.v_max[...] = self.v_max[rows]
         return copy, rows
 
     def advance(self) -> np.ndarray:
@@ -293,7 +361,11 @@ class Optimizer:
             op(*operands)
         # the first step, and an infinite ramp, leave AMSGrad's delta exact
         if self._hand_ops and t > 1:
-            self._elapsed[()] = t - 1
+            if self._one_ramp is None:
+                self._elapsed[()] = t - 1
+            else:
+                self._w[()] = w = (t - 1) / self._one_ramp
+                self._keep[()] = 1.0 - w
             for op, operands in self._hand_ops:
                 op(*operands)
         return self.delta

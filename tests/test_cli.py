@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -185,6 +186,50 @@ def test_an_output_path_that_is_a_directory_writes_nothing(tmp_path, small_csv, 
     assert capsys.readouterr().err == f"error: {out / 'config1_adam.csv'}: is a directory\n"
     assert [p.name for p in out.iterdir()] == ["config1_adam.csv"]
     assert list(taken.iterdir()) == []
+
+
+def test_two_outputs_at_one_path_write_nothing(tmp_path, small_csv, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    run = ("run", "--data", small_csv, "--optimizer", "basic", "--mk", 3)
+    for out, svg in (("same.out", "same.out"), ("same.out", "./same.out"),
+                     (tmp_path / "same.out", "same.out")):
+        assert run_cli(*run, "--out", out, "--svg", svg) == 1
+        assert capsys.readouterr().err == f"error: {Path(svg)}: named for two outputs\n"
+    assert run_cli("sweep-lambda", "--data", small_csv, "--grid", 5, "--mk", 3,
+                   "--out", "s.csv", "--svg", "s.csv") == 1
+    assert capsys.readouterr().err == "error: s.csv: named for two outputs\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_output_path_under_a_file_writes_nothing(tmp_path, small_csv, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    ok = tmp_path / "ok.csv"
+    for bad in (afile / "x.svg", afile / "sub" / "x.svg"):
+        assert run_cli("run", "--data", small_csv, "--optimizer", "basic", "--mk", 3,
+                       "--out", ok, "--svg", bad) == 1
+        assert capsys.readouterr().err == f"error: {bad}: {afile} is not a directory\n"
+    assert run_cli("synth", "--preset", 1, "--out", afile / "s.csv") == 1
+    assert capsys.readouterr().err == f"error: {afile / 's.csv'}: {afile} is not a directory\n"
+    assert list(tmp_path.iterdir()) == [afile]
+    assert afile.read_text() == "kept\n"
+
+
+def test_reproduce_6_runs_on_the_csv_demo_batches(tmp_path, capsys):
+    # configuration 6 reads one-column csv batches, which the demo script writes on request
+    script = Path(__file__).resolve().parents[1] / "scripts" / "make_demo_batches.py"
+    demo = tmp_path / "demo"
+    subprocess.run([sys.executable, str(script), "--format", "csv", "--batches", "3",
+                    "--batch-size", "400", "--out-dir", str(demo)], check=True,
+                   capture_output=True)
+    assert (demo / "batch_0000.txt").read_text().startswith("value\n")
+    out = tmp_path / "out"
+    assert run_cli("reproduce", 6, "--data", demo, "--trials", 2, "--out-dir", out) == 0
+    assert capsys.readouterr().out == f"wrote 8 curve files and {out / 'config6.svg'}\n"
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        ["config6.svg"] + [f"config6_{name}.csv" for name in ALL_OPTIMIZERS])
+    lines = (out / "config6_combined.csv").read_text().splitlines()
+    assert lines[0] == "t,r_mean,r_0,r_1" and len(lines) == 1 + 3
 
 
 @pytest.mark.parametrize(

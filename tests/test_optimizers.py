@@ -493,24 +493,42 @@ def test_advance_over_the_grad_buffer_is_update_direction(name, rows):
         assert_bitwise(getattr(opt, key), getattr(twin, key), key)
 
 
-def test_advance_over_the_grad_buffer_across_handover_and_without():
-    # every rule in one bank; the ramps of 2 and 3 hand over at steps 3 and 4
+# Banks whose rows group differently from those of one-run optimizers: every
+# rule, where no recurrence shares its rows with another; two combined ramps,
+# which share v, m and s until the first hand-over and then m and s; adam with
+# amsgrad, which share m and s; and one combined run across its hand-over.
+BANKS = {
+    "every-rule": [(name, LR, 2.0 if name == "combined" else None, 2) for name in OPTIMIZERS]
+    + [("combined", 0.03, ramp, 3) for ramp in (3.0, math.inf)],
+    "combined-ramps": [("combined", LR, 2.0, 2), ("combined", 0.03, 9.0, 3)],
+    "adam-amsgrad": [("adam", LR, None, 2), ("amsgrad", 0.03, None, 3)],
+    "lone-combined": [("combined", LR, 4.0, 3)],
+}
+
+
+@pytest.mark.parametrize("bank", tuple(BANKS))
+def test_advance_over_the_grad_buffer_across_handover_and_without(bank):
+    # the ramps of 2, 3, 4 and 9 hand over at steps 3, 4, 5 and 10; each row is
+    # checked against a lone optimizer of its run's rule
     rng = np.random.default_rng(9)
-    runs = [(name, LR, 2.0 if name == "combined" else None, 2) for name in OPTIMIZERS]
-    runs += [("combined", 0.03, ramp, 3) for ramp in (3.0, math.inf)]
-    runs = [runs[i] for i in rng.permutation(len(runs))]
-    bank, twin = Optimizer(3, runs), Optimizer(3, runs)
+    runs = [BANKS[bank][i] for i in rng.permutation(len(BANKS[bank]))]
+    opt = Optimizer(3, runs)
+    alone = [[make_optimizer(rule, 3, lr, ramp) for _ in range(rows)]
+             for rule, lr, ramp, rows in runs]
     for k in range(12):
         if k == 6:
-            gone = [i % 3 == 0 for i in range(len(runs))]
-            bank, rows = bank.without(gone)
-            twin, twin_rows = twin.without(gone)
-            np.testing.assert_array_equal(rows, twin_rows)
-            assert bank.grad.shape == bank.shape == (rows.size, 3)
-        g = rng.normal(size=bank.shape)
-        bank.grad[...] = g
-        assert_bitwise(bank.advance(), twin.update_direction(g), f"step {k}")
-    assert bank.step_count == twin.step_count == 12
+            gone = [i % 3 == 0 and len(runs) > 1 for i in range(len(runs))]
+            opt, rows = opt.without(gone)
+            kept = [i for i, out in enumerate(gone) if not out]
+            alone = [alone[i] for i in kept]
+            assert opt.grad.shape == opt.shape == (rows.size, 3)
+        g = rng.normal(size=opt.shape)
+        opt.grad[...] = g
+        got = opt.advance()
+        for opts, block in zip(alone, opt.blocks):
+            for row, one in zip(range(block.start, block.stop), opts):
+                assert_bitwise(got[row], one.update_direction(g[row]), f"{bank} step {k} row {row}")
+    assert opt.step_count == 12
 
 
 # ------------------------------------------------------------ validation
