@@ -28,11 +28,12 @@ even pairs:
   then timed in PAIRED_CHUNK-sample chunks of ``learn_step`` calls, one
   pair per chunk.
 * the kernel: ``experiment._kernel`` in PAIRED_KERNEL_PAIRS pairs of short
-  calls per key, pair k over the k-th PAIRED_KERNEL_SAMPLES-sample segment
-  of the key's series, each call from cold state. Over preset 2 (data seed
-  7) at ``reproduce 2``'s settings: each rule alone and all rules in one
-  call at 1 trial, all rules at 30 trials, and ``reproduce 7``'s sweep at
-  30 trials, its 7 ramps scaled by the segment's share of the series. And
+  calls per key (PAIRED_BATCHED_FILES_PAIRS for batched_files), pair k
+  over the k-th PAIRED_KERNEL_SAMPLES-sample segment of the key's series,
+  each call from cold state. Over preset 2 (data seed 7) at ``reproduce
+  2``'s settings: each rule alone and all rules in one call at 1 trial,
+  all rules at 30 trials, and ``reproduce 7``'s sweep at 30 trials, its 7
+  ramps scaled by the segment's share of the series. And
   batched-files' shape, ``combined`` at mk 300, 3 trials, lr 5e-3 and
   lambda 102400, over the demo generator's series normalized by its
   first batch.
@@ -49,9 +50,11 @@ float64 bytes, rule after rule. ``reproduce`` never calls ``learn_step``,
 so this is the one digest of that path.
 
 Each side also runs ``reproduce 1 2 3 7 --trials 2`` into a temporary
-directory, one command per configuration, and ``reproduce 4 5 --trials 2``
-on the 40 batch files that its own ``scripts/make_demo_batches.py
---batches 40`` writes, and keeps the output files and a log of each
+directory, one command per configuration, ``reproduce 4 5 --trials 2``
+on the 40 bearing batch files that its own ``scripts/make_demo_batches.py
+--batches 40`` writes, and ``reproduce 6 --trials 2`` on the 40 csv batch
+files of ``--format csv``, so that both layouts' reader and the d = 1 path
+over batches are byte-checked. It keeps the output files and a log of each
 command's stdout, stderr and exit status. The JSON records the
 sha256 of each of those files per side, by name, whether the two sides
 wrote the same files with the same bytes, and the names that differ, so
@@ -80,6 +83,7 @@ import tempfile
 from pathlib import Path
 
 from paired_probe import (
+    PAIRED_BATCHED_FILES_PAIRS,
     PAIRED_CHUNK,
     PAIRED_KERNEL_PAIRS,
     PAIRED_KERNEL_SAMPLES,
@@ -93,7 +97,9 @@ ROOT = Path(__file__).resolve().parent.parent
 PROBE = Path(__file__).resolve().with_name("paired_probe.py")
 PAIRS = 10
 OUTPUT_CONFIGS = ("1", "2", "3", "7")
-BATCHED_CONFIGS = ("4", "5")
+# batched configuration: the demo directory it reads
+BATCHED_CONFIGS = {"4": "demo", "5": "demo", "6": "demo_csv"}
+DEMO_FORMATS = {"demo": "bearing", "demo_csv": "csv"}
 DEMO_BATCHES = "40"
 OUTPUT_TRIALS = "2"
 
@@ -130,11 +136,12 @@ def output_digests(tree: Path) -> dict[str, str]:
         out = Path(tmp) / "out"
         # paths are relative to the temporary directory, so that stdout names
         # the same paths on both sides
-        subprocess.run([sys.executable, str(tree / "scripts" / "make_demo_batches.py"),
-                        "--batches", DEMO_BATCHES, "--out-dir", "demo"],
-                       cwd=tmp, env=env, capture_output=True, check=True)
-        for config in OUTPUT_CONFIGS + BATCHED_CONFIGS:
-            data = ("--data", "demo") if config in BATCHED_CONFIGS else ()
+        for demo, fmt in DEMO_FORMATS.items():
+            subprocess.run([sys.executable, str(tree / "scripts" / "make_demo_batches.py"),
+                            "--batches", DEMO_BATCHES, "--format", fmt, "--out-dir", demo],
+                           cwd=tmp, env=env, capture_output=True, check=True)
+        for config in OUTPUT_CONFIGS + tuple(BATCHED_CONFIGS):
+            data = ("--data", BATCHED_CONFIGS[config]) if config in BATCHED_CONFIGS else ()
             cmd = [sys.executable, "-m", "streamarima", "reproduce", config,
                    "--trials", OUTPUT_TRIALS, *data, "--out-dir", "out"]
             proc = subprocess.run(cmd, cwd=tmp, env=env, capture_output=True, text=True)
@@ -237,6 +244,8 @@ def main() -> int:
                   for side in SIDES}
         in_process = paired(trees)
 
+    demo_dirs = ", ".join(f"{c} ({d})" for c, d in BATCHED_CONFIGS.items())
+    demo_formats = ", ".join(f"{f} ({d})" for d, f in DEMO_FORMATS.items())
     doc = {
         "what": f"perfbench/run.py --workload all --seconds {seconds:g}, parent "
                 f"{parent_rev[:12]} against the working tree on the same host, each run "
@@ -266,7 +275,8 @@ def main() -> int:
             },
             "kernel": {
                 "what": f"experiment._kernel, {PAIRED_KERNEL_PAIRS} pairs of "
-                        f"{PAIRED_KERNEL_SAMPLES}-sample calls per key, pair k over the k-th "
+                        f"{PAIRED_KERNEL_SAMPLES}-sample calls per key ("
+                        f"{PAIRED_BATCHED_FILES_PAIRS} for batched_files), pair k over the k-th "
                         "segment of the series: T1.<rule>, T1.all and T30.all on preset 2 (data "
                         "seed 7), mk 10, lr 0.05, lambda 2000; T30.sweep, reproduce 7's ramps "
                         "scaled by 1/10 plus its 3 baselines, 30 trials; batched_files, combined "
@@ -286,9 +296,9 @@ def main() -> int:
         "outputs": {
             "command": f"python3 -m streamarima reproduce <config> --trials {OUTPUT_TRIALS} "
                        f"--out-dir out, for config in {' '.join(OUTPUT_CONFIGS)}; and with "
-                       f"--data demo for config in {' '.join(BATCHED_CONFIGS)}, after "
-                       f"python3 scripts/make_demo_batches.py --batches {DEMO_BATCHES} "
-                       "--out-dir demo",
+                       f"--data <dir> for config (dir) in {demo_dirs}, after python3 "
+                       f"scripts/make_demo_batches.py --batches {DEMO_BATCHES} --format <format> "
+                       f"--out-dir <dir> for format (dir) in {demo_formats}",
             "digest": "per side, the sha256 of each output file and of a log per command "
                       "(stdout, stderr, exit status), by name; differing: the names whose "
                       "bytes differ or that only one side wrote",

@@ -31,6 +31,9 @@ PAIRED_REPEATS = 6
 PAIRED_WARMUP = 50
 PAIRED_CHUNK = 500
 PAIRED_KERNEL_PAIRS = 40
+# a batched_files call lasts about 25 ms, long enough for the host's speed to
+# drift within a pair, so that key needs more pairs to resolve a few percent
+PAIRED_BATCHED_FILES_PAIRS = 120
 PAIRED_KERNEL_SAMPLES = 1000
 PAIRED_RENDER_PAIRS = 20
 SIDES = ("parent", "change")
@@ -98,9 +101,10 @@ def probe_stream(sides: dict, rules: list[str]) -> tuple[dict, dict]:
 def probe_kernel(sides: dict, rules: list[str]) -> dict:
     """Short kernel calls per key, in alternating pairs, and whether both sides agree.
 
-    Pair k times one call per side over the k-th PAIRED_KERNEL_SAMPLES-sample
-    segment of the key's series, cycling through the series; every call
-    starts from cold optimizer state at step 1.
+    Each key runs PAIRED_KERNEL_PAIRS pairs, batched_files
+    PAIRED_BATCHED_FILES_PAIRS. Pair k times one call per side over the k-th
+    PAIRED_KERNEL_SAMPLES-sample segment of the key's series, cycling through
+    the series; every call starts from cold optimizer state at step 1.
     """
     clock = time.perf_counter_ns
     package = sides["change"]
@@ -133,7 +137,8 @@ def probe_kernel(sides: dict, rules: list[str]) -> dict:
         size = PAIRED_KERNEL_SAMPLES + mk
         offsets = range(0, values.size - size + 1, PAIRED_KERNEL_SAMPLES)
         us = {side: [] for side in sides}
-        for k in range(PAIRED_KERNEL_PAIRS):
+        pairs = PAIRED_BATCHED_FILES_PAIRS if key == "batched_files" else PAIRED_KERNEL_PAIRS
+        for k in range(pairs):
             segment = values[offsets[k % len(offsets)]:][:size]
             resid = {}
             for side in order(k):

@@ -252,12 +252,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_floats(text: str, what: str) -> list[float]:
+    """The comma-separated values of ``text``.
+
+    Two values that print alike under ``%g``, as run labels and reports print
+    them, are an error: their runs would share a label.
+    """
+    tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
     try:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
+        values = [float(tok) for tok in tokens]
     except ValueError:
         raise ValueError(f"could not parse {what}: {text!r}") from None
     if not values:
         raise ValueError(f"{what} is empty")
+    seen = {}
+    for tok, value in zip(tokens, values):
+        shown = f"{value:g}"
+        if shown in seen:
+            raise ValueError(f"{what}: {seen[shown]!r} and {tok!r} both print as {shown}")
+        seen[shown] = tok
     return values
 
 

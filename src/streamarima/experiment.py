@@ -226,12 +226,17 @@ def normalize_batches(batches: list[MicroBatch]) -> list[MicroBatch]:
     """Normalize every batch with parameters fitted on the first batch only.
 
     Freezing the map keeps later batches on a consistent scale without
-    letting future data leak into earlier normalization.
+    letting future data leak into earlier normalization. A constant first
+    batch has no range to fit, and would map every later batch to 0, so it
+    is an error.
     """
     if not batches:
         raise ValueError("no batches to normalize")
     first = batches[0].samples.values
     lo, hi = first.min(), first.max()
+    if lo == hi:
+        raise ValueError(f"first batch (batch {batches[0].batch_index}) is constant at "
+                         f"{lo:g}: it gives no range to normalize by")
     return [
         MicroBatch(
             samples=TimeSeries(normalize(b.samples.values, lo, hi)),

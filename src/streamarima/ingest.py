@@ -1,11 +1,16 @@
 """Micro-batch file readers.
 
-Two on-disk layouts are supported, both one file per batch:
+Two on-disk layouts are supported, both one file of ASCII text per batch:
 
 * ``bearing``: whitespace-separated numeric columns, no header, one row per
   sample; ``channel`` selects the column.
 * ``csv``: a single column with the literal header ``value`` and one
   decimal per row; a ``channel`` other than 0 is an error.
+
+One row loop reads both; the format decides only whether row 1 is the
+``value`` header and whether a row's fields are its columns or the whole
+stripped row. Errors name the file and the row, blank rows counted; a
+byte that is not ASCII names only the file, as it is decoded in chunks.
 
 Directories are read in lexicographic filename order, which is assumed to
 be chronological order for these layouts.
@@ -21,53 +26,10 @@ from .series import MicroBatch, TimeSeries
 FORMATS = ("bearing", "csv")
 
 
-def _sample(path: Path, text: str, lineno: int) -> float:
-    """One finite sample, or an error naming the file and the row."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise ValueError(f"{path}: malformed value {text!r} in row {lineno}") from None
-    if not math.isfinite(value):
-        raise ValueError(f"{path}: non-finite value {text!r} in row {lineno}")
-    return value
-
-
-def _parse_bearing(path: Path, channel: int) -> list[float]:
-    if channel < 0:
-        raise ValueError(f"channel must be >= 0, got {channel}")
-    values = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            fields = line.split()
-            if not fields:
-                continue
-            if channel >= len(fields):
-                raise ValueError(
-                    f"{path}: row {lineno} has {len(fields)} columns, "
-                    f"channel {channel} is out of range"
-                )
-            values.append(_sample(path, fields[channel], lineno))
-    if not values:
-        raise ValueError(f"{path}: file contains no samples")
-    return values
-
-
-def _parse_csv_column(path: Path) -> list[float]:
-    values = []
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline()
-        if header.strip() != "value":
-            raise ValueError(
-                f"{path}: expected header 'value' on row 1, got {header.strip()!r}"
-            )
-        for lineno, line in enumerate(fh, start=2):
-            text = line.strip()
-            if not text:
-                continue
-            values.append(_sample(path, text, lineno))
-    if not values:
-        raise ValueError(f"{path}: file contains no samples")
-    return values
+def _whole_row(line: str) -> list[str]:
+    """A csv row's one field, the stripped row; none for a blank row."""
+    text = line.strip()
+    return [text] if text else []
 
 
 def parse_batch_file(
@@ -75,14 +37,40 @@ def parse_batch_file(
 ) -> MicroBatch:
     """Read one batch file into a MicroBatch."""
     path = Path(path)
-    if fmt == "bearing":
-        values = _parse_bearing(path, channel)
-    elif fmt == "csv":
-        if channel != 0:
-            raise ValueError(f"channel {channel}: csv batch files have one column")
-        values = _parse_csv_column(path)
-    else:
+    if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
+    if fmt == "bearing" and channel < 0:
+        raise ValueError(f"channel must be >= 0, got {channel}")
+    if fmt == "csv" and channel != 0:
+        raise ValueError(f"channel {channel}: csv batch files have one column")
+    split = str.split if fmt == "bearing" else _whole_row
+    values, first = [], 1
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            if fmt == "csv":
+                header, first = fh.readline().strip(), 2
+                if header != "value":
+                    raise ValueError(f"{path}: expected header 'value' on row 1, got {header!r}")
+            for lineno, line in enumerate(fh, start=first):
+                fields = split(line)
+                if not fields:
+                    continue
+                if channel >= len(fields):
+                    raise ValueError(f"{path}: row {lineno} has {len(fields)} columns, "
+                                     f"channel {channel} is out of range")
+                text = fields[channel]
+                try:
+                    value = float(text)
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: malformed value {text!r} in row {lineno}") from None
+                if not math.isfinite(value):
+                    raise ValueError(f"{path}: non-finite value {text!r} in row {lineno}")
+                values.append(value)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not ASCII text (byte 0x{exc.object[exc.start]:02x})") from None
+    if not values:
+        raise ValueError(f"{path}: file contains no samples")
     return MicroBatch(samples=TimeSeries(values), batch_index=batch_index)
 
 

@@ -232,6 +232,55 @@ def test_reproduce_6_runs_on_the_csv_demo_batches(tmp_path, capsys):
     assert lines[0] == "t,r_mean,r_0,r_1" and len(lines) == 1 + 3
 
 
+def test_a_constant_first_batch_writes_nothing(tmp_path, capsys):
+    data = tmp_path / "batches"
+    data.mkdir()
+    for name, rows in (("a.txt", "0 1\n0 2\n0 3\n"), ("b.txt", "1 0\n2 0\n3 0\n")):
+        (data / name).write_text(rows, encoding="ascii")
+    out = tmp_path / "out"
+    message = "error: first batch (batch 0) is constant at 0: it gives no range to normalize by\n"
+    assert run_cli("run", "--data", data, "--format", "bearing", "--optimizer", "basic",
+                   "--mk", 1, "--out", out / "o.csv") == 1
+    assert capsys.readouterr().err == message
+    assert run_cli("reproduce", 5, "--data", data, "--out-dir", out) == 1
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+    # another channel, or no normalization, runs
+    assert run_cli("run", "--data", data, "--format", "bearing", "--channel", 1,
+                   "--optimizer", "basic", "--mk", 1, "--out", out / "o.csv") == 0
+    assert run_cli("run", "--data", data, "--format", "bearing", "--no-normalize",
+                   "--optimizer", "basic", "--mk", 1, "--out", out / "o.csv") == 0
+
+
+def test_a_file_that_is_not_ascii_names_itself(tmp_path, capsys):
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbfvalue\n0.5\n0.25\n")
+    out = tmp_path / "o.csv"
+    assert run_cli("run", "--data", bom, "--optimizer", "basic", "--mk", 1, "--out", out) == 1
+    assert capsys.readouterr().err == f"error: {bom}: not ASCII text (byte 0xef)\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, grid, message",
+    [
+        ("sweep-lambda", "--grid", "100,100,1e2", "ramp grid: '100' and '100' both print as 100"),
+        ("sweep-lambda", "--grid", "5, 5.0", "ramp grid: '5' and '5.0' both print as 5"),
+        ("grid-search", "--rates", "0.01,1000000,1000001",
+         "rate grid: '1000000' and '1000001' both print as 1e+06"),
+    ],
+)
+def test_grid_values_that_print_alike_write_nothing(tmp_path, small_csv, capsys,
+                                                    command, flag, grid, message):
+    # labels and reports print each value with %g, so two such values would collide
+    out = tmp_path / "x.csv"
+    extra = ("--optimizer", "basic") if command == "grid-search" else ()
+    assert run_cli(command, "--data", small_csv, *extra, flag, grid, "--mk", 3,
+                   "--out", out) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "flags",
     [

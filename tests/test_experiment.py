@@ -348,6 +348,19 @@ def test_normalize_batches_freezes_first_batch_params():
         normalize_batches([])
 
 
+def test_a_constant_first_batch_is_an_error():
+    # its zero range would map this batch and every later one to 0
+    b0 = MicroBatch(TimeSeries(np.zeros(4)), 0)
+    b1 = MicroBatch(TimeSeries(np.array([1.0, 2.0])), 1)
+    with pytest.raises(ValueError) as info:
+        normalize_batches([b0, b1])
+    assert str(info.value) == (
+        "first batch (batch 0) is constant at 0: it gives no range to normalize by")
+    # a constant later batch is fine: the map comes from the first
+    _, n1 = normalize_batches([b1, MicroBatch(TimeSeries(np.full(3, 2.0)), 2)])
+    np.testing.assert_array_equal(n1.samples.values, [1.0, 1.0, 1.0])
+
+
 def test_compare_optimizers_returns_requested_curves(short_series):
     records = compare_optimizers(
         spec_for(optimizer="combined", ramp=50.0),

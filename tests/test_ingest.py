@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamarima.ingest import FORMATS, load_batch_dir, parse_batch_file
 
@@ -105,3 +107,105 @@ def test_load_batch_dir_errors(tmp_path):
     empty.mkdir()
     with pytest.raises(ValueError, match="no batch files"):
         load_batch_dir(empty, "bearing")
+
+
+@pytest.mark.parametrize(
+    "fmt, channel, message",
+    [
+        ("csv", -1, "channel -1: csv batch files have one column"),
+        ("csv", 1, "channel 1: csv batch files have one column"),
+        ("bearing", -1, "channel must be >= 0, got -1"),
+    ],
+)
+def test_channel_errors_name_the_layout(tmp_path, fmt, channel, message):
+    # the format decides which channel check runs, so csv's message holds for -1 too
+    f = write(tmp_path / "b.txt", "value\n0.5\n")
+    with pytest.raises(ValueError) as info:
+        parse_batch_file(f, fmt, channel=channel)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "fmt, data, byte",
+    [
+        ("csv", b"\xef\xbb\xbfvalue\n0.5\n", "0xef"),  # a byte-order mark
+        ("bearing", b"0.1 0.2\n0.3 \xc3\xa9\n", "0xc3"),
+        ("csv", b"value\n" + b"0.5\n" * 5000 + b"\xff\n", "0xff"),  # past the first chunk
+    ],
+    ids=["csv-bom", "bearing", "csv-late-byte"],
+)
+def test_a_file_that_is_not_ascii_names_itself(tmp_path, fmt, data, byte):
+    f = tmp_path / "b.txt"
+    f.write_bytes(data)
+    with pytest.raises(ValueError) as info:
+        parse_batch_file(f, fmt)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"{f}: not ASCII text (byte {byte})"
+
+
+BAD_CELLS = {"x": "malformed", "1..2": "malformed", "0x1": "malformed", "1,5": "malformed",
+             "nan": "non-finite", "-inf": "non-finite", "Infinity": "non-finite"}
+# a csv row is one field however it is spaced, so a row of two numbers is malformed there
+BAD_ROWS = {"0.5 0.25": "malformed", "1\t2": "malformed"}
+
+
+@st.composite
+def layouts(draw):
+    """A batch file's text in either format, its channel, and its bad cell's (token, row)."""
+    fmt = draw(st.sampled_from(FORMATS))
+    columns = 1 if fmt == "csv" else draw(st.integers(1, 4))
+    channel = draw(st.integers(0, columns - 1))
+    blank = st.sampled_from(["", " ", "\t", " \t "])
+    sep = st.sampled_from([" ", "\t", "  ", " \t"])
+    cell = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    rows = ["value" + draw(blank)] if fmt == "csv" else []
+    data_rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        rows += [draw(blank) for _ in range(draw(st.integers(0, 2)))]
+        data_rows.append(len(rows))
+        cells = [draw(cell) for _ in range(columns)]
+        rows.append(draw(blank) + draw(sep).join(cells) + draw(blank))
+    bad = None
+    if draw(st.booleans()):
+        k = draw(st.sampled_from(data_rows))
+        if fmt == "csv":
+            token = draw(st.sampled_from(sorted(BAD_CELLS) + sorted(BAD_ROWS)))
+            rows[k] = draw(blank) + token + draw(blank)
+        else:
+            token = draw(st.sampled_from(sorted(BAD_CELLS)))
+            cells = rows[k].split()
+            cells[channel] = token
+            rows[k] = draw(sep).join(cells)
+        bad = (token, k + 1)
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in rows]
+    text = "".join(row + end for row, end in zip(rows, ends))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return fmt, channel, text, bad
+
+
+@pytest.fixture(scope="module")
+def layout_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("layouts") / "batch.txt"
+
+
+@given(layout=layouts())
+@settings(max_examples=150, deadline=None)
+def test_random_layouts_match_a_one_line_parse(layout_path, layout):
+    fmt, channel, text, bad = layout
+    layout_path.write_bytes(text.encode("ascii"))
+    if bad is not None:
+        token, row = bad
+        kind = {**BAD_CELLS, **BAD_ROWS}[token]
+        message = f"{layout_path}: {kind} value {token!r} in row {row}"
+        with pytest.raises(ValueError) as info:
+            parse_batch_file(layout_path, fmt, channel=channel)
+        assert str(info.value) == message
+        return
+    lines = text.splitlines()
+    if fmt == "bearing":
+        expected = [float(r.split()[channel]) for r in lines if r.strip()]
+    else:
+        expected = [float(r) for r in lines[1:] if r.strip()]
+    batch = parse_batch_file(layout_path, fmt, channel=channel)
+    np.testing.assert_array_equal(batch.samples.values, expected)
