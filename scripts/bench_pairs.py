@@ -40,11 +40,16 @@ even pairs:
 * the render: ``plotting.render_svg`` over ``reproduce 2``'s 8 curves,
   each computed once at data seed 7 and 2 trials and smoothed over 50
   samples, with that command's title and labels, PAIRED_RENDER_PAIRS pairs.
+* the curve CSV: ``cli.curve_csv`` over ``reproduce 2``'s 8 curves
+  (data seed 7), computed once at each trial count of PAIRED_CSV_TRIALS;
+  per count PAIRED_CSV_PAIRS pairs, pair k writing the (k mod 8)-th curve.
 
 Each pair gives one ratio of the change's time to the parent's. Per key,
 the JSON records each side's median time, the median ratio and the number
 of pairs the change won, whether both sides' kernels computed bitwise the
-same residuals, and whether both sides rendered the same SVG bytes. Each side's stream is also hashed: the sha256 of every
+same residuals, whether both sides rendered the same SVG bytes, and
+whether both sides wrote the same curve CSV text. Each side's stream is
+also hashed: the sha256 of every
 prediction (value, residual) it streamed and each model's final gamma, as
 float64 bytes, rule after rule. ``reproduce`` never calls ``learn_step``,
 so this is the one digest of that path.
@@ -85,6 +90,8 @@ from pathlib import Path
 from paired_probe import (
     PAIRED_BATCHED_FILES_PAIRS,
     PAIRED_CHUNK,
+    PAIRED_CSV_PAIRS,
+    PAIRED_CSV_TRIALS,
     PAIRED_KERNEL_PAIRS,
     PAIRED_KERNEL_SAMPLES,
     PAIRED_RENDER_PAIRS,
@@ -291,6 +298,14 @@ def main() -> int:
                         "calls; microseconds per call; identical: whether both sides rendered "
                         "the same SVG bytes",
                 **in_process["render"],
+            },
+            "curve_csv": {
+                "what": f"cli.curve_csv over reproduce 2's 8 curves (data seed 7), key "
+                        f"T<trials> for trials in {', '.join(map(str, PAIRED_CSV_TRIALS))}: "
+                        f"{PAIRED_CSV_PAIRS} pairs per key, pair k writing the (k mod 8)-th "
+                        "curve; microseconds per call; identical: whether both sides wrote the "
+                        "same text for every call",
+                **in_process["curve_csv"],
             },
         },
         "outputs": {

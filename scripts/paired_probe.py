@@ -6,11 +6,12 @@
 Loads each ``src/streamarima`` under its own package name and times the two
 sides in alternating pairs, parent first in even pairs: chunks of
 ``learn_step`` calls per rule, short ``experiment._kernel`` calls per rule,
-for all rules, for a lambda sweep and at batched-files' shape, and whole
-``plotting.render_svg`` calls over ``reproduce 2``'s smoothed curves. It
+for all rules, for a lambda sweep and at batched-files' shape, whole
+``plotting.render_svg`` calls over ``reproduce 2``'s smoothed curves, and
+``cli.curve_csv`` calls over ``reproduce 2``'s curves at 2 and 30 trials. It
 also hashes each side's streams.
-Prints one JSON object with the keys ``stream``, ``kernel``, ``render`` and
-``sha256``;
+Prints one JSON object with the keys ``stream``, ``kernel``, ``render``,
+``curve_csv`` and ``sha256``;
 ``scripts/bench_pairs.py`` runs it and describes what each key holds.
 """
 
@@ -36,6 +37,8 @@ PAIRED_KERNEL_PAIRS = 40
 PAIRED_BATCHED_FILES_PAIRS = 120
 PAIRED_KERNEL_SAMPLES = 1000
 PAIRED_RENDER_PAIRS = 20
+PAIRED_CSV_PAIRS = 24
+PAIRED_CSV_TRIALS = (2, 30)
 SIDES = ("parent", "change")
 # the ARMA coefficients of scripts/make_demo_batches.py, whose files batched-files streams
 DEMO_ALPHA, DEMO_BETA = (0.9, -0.9, 0.9, -0.4, -0.1), (0.5, 0.1)
@@ -173,6 +176,33 @@ def probe_render(sides: dict, rules: list[str]) -> dict:
     return {**summary(us), "identical": svg["parent"] == svg["change"]}
 
 
+def probe_curve_csv(sides: dict, rules: list[str]) -> dict:
+    """cli.curve_csv over reproduce 2's curves per trial count, and whether both agree.
+
+    Pair k writes the (k mod 8)-th rule's curve on each side.
+    """
+    clock = time.perf_counter_ns
+    cli = {side: importlib.import_module(f"{pkg.__name__}.cli") for side, pkg in sides.items()}
+    package = sides["change"]
+    series = package.synthetic.generate(package.synthetic.preset(2, seed=7))
+    out, identical = {}, True
+    for trials in PAIRED_CSV_TRIALS:
+        spec = package.RunSpec(package.ModelConfig(mk=10), "combined", 0.05, 2000.0,
+                               tuple(range(trials)))
+        curves = [r.curve for r in package.compare_optimizers(spec, series, tuple(rules))]
+        us = {side: [] for side in sides}
+        for k in range(PAIRED_CSV_PAIRS):
+            text = {}
+            for side in order(k):
+                t0 = clock()
+                text[side] = cli[side].curve_csv(curves[k % len(curves)])
+                us[side].append((clock() - t0) * 1e-3)
+            identical &= text["parent"] == text["change"]
+        out[f"T{trials}"] = summary(us)
+    out["identical"] = identical
+    return out
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print("usage: paired_probe.py PARENT_SRC CHANGE_SRC", file=sys.stderr)
@@ -182,7 +212,9 @@ def main(argv: list[str]) -> int:
     stream, sha256 = probe_stream(sides, rules)
     kernel = probe_kernel(sides, rules)
     render = probe_render(sides, rules)
-    print(json.dumps({"stream": stream, "kernel": kernel, "render": render, "sha256": sha256}))
+    curve_csv = probe_curve_csv(sides, rules)
+    print(json.dumps({"stream": stream, "kernel": kernel, "render": render,
+                      "curve_csv": curve_csv, "sha256": sha256}))
     return 0
 
 

@@ -13,16 +13,25 @@ sweep or grid summary scores each run by the whole-stream mean of its
 trial-averaged |residual| curve, in its mean_residual column. All files are
 written atomically and identical command lines produce identical CSV bytes.
 Relative output paths resolve against $STREAMARIMA_OUT_DIR when it is set.
+
+A curve CSV's t cells are str(int(t)) and its value cells repr(float(v)).
+Its text is built in numpy: an exact array encoder finds repr's shortest
+digits with integer arithmetic (``_shortest_digits``), one gather per block
+of cells spells them in repr's notation, and each cell the encoder cannot
+prove is written with repr itself.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import tempfile
 from functools import partial
 from pathlib import Path
+
+import numpy as np
 
 from .experiment import (
     DivergedError,
@@ -37,7 +46,7 @@ from .experiment import (
 from .ingest import FORMATS, load_batch_dir, parse_batch_file
 from .model import ModelConfig
 from .optimizers import OPTIMIZERS
-from .plotting import render_svg, smooth_curve
+from .plotting import render_svg, smooth_curve, write_digits
 from .series import TimeSeries, normalize
 from .synthetic import generate, preset
 
@@ -100,15 +109,188 @@ def write_text_atomic(path: Path, text: str) -> None:
         raise
 
 
+# A curve CSV's value cells are the text repr(float(v)) gives: the fewest
+# significant digits that read back as v, the nearest to v among those,
+# with the point placed as _layout shows. _shortest_digits finds them with
+# integer arithmetic for the positive doubles in [_ARRAY_LO, _ARRAY_HI);
+# the other cells, and the few it cannot prove, are written with repr.
+_ARRAY_LO, _ARRAY_HI = 1e-10, 1e15
+_U64 = np.uint64
+_LOW32 = _U64(0xFFFFFFFF)
+# q = 16 - floor(log10 v) is in [1, 27] for v in [_ARRAY_LO, _ARRAY_HI],
+# also where log10 rounds across a power of ten, and 5**27 < 2**64
+_POW5 = np.array([5**k for k in range(28)], dtype=np.uint64)
+_POW10 = np.array([10**k for k in range(18)], dtype=np.uint64)
+# cells that curve_csv encodes at once; twice as many raised the peak RSS
+# of `reproduce 2 --trials 2` by 2 MB
+_CELL_CHUNK = 1 << 13
+
+
+def _scaled(m: np.ndarray, p: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """floor(m p / 2**s), and the fraction it drops times 2**64, for 0 < s < 64.
+
+    The product m p < 2**128 is formed exactly from 32-bit limbs. Every
+    operand is uint64: numpy computes uint64 with int64 in float64.
+    """
+    m0, m1, p0, p1 = m & _LOW32, m >> _U64(32), p & _LOW32, p >> _U64(32)
+    cross = m0 * p1 + m1 * p0
+    low = m0 * p0
+    carry = (low >> _U64(32)) + (cross & _LOW32)
+    lo = (carry << _U64(32)) | (low & _LOW32)
+    hi = m1 * p1 + (cross >> _U64(32)) + (carry >> _U64(32))
+    return (hi << (_U64(64) - s)) | (lo >> s), lo << (_U64(64) - s)
+
+
+def _shortest_digits(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The digits and point position of repr(float(x)) for each float64 x of ``v``.
+
+    Returns ``(c, i, decpt, exact)``. Where ``exact`` holds, repr's digits
+    are the 17 - i digits of the integer c, and x rounds to 0.c * 10**decpt.
+
+    x = M 2**E with an integer M < 2**53. With q = 16 - floor(log10 x), the
+    value and the midpoints to its neighbours, (4M + {-2, 0, 2}) 2**(E-2)
+    (4M - 1 below when M = 2**52, where the gap below is half as wide), are
+    scaled by 10**q = 5**q 2**q exactly: their products with 5**q are
+    shifted right by 2 - E - q. The scaled value lies in [10**16, 10**17),
+    where the midpoints are more than 1 apart. A midpoint's numerator is
+    odd, so it scales to an integer only when E >= 1, for x >= 2**53: on
+    the array range the integers between the midpoints are those from the
+    lower one's floor + 1 to the upper one's floor. 10**i is the largest
+    power of ten with a multiple among them, and c 10**i is the multiple
+    of 10**i nearest the value.
+
+    Not exact, and so written with repr: x off the array range (which
+    takes in zero, negatives, subnormals and non-finite values), x midway
+    between two multiples of 10**i, c 10**i outside the midpoints, and a
+    scale that log10 misjudged near a power of ten (the scaled value off
+    [10**16, 10**17), or c 10**i = 10**17).
+    """
+    # a value off the range is clamped into it, computed, and not exact
+    w = np.fmax(np.fmin(v, _ARRAY_HI), _ARRAY_LO)
+    bits = w.view(np.uint64)
+    frac = bits & _U64((1 << 52) - 1)
+    m = (frac | _U64(1 << 52)) << _U64(2)
+    q = (16.0 - np.floor(np.log10(w))).astype(np.intp)
+    p = _POW5[q]
+    s = _U64(1077) - (bits >> _U64(52)) - q.astype(np.uint64)
+    mid, mid_frac = _scaled(m, p, s)
+    hi = _scaled(m + _U64(2), p, s)[0]
+    lo = _scaled(m - _U64(2) + (frac == 0), p, s)[0]
+    i = np.zeros(v.size, dtype=np.intp)
+    below, top = lo, hi
+    while True:
+        below = below // _U64(10)
+        top = top // _U64(10)
+        more = below != top
+        if not more.any():
+            break
+        i += more
+    unit = _POW10[i]
+    c = mid // unit
+    # the scaled value is c unit + rest + mid_frac / 2**64, and unit / 2 is
+    # half + half_frac / 2**64
+    rest = mid - c * unit
+    half, half_frac = unit >> _U64(1), np.left_shift(i == 0, 63, dtype=np.uint64)
+    tie = (rest == half) & (mid_frac == half_frac)
+    c += (rest > half) | ((rest == half) & (mid_frac > half_frac))
+    near = c * unit
+    exact = ((v >= _ARRAY_LO) & (v < _ARRAY_HI) & ~tie & (near > lo) & (near <= hi)
+             & (mid >= _POW10[16]) & (mid < _POW10[17]) & (i < 17))
+    return c, i, 17 - q, exact
+
+
+# A cell's bytes are gathered from one row per value: the 17 digits of c,
+# zeros in front, then _CONSTANTS, whose last byte, 0, is the padding.
+_CONSTANTS = b",.0123456789e+-\0"
+_PAD = 17 + len(_CONSTANTS) - 1
+_CELL_WIDTH = 25  # "," and the longest repr of a float64
+
+
+def _layout(n: int, decpt: int) -> list[int]:
+    """The columns of that row that spell "," and repr's text of n digits at decpt."""
+    digits = [17 - n + k for k in range(n)]
+
+    def text(chars: str) -> list[int]:
+        return [17 + _CONSTANTS.index(ch) for ch in chars.encode()]
+
+    if decpt <= -4 or decpt > 16:
+        mantissa = digits[:1] + (text(".") + digits[1:] if n > 1 else [])
+        return text(",") + mantissa + text(f"e{decpt - 1:+03d}")
+    if decpt <= 0:
+        return text(",0." + "0" * -decpt) + digits
+    if decpt < n:
+        return text(",") + digits[:decpt] + text(".") + digits[decpt:]
+    return text(",") + digits + text("0" * (decpt - n) + ".0")
+
+
+@functools.cache
+def _layouts() -> np.ndarray:
+    """Each layout, padded, at [i, decpt + 10] for every i and decpt _shortest_digits returns."""
+    table = np.full((18, 27, _CELL_WIDTH), _PAD, dtype=np.intp)
+    for i in range(18):
+        for decpt in range(-10, 17):
+            cols = _layout(max(17 - i, 1), decpt)
+            table[i, decpt + 10, : len(cols)] = cols
+    return table
+
+
+def _ascii_rows(texts: list[str], width: int) -> np.ndarray:
+    """The texts as the rows of a uint8 matrix, padded with 0 to ``width``."""
+    return np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(len(texts), width)
+
+
+def _cells(v: np.ndarray) -> np.ndarray:
+    """The cell of each float64 of ``v``, "," and repr(float(x)), as 0-padded matrix rows.
+
+    An exact cell is gathered by its layout, all of them in one call; the
+    others are then overwritten with repr's text.
+    """
+    c, i, decpt, exact = _shortest_digits(v)
+    src = np.empty((v.size, 17 + len(_CONSTANTS)), dtype=np.uint8)
+    write_digits(src[:, :17], c, 17)
+    src[:, 17:] = np.frombuffer(_CONSTANTS, dtype=np.uint8)
+    cols = _layouts()[i, decpt + 10]
+    cols += np.arange(0, src.size, src.shape[1])[:, None]
+    text = src.ravel().take(cols)
+    slow = np.flatnonzero(~exact)
+    if slow.size:
+        text[slow] = _ascii_rows([f",{x!r}" for x in v[slow].tolist()], _CELL_WIDTH)
+    return text
+
+
 def curve_csv(curve: ResidualCurve) -> str:
+    """The curve as CSV text: t, r_mean and, for T > 1 trials, r_0 ... r_{T-1}.
+
+    Every t cell is str(int(t)) and every value cell repr(float(v)). About
+    _CELL_CHUNK cells at a time, the rows are one uint8 matrix: t's digits,
+    the row's cells and a newline per row, padded with 0 that is then
+    dropped.
+    """
     trials = curve.per_trial.shape[0]
     header = ["t", "r_mean"]
-    columns = [curve.mean.tolist()]
+    columns = [curve.mean]
     if trials > 1:
         header += [f"r_{i}" for i in range(trials)]
-        columns += curve.per_trial.tolist()
-    rows = zip(map(str, map(int, curve.indices.tolist())), *(map(repr, c) for c in columns))
-    return "\n".join([",".join(header), *map(",".join, rows)]) + "\n"
+        columns += list(curve.per_trial)
+    blocks = [",".join(header).encode() + b"\n"]
+    t = curve.indices.astype(np.int64)
+    values = np.column_stack(columns).astype(np.float64, copy=False)
+    t_width = max(len(str(t.min())), len(str(t.max()))) if t.size else 0
+    step = max(1, _CELL_CHUNK // values.shape[1])
+    for a in range(0, t.size, step):
+        block_t = t[a : a + step]
+        text = _cells(values[a : a + step].ravel()).reshape(block_t.size, -1)
+        rows = np.empty((block_t.size, t_width + text.shape[1] + 1), dtype=np.uint8)
+        write_digits(rows[:, :t_width], block_t)
+        negative = np.flatnonzero(block_t < 0)
+        if negative.size:
+            rows[negative, :t_width] = _ascii_rows(list(map(str, block_t[negative].tolist())),
+                                                   t_width)
+        rows[:, t_width:-1] = text
+        rows[:, -1] = ord("\n")
+        flat = rows.ravel()
+        blocks.append(flat[flat != 0].tobytes())
+    return b"".join(blocks).decode("ascii")
 
 
 def series_csv(series: TimeSeries) -> str:
@@ -168,7 +350,10 @@ def _load_data(args):
     series = parse_batch_file(path, "csv").samples
     if args.normalize is True:
         values = series.values
-        series = TimeSeries(normalize(values, values.min(), values.max()))
+        lo, hi = values.min(), values.max()
+        if lo == hi:
+            raise ValueError(f"{path} is constant at {lo:g}: it gives no range to normalize by")
+        series = TimeSeries(normalize(values, lo, hi))
     return series
 
 

@@ -61,6 +61,25 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
+def write_digits(out: np.ndarray, q: np.ndarray, min_digits: int = 1) -> None:
+    """Write the decimal digits of the non-negative integers ``q`` into the rows of ``out``.
+
+    ``out`` is a (len(q), width) uint8 matrix, or a view of one. Row k gets
+    the ASCII digits of ``q[k]`` right-aligned; the columns before its
+    leading digit get 0, a blank that the caller drops, except the last
+    ``min_digits`` columns, which always hold digits (zeros in front). The
+    caller makes ``out`` wide enough for the largest value.
+    """
+    width = out.shape[1]
+    for col in range(width - 1, -1, -1):
+        tens = q // 10
+        digit = q - tens * 10 + ord("0")
+        if col < width - min_digits:
+            digit *= q != 0
+        out[:, col] = digit
+        q = tens
+
+
 # The array path of _polyline_points writes rint(100 v) as an int32.
 _FAST_BOUND = float(np.iinfo(np.int32).max)
 
@@ -95,16 +114,12 @@ def _polyline_points(x: np.ndarray, y: np.ndarray) -> str:
             and np.all(np.abs(c - k) < 0.5)):
         return " ".join(map("%.2f,%.2f".__mod__, zip(x.tolist(), y.tolist())))
     q = k.astype(np.int32)
-    width = len(str(q.max() // 100))
+    units = q // 100
+    cents = q - units * 100
+    width = len(str(units.max()))
     text = np.empty((v.size, width + 4), dtype=np.uint8)
-    # digits right to left: the two of k % 100, then those of k // 100
-    for col in (width + 2, width + 1, *range(width - 1, -1, -1)):
-        tens = q // 10
-        digit = q - tens * 10 + ord("0")
-        if col < width - 1:
-            digit *= q != 0
-        text[:, col] = digit
-        q = tens
+    write_digits(text[:, width + 1 : width + 3], cents, 2)
+    write_digits(text[:, :width], units)
     text[:, width] = ord(".")
     text[0::2, width + 3] = ord(",")
     text[1::2, width + 3] = ord(" ")

@@ -9,6 +9,7 @@ import hashlib
 import io
 import math
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -19,7 +20,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamarima.cli import ALL_OPTIMIZERS, CONFIGS, curve_csv, main, write_text_atomic
+from streamarima.cli import (
+    ALL_OPTIMIZERS,
+    CONFIGS,
+    _cells,
+    _shortest_digits,
+    curve_csv,
+    main,
+    write_text_atomic,
+)
 from streamarima.experiment import ResidualCurve
 from streamarima.synthetic import GeneratorSpec, generate
 
@@ -252,6 +261,19 @@ def test_a_constant_first_batch_writes_nothing(tmp_path, capsys):
                    "--optimizer", "basic", "--mk", 1, "--out", out / "o.csv") == 0
 
 
+def test_a_constant_series_file_with_normalize_writes_nothing(tmp_path, capsys):
+    data = tmp_path / "c.csv"
+    data.write_text("value\n1\n1\n1\n1\n1\n", encoding="ascii")
+    out = tmp_path / "o.csv"
+    argv = ("run", "--data", data, "--optimizer", "basic", "--mk", 1, "--out", out)
+    assert run_cli(*argv, "--normalize") == 1
+    assert capsys.readouterr().err == (
+        f"error: {data} is constant at 1: it gives no range to normalize by\n")
+    assert not out.exists()
+    # without --normalize the series runs
+    assert run_cli(*argv) == 0
+
+
 def test_a_file_that_is_not_ascii_names_itself(tmp_path, capsys):
     bom = tmp_path / "bom.csv"
     bom.write_bytes(b"\xef\xbb\xbfvalue\n0.5\n0.25\n")
@@ -352,6 +374,104 @@ def test_curve_csv_bytes_are_per_cell_repr(trials):
             row += [repr(float(per_trial[k, j])) for k in range(trials)]
         rows.append(",".join(row))
     assert curve_csv(curve) == "\n".join([header, *rows]) + "\n"
+
+
+def cell_texts(values) -> list[str]:
+    """The text _cells writes for each value, without its leading comma."""
+    rows = _cells(np.asarray(values, dtype=np.float64))
+    return [row[row != 0].tobytes().decode("ascii")[1:] for row in rows]
+
+
+def from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# every finite double >= 0, as hypothesis draws floats and as raw bit patterns
+finite_doubles = st.one_of(
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    st.integers(0, 0x7FEFFFFFFFFFFFFF).map(from_bits),
+    st.integers(*struct.unpack("<2Q", struct.pack("<2d", 1e-10, 1e15))).map(from_bits),
+)
+
+
+@given(st.lists(finite_doubles, min_size=1, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_cells_are_repr(values):
+    assert cell_texts(values) == [repr(float(v)) for v in values]
+
+
+def test_the_array_path_writes_almost_every_value_in_its_range():
+    rng = np.random.default_rng(0)
+    lo, hi = np.array([1e-10, 1e15]).view(np.uint64)
+    values = rng.integers(lo, hi, 20_000, dtype=np.uint64).view(np.float64)
+    exact = _shortest_digits(values)[3]
+    assert exact.mean() > 0.99
+    assert cell_texts(values) == [repr(v) for v in values.tolist()]
+
+
+@pytest.mark.parametrize("value, text, exact", [
+    # powers of two, whose gap below is half the gap above
+    (2.0**-33, "1.1641532182693481e-10", True),
+    (2.0**-20, "9.5367431640625e-07", True),
+    (0.5, "0.5", True),
+    (1024.0, "1024.0", True),
+    (2.0**49, "562949953421312.0", True),
+    # where repr switches notation: decpt -3 | -4, and 16 | 17
+    (1e-4, "0.0001", True),
+    (float(np.nextafter(1e-4, 0)), "9.999999999999999e-05", False),
+    (1e-5, "1e-05", True),
+    (float(np.nextafter(1e-5, 1)), "1.0000000000000003e-05", True),
+    (float(np.nextafter(1e16, 0)), "9999999999999998.0", False),
+    (1e16, "1e+16", False),
+    # the ends of the array range, [1e-10, 1e15)
+    (1e-10, "1e-10", True),
+    (float(np.nextafter(1e-10, 0)), "9.999999999999999e-11", False),
+    (float(np.nextafter(1e15, 0)), "999999999999999.9", False),
+    (1e15, "1000000000000000.0", False),
+    (0.0, "0.0", False),
+    (5e-324, "5e-324", False),
+    # midway between ...37 and ...38; repr rounds the digit to even
+    (199476721919104.375, "199476721919104.38", False),
+    (2.0**-25, "2.9802322387695312e-08", False),
+])
+def test_cell_examples(value, text, exact):
+    assert cell_texts([value]) == [text] == [repr(value)]
+    assert bool(_shortest_digits(np.array([value]))[3][0]) is exact
+
+
+def test_a_curve_that_mixes_array_path_and_repr_cells():
+    # several blocks of rows, cells off the array range in each, and negative t
+    rng = np.random.default_rng(3)
+    per_trial = rng.random((3, 7000)) ** 4
+    per_trial[:, ::997] = [[0.0], [1e-300], [2.5e16]]
+    per_trial[1, ::1999] = 199476721919104.375
+    curve = ResidualCurve(np.arange(-20, 6980), per_trial.mean(axis=0), per_trial, "sample")
+    table = np.vstack((curve.mean, per_trial)).T
+    exact = _shortest_digits(table.ravel())[3]
+    assert 0 < (~exact).sum() < exact.size // 100
+    rows = [",".join([str(t), *map(repr, cells)])
+            for t, cells in zip(curve.indices.tolist(), table.tolist())]
+    assert curve_csv(curve) == "\n".join(["t,r_mean,r_0,r_1,r_2", *rows]) + "\n"
+
+
+# the sha256 of each curve file of `reproduce 2 --trials 2`, as the
+# per-cell repr writer wrote them
+REPRODUCE_2_CURVES = {
+    "config2_adagrad.csv": "98aa8dbe46e08cdaf28e2730418bbbbfd7335c54ee3f1bf51f18f11fd938cb58",
+    "config2_adam.csv": "42aa0146c9dddf7c9916928d28d1c8392c32186c43ff20b3b121502dd4100438",
+    "config2_amsgrad.csv": "471cb38a6623ac1c805f2d49c6378b4adde7c977cfebd812a82af8f9f7e1cafe",
+    "config2_basic.csv": "9ed97d4e0dce0d75ea7339b0ebdbfb8847a7af8714ef9e65808ace9ccd6d8d25",
+    "config2_combined.csv": "31bc680974c430577ba5ebdf804855f5437355794677533c8cf00a35c7ed25e0",
+    "config2_momentum.csv": "4f62a9d0497e601197f8367a6abd5178a1f72f47bead0ae7855fa956d6a164cf",
+    "config2_nesterov.csv": "a32a5e124f3ac3e94ef51a3dbd478154a6e1f26098a12f70ee45bb9250445bd2",
+    "config2_rmsprop.csv": "554b658752d32048cc5469468d10ca7061d32cdc24f93a292ddfbedcbbd1afd9",
+}
+
+
+def test_reproduce_2_curve_files_keep_their_bytes(tmp_path):
+    assert run_cli("reproduce", 2, "--trials", 2, "--out-dir", tmp_path) == 0
+    written = {p.name: sha256(p) for p in sorted(tmp_path.glob("*.csv"))}
+    assert written == REPRODUCE_2_CURVES
 
 
 def test_unknown_arguments_exit_with_usage_error(small_csv):
