@@ -32,11 +32,15 @@ even pairs:
   over the k-th PAIRED_KERNEL_SAMPLES-sample segment of the key's series,
   each call from cold state. Over preset 2 (data seed 7) at ``reproduce
   2``'s settings: each rule alone and all rules in one call at 1 trial,
-  all rules at 30 trials, and ``reproduce 7``'s sweep at 30 trials, its 7
+  all rules at 2 trials (``T2.all``, synth-reproduce's bank) and at 30
+  trials, and ``reproduce 7``'s sweep at 30 trials, its 7
   ramps scaled by the segment's share of the series. And
   batched-files' shape, ``combined`` at mk 300, 3 trials, lr 5e-3 and
   lambda 102400, over the demo generator's series normalized by its
   first batch.
+* the generator: whole ``synthetic.generate`` calls, PAIRED_GENERATE_PAIRS
+  pairs per spec: preset 2 at data seed 7 (``reproduce 2``'s series) and
+  the demo batch files' spec (batched-files' series).
 * the render: ``plotting.render_svg`` over ``reproduce 2``'s 8 curves,
   each computed once at data seed 7 and 2 trials and smoothed over 50
   samples, with that command's title and labels, PAIRED_RENDER_PAIRS pairs.
@@ -47,7 +51,8 @@ even pairs:
 Each pair gives one ratio of the change's time to the parent's. Per key,
 the JSON records each side's median time, the median ratio and the number
 of pairs the change won, whether both sides' kernels computed bitwise the
-same residuals, whether both sides rendered the same SVG bytes, and
+same residuals, whether both sides generated bitwise the same series,
+whether both sides rendered the same SVG bytes, and
 whether both sides wrote the same curve CSV text. Each side's stream is
 also hashed: the sha256 of every
 prediction (value, residual) it streamed and each model's final gamma, as
@@ -59,8 +64,10 @@ directory, one command per configuration, ``reproduce 4 5 --trials 2``
 on the 40 bearing batch files that its own ``scripts/make_demo_batches.py
 --batches 40`` writes, and ``reproduce 6 --trials 2`` on the 40 csv batch
 files of ``--format csv``, so that both layouts' reader and the d = 1 path
-over batches are byte-checked. It keeps the output files and a log of each
-command's stdout, stderr and exit status. The JSON records the
+over batches are byte-checked, and ``synth --preset <k> --seed 7`` for
+k = 1, 2, 3. It keeps the output files, the demo batch files (named
+``<dir>/<file>``) and a log of each command's stdout, stderr and exit
+status, so that the generator's bytes are checked too. The JSON records the
 sha256 of each of those files per side, by name, whether the two sides
 wrote the same files with the same bytes, and the names that differ, so
 that a deliberate change to one file does not hide whether the others
@@ -92,6 +99,7 @@ from paired_probe import (
     PAIRED_CHUNK,
     PAIRED_CSV_PAIRS,
     PAIRED_CSV_TRIALS,
+    PAIRED_GENERATE_PAIRS,
     PAIRED_KERNEL_PAIRS,
     PAIRED_KERNEL_SAMPLES,
     PAIRED_RENDER_PAIRS,
@@ -109,6 +117,8 @@ BATCHED_CONFIGS = {"4": "demo", "5": "demo", "6": "demo_csv"}
 DEMO_FORMATS = {"demo": "bearing", "demo_csv": "csv"}
 DEMO_BATCHES = "40"
 OUTPUT_TRIALS = "2"
+SYNTH_PRESETS = ("1", "2", "3")
+SYNTH_SEED = "7"
 
 
 def run_bench(tree: Path, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
@@ -137,7 +147,10 @@ def paired(trees: dict[str, Path]) -> dict:
 
 
 def output_digests(tree: Path) -> dict[str, str]:
-    """The sha256 of each file and log that ``reproduce`` writes from ``tree``, by name."""
+    """The sha256 of each file and log that ``reproduce`` and ``synth`` write from ``tree``.
+
+    Also of each demo batch file, named ``<dir>/<file>``.
+    """
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     with tempfile.TemporaryDirectory(prefix="bench_outputs-") as tmp:
         out = Path(tmp) / "out"
@@ -154,8 +167,16 @@ def output_digests(tree: Path) -> dict[str, str]:
             proc = subprocess.run(cmd, cwd=tmp, env=env, capture_output=True, text=True)
             (out / f"reproduce{config}.log").write_text(
                 f"{proc.stdout}{proc.stderr}exit {proc.returncode}\n", encoding="utf-8")
-        return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-                for path in sorted(out.iterdir())}
+        for k in SYNTH_PRESETS:
+            cmd = [sys.executable, "-m", "streamarima", "synth", "--preset", k,
+                   "--seed", SYNTH_SEED, "--out", f"out/synth{k}.csv"]
+            proc = subprocess.run(cmd, cwd=tmp, env=env, capture_output=True, text=True)
+            (out / f"synth{k}.log").write_text(
+                f"{proc.stdout}{proc.stderr}exit {proc.returncode}\n", encoding="utf-8")
+        files = [(path.name, path) for path in sorted(out.iterdir())]
+        files += [(f"{demo}/{path.name}", path) for demo in DEMO_FORMATS
+                  for path in sorted((Path(tmp) / demo).iterdir())]
+        return {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in files}
 
 
 def quartiles(values: list[float]) -> dict[str, float]:
@@ -284,13 +305,20 @@ def main() -> int:
                 "what": f"experiment._kernel, {PAIRED_KERNEL_PAIRS} pairs of "
                         f"{PAIRED_KERNEL_SAMPLES}-sample calls per key ("
                         f"{PAIRED_BATCHED_FILES_PAIRS} for batched_files), pair k over the k-th "
-                        "segment of the series: T1.<rule>, T1.all and T30.all on preset 2 (data "
-                        "seed 7), mk 10, lr 0.05, lambda 2000; T30.sweep, reproduce 7's ramps "
-                        "scaled by 1/10 plus its 3 baselines, 30 trials; batched_files, combined "
-                        "at mk 300, 3 trials, lr 5e-3, lambda 102400 on the demo generator's "
-                        "series; microseconds per sample; identical: whether both sides "
-                        "computed bitwise the same residuals",
+                        "segment of the series: T1.<rule>, T1.all, T2.all and T30.all on preset 2 "
+                        "(data seed 7), mk 10, lr 0.05, lambda 2000; T30.sweep, reproduce 7's "
+                        "ramps scaled by 1/10 plus its 3 baselines, 30 trials; batched_files, "
+                        "combined at mk 300, 3 trials, lr 5e-3, lambda 102400 on the demo "
+                        "generator's series; microseconds per sample; identical: whether both "
+                        "sides computed bitwise the same residuals",
                 **in_process["kernel"],
+            },
+            "generate": {
+                "what": f"synthetic.generate, {PAIRED_GENERATE_PAIRS} pairs of whole calls per "
+                        "spec: preset2, preset 2 at data seed 7; demo, the spec of "
+                        "scripts/make_demo_batches.py's 10 default batches; microseconds per "
+                        "call; identical: whether both sides generated bitwise the same series",
+                **in_process["generate"],
             },
             "render": {
                 "what": f"plotting.render_svg over reproduce 2's 8 curves (data seed 7, 2 "
@@ -313,10 +341,13 @@ def main() -> int:
                        f"--out-dir out, for config in {' '.join(OUTPUT_CONFIGS)}; and with "
                        f"--data <dir> for config (dir) in {demo_dirs}, after python3 "
                        f"scripts/make_demo_batches.py --batches {DEMO_BATCHES} --format <format> "
-                       f"--out-dir <dir> for format (dir) in {demo_formats}",
-            "digest": "per side, the sha256 of each output file and of a log per command "
-                      "(stdout, stderr, exit status), by name; differing: the names whose "
-                      "bytes differ or that only one side wrote",
+                       f"--out-dir <dir> for format (dir) in {demo_formats}; and "
+                       f"python3 -m streamarima synth --preset <k> --seed {SYNTH_SEED} --out "
+                       f"out/synth<k>.csv for k in {' '.join(SYNTH_PRESETS)}",
+            "digest": "per side, the sha256 of each output file, each demo batch file (as "
+                      "<dir>/<file>) and a log per command (stdout, stderr, exit status), by "
+                      "name; differing: the names whose bytes differ or that only one side "
+                      "wrote",
             **digests,
             "outputs_identical": digests["parent"] == digests["change"],
             "differing": sorted(name for name in digests["parent"].keys() | digests["change"]

@@ -6,12 +6,14 @@
 Loads each ``src/streamarima`` under its own package name and times the two
 sides in alternating pairs, parent first in even pairs: chunks of
 ``learn_step`` calls per rule, short ``experiment._kernel`` calls per rule,
-for all rules, for a lambda sweep and at batched-files' shape, whole
-``plotting.render_svg`` calls over ``reproduce 2``'s smoothed curves, and
-``cli.curve_csv`` calls over ``reproduce 2``'s curves at 2 and 30 trials. It
-also hashes each side's streams.
-Prints one JSON object with the keys ``stream``, ``kernel``, ``render``,
-``curve_csv`` and ``sha256``;
+for all rules at 1, 2 and 30 trials, for a lambda sweep and at
+batched-files' shape, whole ``synthetic.generate`` calls over preset 2 and
+the demo batches' spec, whole ``plotting.render_svg`` calls over
+``reproduce 2``'s smoothed curves, and ``cli.curve_csv`` calls over
+``reproduce 2``'s curves at 2 and 30 trials. It also hashes each side's
+streams.
+Prints one JSON object with the keys ``stream``, ``kernel``, ``generate``,
+``render``, ``curve_csv`` and ``sha256``;
 ``scripts/bench_pairs.py`` runs it and describes what each key holds.
 """
 
@@ -36,13 +38,15 @@ PAIRED_KERNEL_PAIRS = 40
 # drift within a pair, so that key needs more pairs to resolve a few percent
 PAIRED_BATCHED_FILES_PAIRS = 120
 PAIRED_KERNEL_SAMPLES = 1000
+PAIRED_GENERATE_PAIRS = 20
 PAIRED_RENDER_PAIRS = 20
 PAIRED_CSV_PAIRS = 24
 PAIRED_CSV_TRIALS = (2, 30)
 SIDES = ("parent", "change")
-# the ARMA coefficients of scripts/make_demo_batches.py, whose files batched-files streams
+# the ARMA coefficients of scripts/make_demo_batches.py, whose files batched-files streams,
+# and that workload's count and size of batches
 DEMO_ALPHA, DEMO_BETA = (0.9, -0.9, 0.9, -0.4, -0.1), (0.5, 0.1)
-DEMO_BATCH = 2048
+DEMO_BATCHES, DEMO_BATCH = 10, 2048
 
 
 def load(name: str, src: str):
@@ -114,12 +118,13 @@ def probe_kernel(sides: dict, rules: list[str]) -> dict:
     synthetic, experiment = package.synthetic, package.experiment
     preset2 = synthetic.generate(synthetic.preset(2, seed=7)).values
     demo = synthetic.generate(synthetic.GeneratorSpec(
-        alpha=DEMO_ALPHA, beta=DEMO_BETA, length=10 * DEMO_BATCH, seed=0)).values
+        alpha=DEMO_ALPHA, beta=DEMO_BETA, length=DEMO_BATCHES * DEMO_BATCH, seed=0)).values
     # normalized as batched-files' run normalizes its batches: by the first batch's range
     demo = package.series.normalize(demo, demo[:DEMO_BATCH].min(), demo[:DEMO_BATCH].max())
     # key: (series, mk, runs as (rule, rate, ramp, trials))
     keys = {}
-    for trials in (1, 30):
+    # T2.all is the bank of synth-reproduce: reproduce 2 at 2 trials
+    for trials in (1, 2, 30):
         runs = [(name, 0.05, 2000.0 if name == "combined" else None, trials) for name in rules]
         if trials == 1:
             keys.update({f"T1.{run[0]}": (preset2, 10, [run]) for run in runs})
@@ -152,6 +157,33 @@ def probe_kernel(sides: dict, rules: list[str]) -> dict:
         kernel[key] = summary(us)
     kernel["identical"] = identical
     return kernel
+
+
+def probe_generate(sides: dict) -> dict:
+    """Whole synthetic.generate calls per spec, in alternating pairs, and whether both agree.
+
+    The specs are preset 2 at data seed 7, the series of ``reproduce 2``, and
+    the demo batch files' spec, the series of batched-files.
+    """
+    clock = time.perf_counter_ns
+    specs = {side: {"preset2": pkg.synthetic.preset(2, seed=7),
+                    "demo": pkg.synthetic.GeneratorSpec(alpha=DEMO_ALPHA, beta=DEMO_BETA,
+                                                        length=DEMO_BATCHES * DEMO_BATCH, seed=0)}
+             for side, pkg in sides.items()}
+    out, identical = {}, True
+    for key in specs["parent"]:
+        us = {side: [] for side in sides}
+        for k in range(PAIRED_GENERATE_PAIRS):
+            values = {}
+            for side in order(k):
+                generate, spec = sides[side].synthetic.generate, specs[side][key]
+                t0 = clock()
+                values[side] = generate(spec).values
+                us[side].append((clock() - t0) * 1e-3)
+            identical &= values["parent"].tobytes() == values["change"].tobytes()
+        out[key] = summary(us)
+    out["identical"] = identical
+    return out
 
 
 def probe_render(sides: dict, rules: list[str]) -> dict:
@@ -211,10 +243,11 @@ def main(argv: list[str]) -> int:
     rules = list(sides["parent"].optimizers.OPTIMIZERS)
     stream, sha256 = probe_stream(sides, rules)
     kernel = probe_kernel(sides, rules)
+    generate = probe_generate(sides)
     render = probe_render(sides, rules)
     curve_csv = probe_curve_csv(sides, rules)
-    print(json.dumps({"stream": stream, "kernel": kernel, "render": render,
-                      "curve_csv": curve_csv, "sha256": sha256}))
+    print(json.dumps({"stream": stream, "kernel": kernel, "generate": generate,
+                      "render": render, "curve_csv": curve_csv, "sha256": sha256}))
     return 0
 
 

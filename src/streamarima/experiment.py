@@ -97,23 +97,35 @@ def _kernel(specs: list[RunSpec], values: np.ndarray, starts) -> tuple[np.ndarra
     never an n x mk copy. The view must stay reversed and strided: numpy
     hands ``gamma @ f`` with a contiguous ``f`` to BLAS's matrix-vector
     product, whose per-row sums change with the number of rows, so a run's
-    rows would no longer be bitwise those of the run alone. Each gradient is
-    written into the optimizer's ``grad`` buffer. ``starts`` marks batch
-    starts (None for a stream); each batch leaves its first mk + d positions
-    unscored. Returns the |residuals| in that row order, each run's block of
-    rows, and each run's DivergedError text ("" for a run that did not
-    diverge).
+    rows would no longer be bitwise those of the run alone. ``starts`` marks
+    batch starts (None for a stream); each batch leaves its first mk + d
+    positions unscored. Returns the |residuals| in that row order, each
+    run's block of rows, and each run's DivergedError text ("" for a run
+    that did not diverge).
+
+    At d = 0 a sample is four calls besides ``advance()``: the residual is
+    written once, by ``np.subtract(gamma @ f, actual, out=column)`` into the
+    sample's column of the live rows' buffer (at d > 0, an ``np.add`` of the
+    integration term comes first); the gradient is that column times the
+    lag row of the doubled differences, written into the optimizer's
+    ``grad``; and gamma takes the delta. Doubling is exact, so ``r * (2f)``
+    and ``(2r) * f`` are one rounding of the same product 2rf, bit for bit,
+    for every |r| and |f| below 2**1023.
 
     Every DIVERGENCE_CHECK_INTERVAL samples, a run whose first trial has
     diverged leaves the loop: its rows leave the coefficient array and the
-    optimizer, and its later residuals are nan. The verdict at the end names
-    the run's first diverged trial at the same position, so what the run
-    reports does not change.
+    optimizer, and its later residuals are nan. The live rows' buffer is the
+    residual array itself until a run leaves, and from then on a fresh
+    (live rows, samples left) array, whose columns go back into the
+    residual array at each check and at the end. The verdict at the end
+    names the run's first diverged trial at the same position, so what the
+    run reports does not change.
     """
     model = specs[0].model
     window = model.window
     levels = differences(values, model.d)
     feats = sliding_window_view(levels[-1], model.mk)[:-1, ::-1]
+    doubled = sliding_window_view(2.0 * levels[-1], model.mk)[:-1, ::-1]
     integ = sum(level[window - 1 - i : -1] for i, level in enumerate(levels[:-1]))
     actual = values[window:]
     scored = np.ones(values.size, dtype=bool)
@@ -133,32 +145,42 @@ def _kernel(specs: list[RunSpec], values: np.ndarray, starts) -> tuple[np.ndarra
     gamma = np.empty(opt.shape)
     for spec, block in zip(specs, blocks):
         gamma[block] = [ArimaModel(model, s).gamma for s in spec.trial_seeds]
-    resid = np.empty((gamma.shape[0], actual.size))
+    n = actual.size
+    resid = np.empty((gamma.shape[0], n))
+    buf, base = resid, 0  # the live rows' residuals, and the column of buf[:, 0]
     live = list(range(len(specs)))
     rows = slice(None)  # the residual row of each coefficient row
+    d = model.d
     with np.errstate(all="ignore"):
-        for j, f in enumerate(feats):
-            r = gamma @ f
-            if model.d:
-                r += integ[j]
-            r -= actual[j]
-            resid[rows, j] = r
-            r *= 2.0
-            np.multiply(r[:, None], f, out=opt.grad)
-            gamma -= opt.advance()
-            if (j + 1) % DIVERGENCE_CHECK_INTERVAL == 0:
-                span = slice(j + 1 - DIVERGENCE_CHECK_INTERVAL, j + 1)
-                firsts = np.abs(resid[[blocks[i].start for i in live], span])
-                left = diverged(firsts, span).any(axis=1)
-                if left.any():
-                    for i in compress(live, left):
-                        resid[blocks[i], j + 1 :] = np.nan
-                    live = list(compress(live, ~left))
-                    if not live:
-                        break
-                    opt, kept = opt.without(left)
-                    gamma = gamma[kept]
-                    rows = np.arange(resid.shape[0])[rows][kept]
+        for lo in range(0, n, DIVERGENCE_CHECK_INTERVAL):
+            hi = min(lo + DIVERGENCE_CHECK_INTERVAL, n)
+            grad, advance = opt.grad, opt.advance
+            for j, f, f2, a, col in zip(range(lo, hi), feats[lo:hi], doubled[lo:hi],
+                                        actual[lo:hi], buf.T[lo - base : hi - base]):
+                if d:
+                    np.add(gamma @ f, integ[j], out=col)
+                    np.subtract(col, a, out=col)
+                else:
+                    np.subtract(gamma @ f, a, out=col)
+                np.multiply(col[:, None], f2, out=grad)
+                gamma -= advance()
+            if buf is not resid:
+                resid[rows, lo:hi] = buf[:, lo - base : hi - base]
+            if hi - lo < DIVERGENCE_CHECK_INTERVAL:
+                break
+            span = slice(lo, hi)
+            firsts = np.abs(resid[[blocks[i].start for i in live], span])
+            left = diverged(firsts, span).any(axis=1)
+            if left.any():
+                for i in compress(live, left):
+                    resid[blocks[i], hi:] = np.nan
+                live = list(compress(live, ~left))
+                if not live:
+                    break
+                opt, kept = opt.without(left)
+                gamma = gamma[kept]
+                rows = np.arange(resid.shape[0])[rows][kept]
+                buf, base = np.empty((gamma.shape[0], n - hi)), hi
         bad = diverged(np.abs(resid, out=resid))
     messages = [_verdict(spec, bad[block], window, starts) for spec, block in zip(specs, blocks)]
     return resid, blocks, messages

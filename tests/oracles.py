@@ -3,7 +3,9 @@
 Each one is written from the definitions in README.md, not from the package
 code: the forecast formula, a forecaster that re-differences its raw window
 on every step, the per-batch residual, a micro-batch splitter, a per-sample
-``learn_step`` loop and the plot's per-point coordinate map.
+``learn_step`` loop, the plot's per-point coordinate map, the generator's
+innovations and recurrence, and a one-run kernel loop that doubles the
+residual before it multiplies the lag row.
 ``Recorder`` is an optimizer that keeps every gradient ``learn_step`` writes
 into its ``grad`` buffer and returns a zero delta from ``advance()``, so the
 forecaster's gradient is checked on the path that training uses, and the
@@ -11,9 +13,11 @@ coefficients keep their bits.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from streamarima.model import ArimaModel
-from streamarima.optimizers import make_optimizer
+from streamarima.experiment import DIVERGENCE_CHECK_INTERVAL, DIVERGENCE_FACTOR
+from streamarima.model import ArimaModel, differences
+from streamarima.optimizers import Optimizer, make_optimizer
 from streamarima.plotting import HEIGHT, MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T, WIDTH
 from streamarima.series import MicroBatch, TimeSeries
 
@@ -156,3 +160,79 @@ def polyline_points(curves):
             pts.append(f"{px:.2f},{py:.2f}")
         out.append(" ".join(pts))
     return out
+
+
+def innovations(seed, count, std):
+    """The documented noise stream: Philox uniforms through Box-Muller, scaled by ``std``."""
+    u = np.random.Generator(np.random.Philox(key=seed)).random(2 * count)
+    r = np.sqrt(-2.0 * np.log(1.0 - u[0::2]))
+    return std * r * np.cos(2.0 * np.pi * u[1::2])
+
+
+def arma_samples(spec):
+    """The raw samples of a ``GeneratorSpec``, one sample at a time.
+
+    x[t] = eps[t] + alpha_1 x[t-1] + ... + alpha_p x[t-p]
+                  + beta_1 eps[t-1] + ... + beta_q eps[t-q],
+    added left to right on plain floats, without the terms whose lag reaches
+    before sample 0. The shift's coefficients take over at sample
+    burn_in + at_index, and the first burn_in samples are dropped.
+    """
+    total = spec.burn_in + spec.length
+    eps = [float(e) for e in innovations(spec.seed, total, spec.noise_std)]
+    x = []
+    for t in range(total):
+        coeffs = spec
+        if spec.shift is not None and t >= spec.burn_in + spec.shift.at_index:
+            coeffs = spec.shift
+        value = eps[t]
+        for i, a in enumerate(coeffs.alpha, start=1):
+            if t - i >= 0:
+                value += a * x[t - i]
+        for i, b in enumerate(coeffs.beta, start=1):
+            if t - i >= 0:
+                value += b * eps[t - i]
+        x.append(value)
+    return np.array(x[spec.burn_in :])
+
+
+def doubled_residual_rows(spec, values, starts=None):
+    """One run's |residual| rows from a per-sample loop that doubles r, then multiplies f.
+
+    Per sample: r = gamma @ f, plus the integration term when d > 0, minus
+    the sample; the gradient is ``(2.0 * r) * f`` and gamma takes
+    ``advance()``'s delta. Every DIVERGENCE_CHECK_INTERVAL samples the first
+    trial's |r| is tested against DIVERGENCE_FACTOR times the largest
+    |sample| at the scored positions; once it fails, the rest is nan. The
+    lag rows are the same reversed strided view as the kernel's, so that
+    ``gamma @ f`` sums alike.
+    """
+    model = spec.model
+    window = model.window
+    levels = differences(values, model.d)
+    feats = sliding_window_view(levels[-1], model.mk)[:-1, ::-1]
+    integ = sum(level[window - 1 - i : -1] for i, level in enumerate(levels[:-1]))
+    actual = values[window:]
+    scored = np.ones(values.size, dtype=bool)
+    for s in () if starts is None else starts:
+        scored[s : s + window] = False
+    scored = scored[window:]
+    bound = DIVERGENCE_FACTOR * np.abs(values).max()
+    opt = Optimizer(model.mk, [(spec.optimizer, spec.learning_rate, spec.ramp_length,
+                                spec.trials)])
+    gamma = np.array([ArimaModel(model, s).gamma for s in spec.trial_seeds])
+    resid = np.full((spec.trials, actual.size), np.nan)
+    with np.errstate(all="ignore"):
+        for j, f in enumerate(feats):
+            r = gamma @ f
+            if model.d:
+                r += integ[j]
+            r -= actual[j]
+            resid[:, j] = r
+            np.multiply((2.0 * r)[:, None], f, out=opt.grad)
+            gamma -= opt.advance()
+            if (j + 1) % DIVERGENCE_CHECK_INTERVAL == 0:
+                span = slice(j + 1 - DIVERGENCE_CHECK_INTERVAL, j + 1)
+                if (~(np.abs(resid[0, span]) <= bound) & scored[span]).any():
+                    break
+    return np.abs(resid)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import batch_residual, learn_step_forecasts, microbatches
+from oracles import batch_residual, doubled_residual_rows, learn_step_forecasts, microbatches
 from streamarima.experiment import (
     DIVERGENCE_CHECK_INTERVAL,
     DIVERGENCE_FACTOR,
@@ -325,6 +325,57 @@ def test_a_diverged_run_leaves_the_loop_without_touching_the_others():
             assert not np.isnan(resid[block.start, : k - window]).any()
         else:
             assert np.isfinite(resid[block]).all()
+
+
+def test_runs_that_leave_at_two_checks_leave_the_others_bitwise_alone():
+    # d = 1 over 40 batches: momentum at rate 1 leaves at the second check,
+    # basic at rate 1 at the ninth, and the kept rows' buffer is rebuilt
+    # each time
+    series = generate(preset(2, seed=7))
+    batches = microbatches(series, 250)
+    values = np.concatenate([b.samples.values for b in batches])
+    starts = np.arange(len(batches)) * 250
+
+    def spec(name, lr, ramp=None):
+        return RunSpec(ModelConfig(mk=10, d=1), name, lr, ramp, (0, 1))
+
+    specs = [spec("basic", 0.05), spec("momentum", 1.0), spec("combined", 0.05, 2000.0),
+             spec("adagrad", 0.05), spec("basic", 1.0), spec("combined", 0.05, 50.0)]
+    resid, blocks, messages = _kernel(specs, values, starts)
+    assert messages == [
+        "", "run diverged in batch 0 at offset 163 (optimizer momentum, rate 1, trial seed 0)",
+        "", "", "run diverged in batch 3 at offset 73 (optimizer basic, rate 1, trial seed 0)", ""]
+    window = specs[0].model.window
+    caught = []
+    for s, block, message in zip(specs, blocks, messages):
+        alone = _kernel([s], values, starts)
+        assert alone[2] == [message]
+        if not message:
+            assert resid[block].tobytes() == alone[0].tobytes()
+            continue
+        batch, offset = map(int, re.search(r"batch (\d+) at offset (\d+)", message).groups())
+        k = int(starts[batch]) + offset - window
+        caught.append((k // DIVERGENCE_CHECK_INTERVAL + 1) * DIVERGENCE_CHECK_INTERVAL)
+        assert np.isnan(resid[block, caught[-1] :]).all()
+        assert not np.isnan(resid[block, : caught[-1]]).any()
+        assert resid[block, : caught[-1]].tobytes() == alone[0][:, : caught[-1]].tobytes()
+    assert caught == [200, 900]
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e154, 1e300])
+@pytest.mark.parametrize("d", [0, 1])
+def test_the_kernel_gradient_is_the_doubled_residual_times_f(scale, d):
+    # r * (2 f) and (2 r) * f round the same exact product once, even where
+    # it overflows or underflows: near either end of the float range the
+    # runs blow up, leave or stall alike
+    values = scale * generate(preset(2, seed=7)).values[:1200]
+    specs = [RunSpec(ModelConfig(mk=10, d=d), name, 0.05, 300.0 if name == "combined" else None,
+                     (0, 1)) for name in OPTIMIZERS]
+    specs.append(RunSpec(ModelConfig(mk=10, d=d), "momentum", 1.0, None, (0, 1)))
+    for starts in (None, np.arange(0, 1200, 300)):
+        resid, blocks, _ = _kernel(specs, values, starts)
+        for s, block in zip(specs, blocks):
+            assert resid[block].tobytes() == doubled_residual_rows(s, values, starts).tobytes()
 
 
 def test_residual_curve_validation():

@@ -1,10 +1,13 @@
-"""Generator tests: innovation contract, presets, shift behavior."""
+"""Generator tests: innovation contract, recurrence, presets, shift behavior, validation."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
+from oracles import arma_samples
+from oracles import innovations as reference_innovations
 from streamarima.cli import series_csv
 from streamarima.synthetic import (
     CoefficientShift,
@@ -14,13 +17,6 @@ from streamarima.synthetic import (
     generate_raw,
     preset,
 )
-
-
-def reference_innovations(seed, count, std):
-    """Independent transcription of the documented noise contract."""
-    u = np.random.Generator(np.random.Philox(key=seed)).random(2 * count)
-    r = np.sqrt(-2.0 * np.log(1.0 - u[0::2]))
-    return std * r * np.cos(2.0 * np.pi * u[1::2])
 
 
 def test_innovation_contract_is_frozen():
@@ -151,3 +147,55 @@ def test_integer_fields_are_checked_at_construction():
     spec = GeneratorSpec(alpha=(0.5,), length=np.int64(5), burn_in=np.int32(2), seed=2**128 - 1)
     assert len(generate(spec)) == 5
     assert CoefficientShift(at_index=np.int64(1), alpha=(0.5,)).at_index == 1
+
+
+@pytest.mark.parametrize("spec", [
+    *(preset(setting, seed=seed) for setting in (1, 2, 3) for seed in (0, 7)),
+    # no burn-in, and more lags than the first samples have behind them
+    GeneratorSpec(alpha=(0.3, -0.2, 0.1, 0.05, -0.05, 0.02), beta=(0.4, 0.3, -0.2, 0.1, 0.1),
+                  length=40, burn_in=0, seed=3),
+    # a shift at the first index, onto more lags than before
+    GeneratorSpec(alpha=(0.3, 0.2), beta=(0.4,), length=30, burn_in=2, seed=5,
+                  shift=CoefficientShift(1, (0.5, -0.1, 0.1), (0.2, 0.2, -0.2, 0.1))),
+    GeneratorSpec(alpha=(0.3, 0.2), length=30, burn_in=0, seed=5,
+                  shift=CoefficientShift(1, (-0.5,), (0.3,))),
+    # a shift past the end never applies
+    GeneratorSpec(alpha=(0.3, 0.2), beta=(0.4,), length=30, burn_in=2, seed=5,
+                  shift=CoefficientShift(31, (0.9,), ())),
+    # more MA than AR lags over several blocks of the recurrence, and a shift
+    # inside a block onto still more
+    GeneratorSpec(alpha=(0.3,), beta=(0.4, 0.3, 0.2, -0.1, 0.1), length=3000, burn_in=7,
+                  seed=11, shift=CoefficientShift(1500, (0.2, 0.1), (0.1,) * 7)),
+    GeneratorSpec(alpha=(0.3, 0.2), beta=(0.4,), length=1, burn_in=0, seed=9),
+    GeneratorSpec(alpha=(0.3, 0.2), beta=(0.4,), length=1, seed=9),
+], ids=lambda spec: f"p{len(spec.alpha)}q{len(spec.beta)}n{spec.length}b{spec.burn_in}"
+                    f"s{spec.seed}{'shift' if spec.shift else ''}")
+def test_generate_raw_is_the_recurrence_bit_for_bit(spec):
+    got = generate_raw(spec).values
+    assert got.tobytes() == arma_samples(spec).tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "x", "0.5", None, True,
+                                 np.bool_(False), 1j, np.float64("nan")])
+def test_coefficients_must_be_finite_real_numbers(bad):
+    for field in ("alpha", "beta"):
+        coefficients = {field: (0.5, bad)}
+        with pytest.raises(ValueError, match=rf"^{field} coefficients must be finite real "):
+            GeneratorSpec(**{"alpha": (0.5,), **coefficients})
+        with pytest.raises(ValueError, match=rf"^shift {field} coefficients must be finite "):
+            CoefficientShift(at_index=3, **{"alpha": (0.5,), **coefficients})
+
+
+def test_coefficient_sequences_are_checked_at_construction():
+    with pytest.raises(ValueError, match="^shift alpha needs at least one autoregressive"):
+        CoefficientShift(at_index=3, alpha=())
+    with pytest.raises(ValueError, match="^alpha needs at least one autoregressive"):
+        GeneratorSpec(alpha=[])
+    for field in ("alpha", "beta"):
+        with pytest.raises(ValueError, match=f"^{field} must be a sequence of coefficients"):
+            GeneratorSpec(**{"alpha": (0.5,), field: 0.5})
+    # ints and numpy numbers are real; a list is kept as a tuple
+    spec = GeneratorSpec(alpha=[1, np.float64(-0.5)], beta=[np.int64(0)], length=5)
+    assert spec.alpha == (1, -0.5) and spec.beta == (0,)
+    assert isinstance(spec.alpha, tuple) and isinstance(spec.beta, tuple)
+    assert len(generate(spec)) == 5
