@@ -15,49 +15,12 @@ per side, on the first seed, then gives the per-layer metrics. Each side
 runs the benchmark code of its own copy; this script only calls
 ``perfbench/run.py`` and changes nothing there.
 
-One probe, ``scripts/paired_probe.py``, times single layers per rule,
-without perfbench's tracer. A rule timed alone in its own interpreter does
-not resolve against this host's noise, so the probe times both sides in one
-interpreter. It imports each side's ``src/streamarima`` under its own
-package name, and runs the two sides in alternating pairs, parent first in
-even pairs:
-
-* the stream: for each rule, preset 3 (data seed 7) at online-step's
-  settings (mk 10, d 1, lr 0.05, lambda 2000) through one model per side,
-  PAIRED_REPEATS times. Each stream is warmed up on PAIRED_WARMUP samples,
-  then timed in PAIRED_CHUNK-sample chunks of ``learn_step`` calls, one
-  pair per chunk.
-* the kernel: ``experiment._kernel`` in PAIRED_KERNEL_PAIRS pairs of short
-  calls per key (PAIRED_BATCHED_FILES_PAIRS for batched_files), pair k
-  over the k-th PAIRED_KERNEL_SAMPLES-sample segment of the key's series,
-  each call from cold state. Over preset 2 (data seed 7) at ``reproduce
-  2``'s settings: each rule alone and all rules in one call at 1 trial,
-  all rules at 2 trials (``T2.all``, synth-reproduce's bank) and at 30
-  trials, and ``reproduce 7``'s sweep at 30 trials, its 7
-  ramps scaled by the segment's share of the series. And
-  batched-files' shape, ``combined`` at mk 300, 3 trials, lr 5e-3 and
-  lambda 102400, over the demo generator's series normalized by its
-  first batch.
-* the generator: whole ``synthetic.generate`` calls, PAIRED_GENERATE_PAIRS
-  pairs per spec: preset 2 at data seed 7 (``reproduce 2``'s series) and
-  the demo batch files' spec (batched-files' series).
-* the render: ``plotting.render_svg`` over ``reproduce 2``'s 8 curves,
-  each computed once at data seed 7 and 2 trials and smoothed over 50
-  samples, with that command's title and labels, PAIRED_RENDER_PAIRS pairs.
-* the curve CSV: ``cli.curve_csv`` over ``reproduce 2``'s 8 curves
-  (data seed 7), computed once at each trial count of PAIRED_CSV_TRIALS;
-  per count PAIRED_CSV_PAIRS pairs, pair k writing the (k mod 8)-th curve.
-
-Each pair gives one ratio of the change's time to the parent's. Per key,
-the JSON records each side's median time, the median ratio and the number
-of pairs the change won, whether both sides' kernels computed bitwise the
-same residuals, whether both sides generated bitwise the same series,
-whether both sides rendered the same SVG bytes, and
-whether both sides wrote the same curve CSV text. Each side's stream is
-also hashed: the sha256 of every
-prediction (value, residual) it streamed and each model's final gamma, as
-float64 bytes, rule after rule. ``reproduce`` never calls ``learn_step``,
-so this is the one digest of that path.
+One probe, ``scripts/paired_probe.py``, times single layers per rule in
+both sides' packages in one interpreter, without perfbench's tracer, and
+hashes each side's stream of ``learn_step`` predictions: ``reproduce``
+never calls ``learn_step``, so that is the one digest of that path. The JSON
+records the probe's sections as the probe prints them, each with its own
+``what``.
 
 Each side also runs ``reproduce 1 2 3 7 --trials 2`` into a temporary
 directory, one command per configuration, ``reproduce 4 5 --trials 2``
@@ -94,19 +57,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from paired_probe import (
-    PAIRED_BATCHED_FILES_PAIRS,
-    PAIRED_CHUNK,
-    PAIRED_CSV_PAIRS,
-    PAIRED_CSV_TRIALS,
-    PAIRED_GENERATE_PAIRS,
-    PAIRED_KERNEL_PAIRS,
-    PAIRED_KERNEL_SAMPLES,
-    PAIRED_RENDER_PAIRS,
-    PAIRED_REPEATS,
-    PAIRED_WARMUP,
-    SIDES,
-)
+from paired_probe import SIDES
 
 ROOT = Path(__file__).resolve().parent.parent
 PROBE = Path(__file__).resolve().with_name("paired_probe.py")
@@ -271,6 +222,7 @@ def main() -> int:
         traced = {side: values(run_bench(trees[side], args.seed, seconds, 1)[0])
                   for side in SIDES}
         in_process = paired(trees)
+        sha256 = in_process.pop("sha256")
 
     demo_dirs = ", ".join(f"{c} ({d})" for c, d in BATCHED_CONFIGS.items())
     demo_formats = ", ".join(f"{f} ({d})" for d, f in DEMO_FORMATS.items())
@@ -290,52 +242,7 @@ def main() -> int:
             "runs": [{"seed": r["seed"], "first": r["first"],
                       **{s: values(r[s]) for s in SIDES}} for r in runs],
         },
-        "paired": {
-            "what": "both sides' packages in one interpreter, timed in alternating pairs, "
-                    "parent first in even pairs; per key, each side's median microseconds, "
-                    "the median of the per-pair ratios and the pairs the change won",
-            "stream": {
-                "what": f"ArimaModel.learn_step over preset 3 (data seed 7), mk 10, d 1, lr "
-                        f"0.05, lambda 2000, per rule: {PAIRED_REPEATS} streams, each warmed "
-                        f"up on {PAIRED_WARMUP} samples, then one pair per "
-                        f"{PAIRED_CHUNK}-sample chunk; microseconds per call",
-                **in_process["stream"],
-            },
-            "kernel": {
-                "what": f"experiment._kernel, {PAIRED_KERNEL_PAIRS} pairs of "
-                        f"{PAIRED_KERNEL_SAMPLES}-sample calls per key ("
-                        f"{PAIRED_BATCHED_FILES_PAIRS} for batched_files), pair k over the k-th "
-                        "segment of the series: T1.<rule>, T1.all, T2.all and T30.all on preset 2 "
-                        "(data seed 7), mk 10, lr 0.05, lambda 2000; T30.sweep, reproduce 7's "
-                        "ramps scaled by 1/10 plus its 3 baselines, 30 trials; batched_files, "
-                        "combined at mk 300, 3 trials, lr 5e-3, lambda 102400 on the demo "
-                        "generator's series; microseconds per sample; identical: whether both "
-                        "sides computed bitwise the same residuals",
-                **in_process["kernel"],
-            },
-            "generate": {
-                "what": f"synthetic.generate, {PAIRED_GENERATE_PAIRS} pairs of whole calls per "
-                        "spec: preset2, preset 2 at data seed 7; demo, the spec of "
-                        "scripts/make_demo_batches.py's 10 default batches; microseconds per "
-                        "call; identical: whether both sides generated bitwise the same series",
-                **in_process["generate"],
-            },
-            "render": {
-                "what": f"plotting.render_svg over reproduce 2's 8 curves (data seed 7, 2 "
-                        f"trials, smoothed over 50 samples): {PAIRED_RENDER_PAIRS} pairs of whole "
-                        "calls; microseconds per call; identical: whether both sides rendered "
-                        "the same SVG bytes",
-                **in_process["render"],
-            },
-            "curve_csv": {
-                "what": f"cli.curve_csv over reproduce 2's 8 curves (data seed 7), key "
-                        f"T<trials> for trials in {', '.join(map(str, PAIRED_CSV_TRIALS))}: "
-                        f"{PAIRED_CSV_PAIRS} pairs per key, pair k writing the (k mod 8)-th "
-                        "curve; microseconds per call; identical: whether both sides wrote the "
-                        "same text for every call",
-                **in_process["curve_csv"],
-            },
-        },
+        "paired": in_process,
         "outputs": {
             "command": f"python3 -m streamarima reproduce <config> --trials {OUTPUT_TRIALS} "
                        f"--out-dir out, for config in {' '.join(OUTPUT_CONFIGS)}; and with "
@@ -352,13 +259,8 @@ def main() -> int:
             "outputs_identical": digests["parent"] == digests["change"],
             "differing": sorted(name for name in digests["parent"].keys() | digests["change"]
                                 if digests["parent"].get(name) != digests["change"].get(name)),
-            "stream": {
-                "what": "sha256 of every learn_step prediction (value, residual) and each "
-                        "model's final gamma in the paired probe's streams, as float64 bytes, "
-                        "rule after rule",
-                **in_process["sha256"],
-            },
-            "stream_identical": in_process["sha256"]["parent"] == in_process["sha256"]["change"],
+            "stream": sha256,
+            "stream_identical": sha256["parent"] == sha256["change"],
         },
         "trace1": {
             "command": f"python3 perfbench/run.py --workload all --seed {args.seed} "

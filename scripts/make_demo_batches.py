@@ -22,22 +22,29 @@ from pathlib import Path
 
 import numpy as np
 
-from streamarima.synthetic import GeneratorSpec, generate
+# the ARMA coefficients of the demo series, and the default count and size of batches
+ALPHA = (0.9, -0.9, 0.9, -0.4, -0.1)
+BETA = (0.5, 0.1)
+BATCHES = 10
+BATCH_SIZE = 2048
 
 
 def main() -> int:
+    # imported here, so that scripts/paired_probe.py reads the constants above without it
+    from streamarima.synthetic import GeneratorSpec, generate
+
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out-dir", default="demo_batches")
-    ap.add_argument("--batches", type=int, default=10)
-    ap.add_argument("--batch-size", type=int, default=2048)
+    ap.add_argument("--batches", type=int, default=BATCHES)
+    ap.add_argument("--batch-size", type=int, default=BATCH_SIZE)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--format", choices=("bearing", "csv"), default="bearing")
     args = ap.parse_args()
 
     total = args.batches * args.batch_size
     spec = GeneratorSpec(
-        alpha=(0.9, -0.9, 0.9, -0.4, -0.1),
-        beta=(0.5, 0.1),
+        alpha=ALPHA,
+        beta=BETA,
         length=total,
         seed=args.seed,
     )

@@ -4,17 +4,13 @@
     python3 scripts/paired_probe.py <parent src> <change src>
 
 Loads each ``src/streamarima`` under its own package name and times the two
-sides in alternating pairs, parent first in even pairs: chunks of
-``learn_step`` calls per rule, short ``experiment._kernel`` calls per rule,
-for all rules at 1, 2 and 30 trials, for a lambda sweep and at
-batched-files' shape, whole ``synthetic.generate`` calls over preset 2 and
-the demo batches' spec, whole ``plotting.render_svg`` calls over
-``reproduce 2``'s smoothed curves, and ``cli.curve_csv`` calls over
-``reproduce 2``'s curves at 2 and 30 trials. It also hashes each side's
-streams.
-Prints one JSON object with the keys ``stream``, ``kernel``, ``generate``,
-``render``, ``curve_csv`` and ``sha256``;
-``scripts/bench_pairs.py`` runs it and describes what each key holds.
+sides in alternating pairs, parent first in even pairs. A rule timed alone
+in its own interpreter does not resolve against a shared host's noise, so
+both sides run in this one. Prints one JSON object: a ``what`` for the
+whole, the sections ``stream``, ``kernel``, ``generate``, ``render`` and
+``curve_csv``, each with a ``what`` that says what its keys hold, and
+``sha256``, each side's digest of its streams. ``scripts/bench_pairs.py``
+records the object as it comes, so a key is added or described here only.
 """
 
 from __future__ import annotations
@@ -27,8 +23,9 @@ import statistics
 import sys
 import time
 from array import array
-from dataclasses import replace
 from functools import partial
+
+import make_demo_batches as demo
 
 PAIRED_REPEATS = 6
 PAIRED_WARMUP = 50
@@ -43,10 +40,6 @@ PAIRED_RENDER_PAIRS = 20
 PAIRED_CSV_PAIRS = 24
 PAIRED_CSV_TRIALS = (2, 30)
 SIDES = ("parent", "change")
-# the ARMA coefficients of scripts/make_demo_batches.py, whose files batched-files streams,
-# and that workload's count and size of batches
-DEMO_ALPHA, DEMO_BETA = (0.9, -0.9, 0.9, -0.4, -0.1), (0.5, 0.1)
-DEMO_BATCHES, DEMO_BATCH = 10, 2048
 
 
 def load(name: str, src: str):
@@ -56,6 +49,12 @@ def load(name: str, src: str):
     package = sys.modules[name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(package)
     return package
+
+
+def demo_spec(synthetic):
+    """The spec of scripts/make_demo_batches.py's default batches, the series of batched-files."""
+    return synthetic.GeneratorSpec(alpha=demo.ALPHA, beta=demo.BETA,
+                                   length=demo.BATCHES * demo.BATCH_SIZE, seed=0)
 
 
 def summary(us: dict[str, list[float]]) -> dict:
@@ -72,6 +71,30 @@ def order(k: int) -> tuple[str, str]:
     return SIDES if k % 2 == 0 else SIDES[::-1]
 
 
+def _raw(value):
+    """An array's bytes, or the value itself."""
+    return value.tobytes() if hasattr(value, "tobytes") else value
+
+
+def time_pairs(calls: dict, pairs: int, args=lambda k: (), per: float = 1.0) -> tuple[dict, bool]:
+    """Time ``calls[side](*args(k))`` on both sides in pair k of ``pairs``, parent first in even k.
+
+    Returns the summary of each side's microseconds per call divided by
+    ``per``, and whether both sides returned the same value in every pair;
+    arrays are compared by their bytes, so nan equals nan and -0.0 is not 0.0.
+    """
+    clock = time.perf_counter_ns
+    us, identical = {side: [] for side in SIDES}, True
+    for k in range(pairs):
+        arg, out = args(k), {}
+        for side in order(k):
+            t0 = clock()
+            out[side] = calls[side](*arg)
+            us[side].append((clock() - t0) * 1e-3 / per)
+        identical &= _raw(out["parent"]) == _raw(out["change"])
+    return summary(us), identical
+
+
 def probe_stream(sides: dict, rules: list[str]) -> tuple[dict, dict]:
     """Per rule, chunks of learn_step calls over preset 3, and each side's stream digest."""
     clock = time.perf_counter_ns
@@ -79,7 +102,11 @@ def probe_stream(sides: dict, rules: list[str]) -> tuple[dict, dict]:
     values = synthetic.generate(synthetic.preset(3, seed=7)).values
     chunks = [values[a : a + PAIRED_CHUNK]
               for a in range(PAIRED_WARMUP, values.size - PAIRED_CHUNK + 1, PAIRED_CHUNK)]
-    stream, digests = {}, {side: hashlib.sha256() for side in sides}
+    stream = {"what": f"ArimaModel.learn_step over preset 3 (data seed 7), mk 10, d 1, lr "
+                      f"0.05, lambda 2000, per rule: {PAIRED_REPEATS} streams, each warmed "
+                      f"up on {PAIRED_WARMUP} samples, then one pair per "
+                      f"{PAIRED_CHUNK}-sample chunk; microseconds per call"}
+    digests = {side: hashlib.sha256() for side in sides}
     for name in rules:
         us = {side: [] for side in sides}
         for _ in range(PAIRED_REPEATS):
@@ -102,25 +129,28 @@ def probe_stream(sides: dict, rules: list[str]) -> tuple[dict, dict]:
                 streamed[side].extend(models[side].gamma)
                 digests[side].update(streamed[side].tobytes())
         stream[name] = summary(us)
-    return stream, {side: digests[side].hexdigest() for side in sides}
+    return stream, {
+        "what": "sha256 of every learn_step prediction (value, residual) and each "
+                "model's final gamma in the paired probe's streams, as float64 bytes, "
+                "rule after rule",
+        **{side: digests[side].hexdigest() for side in sides},
+    }
 
 
 def probe_kernel(sides: dict, rules: list[str]) -> dict:
     """Short kernel calls per key, in alternating pairs, and whether both sides agree.
 
-    Each key runs PAIRED_KERNEL_PAIRS pairs, batched_files
-    PAIRED_BATCHED_FILES_PAIRS. Pair k times one call per side over the k-th
-    PAIRED_KERNEL_SAMPLES-sample segment of the key's series, cycling through
-    the series; every call starts from cold optimizer state at step 1.
+    Pair k times one call per side over the k-th PAIRED_KERNEL_SAMPLES-sample
+    segment of the key's series, cycling through the series; every call
+    starts from cold optimizer state at step 1.
     """
-    clock = time.perf_counter_ns
     package = sides["change"]
     synthetic, experiment = package.synthetic, package.experiment
     preset2 = synthetic.generate(synthetic.preset(2, seed=7)).values
-    demo = synthetic.generate(synthetic.GeneratorSpec(
-        alpha=DEMO_ALPHA, beta=DEMO_BETA, length=DEMO_BATCHES * DEMO_BATCH, seed=0)).values
+    batched = synthetic.generate(demo_spec(synthetic)).values
     # normalized as batched-files' run normalizes its batches: by the first batch's range
-    demo = package.series.normalize(demo, demo[:DEMO_BATCH].min(), demo[:DEMO_BATCH].max())
+    first = batched[:demo.BATCH_SIZE]
+    batched = package.series.normalize(batched, first.min(), first.max())
     # key: (series, mk, runs as (rule, rate, ramp, trials))
     keys = {}
     # T2.all is the bank of synth-reproduce: reproduce 2 at 2 trials
@@ -136,25 +166,29 @@ def probe_kernel(sides: dict, rules: list[str]) -> dict:
     keys["T30.sweep"] = (preset2, 10, [
         *(("combined", 0.05, float(ramp) * scale, 30) for ramp in grid),
         *((name, 0.05, None, 30) for name in experiment.SWEEP_BASELINES)])
-    keys["batched_files"] = (demo, 300, [("combined", 5e-3, 102400.0, 3)])
-    kernel, identical = {}, True
+    keys["batched_files"] = (batched, 300, [("combined", 5e-3, 102400.0, 3)])
+    kernel = {"what": f"experiment._kernel, {PAIRED_KERNEL_PAIRS} pairs of "
+                      f"{PAIRED_KERNEL_SAMPLES}-sample calls per key ("
+                      f"{PAIRED_BATCHED_FILES_PAIRS} for batched_files), pair k over the k-th "
+                      "segment of the series: T1.<rule>, T1.all, T2.all and T30.all on preset 2 "
+                      "(data seed 7), mk 10, lr 0.05, lambda 2000; T30.sweep, reproduce 7's "
+                      "ramps scaled by 1/10 plus its 3 baselines, 30 trials; batched_files, "
+                      "combined at mk 300, 3 trials, lr 5e-3, lambda 102400 on the demo "
+                      "generator's series; microseconds per sample; identical: whether both "
+                      "sides computed bitwise the same residuals"}
+    identical = True
     for key, (values, mk, runs) in keys.items():
-        calls = {side: partial(pkg.experiment._kernel, [
+        calls = {side: lambda segment, kernel=partial(pkg.experiment._kernel, [
             pkg.RunSpec(pkg.ModelConfig(mk=mk), rule, lr, ramp, tuple(range(trials)))
-            for rule, lr, ramp, trials in runs]) for side, pkg in sides.items()}
+            for rule, lr, ramp, trials in runs]): kernel(segment, None)[0]
+            for side, pkg in sides.items()}
         size = PAIRED_KERNEL_SAMPLES + mk
         offsets = range(0, values.size - size + 1, PAIRED_KERNEL_SAMPLES)
-        us = {side: [] for side in sides}
         pairs = PAIRED_BATCHED_FILES_PAIRS if key == "batched_files" else PAIRED_KERNEL_PAIRS
-        for k in range(pairs):
-            segment = values[offsets[k % len(offsets)]:][:size]
-            resid = {}
-            for side in order(k):
-                t0 = clock()
-                resid[side] = calls[side](segment, None)[0]
-                us[side].append((clock() - t0) * 1e-3 / PAIRED_KERNEL_SAMPLES)
-            identical &= resid["parent"].tobytes() == resid["change"].tobytes()
-        kernel[key] = summary(us)
+        kernel[key], same = time_pairs(
+            calls, pairs, lambda k: (values[offsets[k % len(offsets)]:][:size],),
+            PAIRED_KERNEL_SAMPLES)
+        identical &= same
     kernel["identical"] = identical
     return kernel
 
@@ -165,74 +199,61 @@ def probe_generate(sides: dict) -> dict:
     The specs are preset 2 at data seed 7, the series of ``reproduce 2``, and
     the demo batch files' spec, the series of batched-files.
     """
-    clock = time.perf_counter_ns
-    specs = {side: {"preset2": pkg.synthetic.preset(2, seed=7),
-                    "demo": pkg.synthetic.GeneratorSpec(alpha=DEMO_ALPHA, beta=DEMO_BETA,
-                                                        length=DEMO_BATCHES * DEMO_BATCH, seed=0)}
-             for side, pkg in sides.items()}
-    out, identical = {}, True
-    for key in specs["parent"]:
-        us = {side: [] for side in sides}
-        for k in range(PAIRED_GENERATE_PAIRS):
-            values = {}
-            for side in order(k):
-                generate, spec = sides[side].synthetic.generate, specs[side][key]
-                t0 = clock()
-                values[side] = generate(spec).values
-                us[side].append((clock() - t0) * 1e-3)
-            identical &= values["parent"].tobytes() == values["change"].tobytes()
-        out[key] = summary(us)
-    out["identical"] = identical
-    return out
+    generate = {"what": f"synthetic.generate, {PAIRED_GENERATE_PAIRS} pairs of whole calls per "
+                        "spec: preset2, preset 2 at data seed 7; demo, the spec of "
+                        "scripts/make_demo_batches.py's 10 default batches; microseconds per "
+                        "call; identical: whether both sides generated bitwise the same series"}
+    identical = True
+    for key, make in (("preset2", lambda synthetic: synthetic.preset(2, seed=7)),
+                      ("demo", demo_spec)):
+        calls = {side: lambda run=pkg.synthetic.generate, spec=make(pkg.synthetic):
+                 run(spec).values for side, pkg in sides.items()}
+        generate[key], same = time_pairs(calls, PAIRED_GENERATE_PAIRS)
+        identical &= same
+    generate["identical"] = identical
+    return generate
 
 
-def probe_render(sides: dict, rules: list[str]) -> dict:
-    """Whole render_svg calls over reproduce 2's smoothed curves, and whether both agree."""
-    clock = time.perf_counter_ns
-    plotting = {side: importlib.import_module(f"{pkg.__name__}.plotting")
-                for side, pkg in sides.items()}
+def probe_writers(sides: dict, rules: list[str]) -> tuple[dict, dict]:
+    """render_svg and curve_csv calls over reproduce 2's curves, computed once for both.
+
+    The render plots the 2-trial curves smoothed over 50 samples; for each
+    trial count of PAIRED_CSV_TRIALS, pair k of curve_csv writes the
+    (k mod 8)-th rule's curve.
+    """
+    plotting, cli = ({side: importlib.import_module(f"{pkg.__name__}.{module}")
+                      for side, pkg in sides.items()} for module in ("plotting", "cli"))
     package = sides["change"]
     series = package.synthetic.generate(package.synthetic.preset(2, seed=7))
-    spec = package.RunSpec(package.ModelConfig(mk=10), "combined", 0.05, 2000.0, (0, 1))
+    records = {trials: package.compare_optimizers(
+        package.RunSpec(package.ModelConfig(mk=10), "combined", 0.05, 2000.0,
+                        tuple(range(trials))), series, tuple(rules))
+        for trials in PAIRED_CSV_TRIALS}
     plotted = {r.label: plotting["change"].smooth_curve(r.curve.indices, r.curve.mean, 50)
-               for r in package.compare_optimizers(spec, series, tuple(rules))}
+               for r in records[2]}
     calls = {side: partial(plotting[side].render_svg, plotted, title="configuration 2",
                            x_label="sample", y_label="mean |residual|")
              for side in sides}
-    us, svg = {side: [] for side in sides}, {}
-    for k in range(PAIRED_RENDER_PAIRS):
-        for side in order(k):
-            t0 = clock()
-            svg[side] = calls[side]()
-            us[side].append((clock() - t0) * 1e-3)
-    return {**summary(us), "identical": svg["parent"] == svg["change"]}
-
-
-def probe_curve_csv(sides: dict, rules: list[str]) -> dict:
-    """cli.curve_csv over reproduce 2's curves per trial count, and whether both agree.
-
-    Pair k writes the (k mod 8)-th rule's curve on each side.
-    """
-    clock = time.perf_counter_ns
-    cli = {side: importlib.import_module(f"{pkg.__name__}.cli") for side, pkg in sides.items()}
-    package = sides["change"]
-    series = package.synthetic.generate(package.synthetic.preset(2, seed=7))
-    out, identical = {}, True
-    for trials in PAIRED_CSV_TRIALS:
-        spec = package.RunSpec(package.ModelConfig(mk=10), "combined", 0.05, 2000.0,
-                               tuple(range(trials)))
-        curves = [r.curve for r in package.compare_optimizers(spec, series, tuple(rules))]
-        us = {side: [] for side in sides}
-        for k in range(PAIRED_CSV_PAIRS):
-            text = {}
-            for side in order(k):
-                t0 = clock()
-                text[side] = cli[side].curve_csv(curves[k % len(curves)])
-                us[side].append((clock() - t0) * 1e-3)
-            identical &= text["parent"] == text["change"]
-        out[f"T{trials}"] = summary(us)
-    out["identical"] = identical
-    return out
+    timed, identical = time_pairs(calls, PAIRED_RENDER_PAIRS)
+    render = {"what": f"plotting.render_svg over reproduce 2's 8 curves (data seed 7, 2 "
+                      f"trials, smoothed over 50 samples): {PAIRED_RENDER_PAIRS} pairs of whole "
+                      "calls; microseconds per call; identical: whether both sides rendered "
+                      "the same SVG bytes",
+              **timed, "identical": identical}
+    curve_csv = {"what": f"cli.curve_csv over reproduce 2's 8 curves (data seed 7), key "
+                         f"T<trials> for trials in {', '.join(map(str, PAIRED_CSV_TRIALS))}: "
+                         f"{PAIRED_CSV_PAIRS} pairs per key, pair k writing the (k mod 8)-th "
+                         "curve; microseconds per call; identical: whether both sides wrote the "
+                         "same text for every call"}
+    identical = True
+    for trials, runs in records.items():
+        curves = [r.curve for r in runs]
+        calls = {side: cli[side].curve_csv for side in sides}
+        curve_csv[f"T{trials}"], same = time_pairs(
+            calls, PAIRED_CSV_PAIRS, lambda k: (curves[k % len(curves)],))
+        identical &= same
+    curve_csv["identical"] = identical
+    return render, curve_csv
 
 
 def main(argv: list[str]) -> int:
@@ -244,10 +265,13 @@ def main(argv: list[str]) -> int:
     stream, sha256 = probe_stream(sides, rules)
     kernel = probe_kernel(sides, rules)
     generate = probe_generate(sides)
-    render = probe_render(sides, rules)
-    curve_csv = probe_curve_csv(sides, rules)
-    print(json.dumps({"stream": stream, "kernel": kernel, "generate": generate,
-                      "render": render, "curve_csv": curve_csv, "sha256": sha256}))
+    render, curve_csv = probe_writers(sides, rules)
+    print(json.dumps({
+        "what": "both sides' packages in one interpreter, timed in alternating pairs, "
+                "parent first in even pairs; per key, each side's median microseconds, "
+                "the median of the per-pair ratios and the pairs the change won",
+        "stream": stream, "kernel": kernel, "generate": generate, "render": render,
+        "curve_csv": curve_csv, "sha256": sha256}))
     return 0
 
 

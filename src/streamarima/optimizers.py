@@ -73,7 +73,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .series import _is_int
+from .series import _is_int, _is_real
 
 MU = 0.9  # Momentum and Nesterov velocity decay
 RHO = 0.9  # RMSProp squared-gradient decay
@@ -145,7 +145,7 @@ class Optimizer:
             raise ValueError(f"dim must be an int >= 1, got {dim!r}")
         self.dim = int(dim)
         self._given = list(runs)
-        runs = [(_rule(name), float(lr), ramp, rows) for name, lr, ramp, rows in runs]
+        runs = [(_rule(name), lr, ramp, rows) for name, lr, ramp, rows in runs]
         if not runs:
             raise ValueError("at least one run is required")
         for rule, lr, ramp, rows in runs:
@@ -396,9 +396,16 @@ def _rule(name: str) -> Rule:
 
 
 def _check_settings(rule: Rule, learning_rate: float, ramp_length: float | None) -> None:
-    """Raise unless the rate is finite and > 0 and, for ``combined``, the ramp length is > 0."""
+    """Raise unless the rate is finite and > 0 and, for ``combined``, the ramp length is > 0.
+
+    Each is first checked to be a real number: a bool or a str is rejected, not converted.
+    """
+    if not _is_real(learning_rate):
+        raise ValueError(f"learning_rate must be a real number, got {learning_rate!r}")
     if not (math.isfinite(learning_rate) and learning_rate > 0.0):
         raise ValueError(f"learning_rate must be finite and > 0, got {learning_rate}")
+    if rule.delta == "handover" and ramp_length is not None and not _is_real(ramp_length):
+        raise ValueError(f"ramp_length must be a real number, got {ramp_length!r}")
     if rule.delta == "handover" and not (ramp_length is not None and ramp_length > 0.0):
         raise ValueError(f"{rule.name} requires a ramp_length > 0, got {ramp_length}")
 

@@ -44,7 +44,7 @@ def moving_average(values, window: int) -> np.ndarray:
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     window = min(window, values.size)
-    if window == 1:
+    if window <= 1:  # 0 for no data, which gives no points
         return values.copy()
     kernel = np.full(window, 1.0 / window)
     return np.convolve(values, kernel, mode="valid")
@@ -59,6 +59,11 @@ def smooth_curve(indices, values, window: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _fmt(x: float) -> str:
     return f"{x:.2f}"
+
+
+def _text(s: str) -> str:
+    """``s`` escaped for the content of an SVG text element."""
+    return str(s).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def write_digits(out: np.ndarray, q: np.ndarray, min_digits: int = 1) -> None:
@@ -174,7 +179,7 @@ def render_svg(
     if title:
         parts.append(
             f'<text x="{WIDTH // 2}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="16">{title}</text>'
+            f'font-family="sans-serif" font-size="16">{_text(title)}</text>'
         )
 
     for frac in (0.0, 0.5, 1.0):
@@ -190,12 +195,12 @@ def render_svg(
         )
     parts.append(
         f'<text x="{MARGIN_L + plot_w // 2}" y="{HEIGHT - 10}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="12">{x_label}</text>'
+        f'font-family="sans-serif" font-size="12">{_text(x_label)}</text>'
     )
     parts.append(
         f'<text x="16" y="{MARGIN_T + plot_h // 2}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 16 {MARGIN_T + plot_h // 2})">{y_label}</text>'
+        f'transform="rotate(-90 16 {MARGIN_T + plot_h // 2})">{_text(y_label)}</text>'
     )
 
     rules = list(OPTIMIZERS) if all(label in OPTIMIZERS for label in curves) else None
@@ -215,7 +220,7 @@ def render_svg(
         )
         parts.append(
             f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" '
-            f'font-size="12">{label}</text>'
+            f'font-size="12">{_text(label)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

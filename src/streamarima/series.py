@@ -9,6 +9,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -16,6 +17,11 @@ import numpy as np
 def _is_int(value) -> bool:
     """Whether ``value`` is a Python or numpy integer; a bool is not."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number (an int or a numpy float too); a bool is not."""
+    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
-from .series import TimeSeries, _is_int, normalize
+from .series import TimeSeries, _is_int, _is_real, normalize
 
 EXPLOSION_LIMIT = 1e6
 # samples per block of the generator's recurrence, see _recur
@@ -35,7 +34,7 @@ def _coefficients(field: str, values, required: bool) -> tuple:
     if required and not values:
         raise ValueError(f"{field} needs at least one autoregressive coefficient")
     for value in values:
-        if isinstance(value, bool) or not (isinstance(value, Real) and math.isfinite(value)):
+        if not (_is_real(value) and math.isfinite(value)):
             raise ValueError(f"{field} coefficients must be finite real numbers, got {value!r}")
     return values
 
@@ -77,6 +76,8 @@ class GeneratorSpec:
         object.__setattr__(self, "beta", _coefficients("beta", self.beta, False))
         if not (_is_int(self.length) and self.length >= 1):
             raise ValueError(f"length must be an int >= 1, got {self.length!r}")
+        if not _is_real(self.noise_std):
+            raise ValueError(f"noise_std must be a real number, got {self.noise_std!r}")
         if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
             raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         if not (_is_int(self.burn_in) and self.burn_in >= 0):

@@ -30,6 +30,7 @@ from streamarima.cli import (
     write_text_atomic,
 )
 from streamarima.experiment import ResidualCurve
+from streamarima.series import normalize
 from streamarima.synthetic import GeneratorSpec, generate
 
 
@@ -274,6 +275,23 @@ def test_a_constant_series_file_with_normalize_writes_nothing(tmp_path, capsys):
     assert run_cli(*argv) == 0
 
 
+def test_normalize_runs_a_series_file_on_its_normalized_values(tmp_path, small_csv):
+    # the same bytes as a run on a file of the normalized values' reprs; small_csv
+    # is already on [-1, 1], so the series is stretched off it first
+    values = 3.0 * np.array([float(x) for x in small_csv.read_text().split()[1:]]) + 0.5
+    files = {"scaled.csv": values, "normalized.csv": normalize(values, values.min(), values.max())}
+    for name, column in files.items():
+        rows = map(repr, column.tolist())
+        (tmp_path / name).write_text("\n".join(["value", *rows]) + "\n", encoding="ascii")
+    argv = ("run", "--optimizer", "basic", "--mk", 3)
+    scaled = tmp_path / "scaled.csv"
+    assert run_cli(*argv, "--data", scaled, "--normalize", "--out", tmp_path / "a.csv") == 0
+    assert run_cli(*argv, "--data", tmp_path / "normalized.csv", "--out", tmp_path / "b.csv") == 0
+    assert run_cli(*argv, "--data", scaled, "--out", tmp_path / "raw.csv") == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    assert (tmp_path / "a.csv").read_bytes() != (tmp_path / "raw.csv").read_bytes()
+
+
 def test_a_file_that_is_not_ascii_names_itself(tmp_path, capsys):
     bom = tmp_path / "bom.csv"
     bom.write_bytes(b"\xef\xbb\xbfvalue\n0.5\n0.25\n")
@@ -290,6 +308,9 @@ def test_a_file_that_is_not_ascii_names_itself(tmp_path, capsys):
         ("sweep-lambda", "--grid", "5, 5.0", "ramp grid: '5' and '5.0' both print as 5"),
         ("grid-search", "--rates", "0.01,1000000,1000001",
          "rate grid: '1000000' and '1000001' both print as 1e+06"),
+        # and values that do not parse, or none at all
+        ("grid-search", "--rates", "0.01,abc", "could not parse rate grid: '0.01,abc'"),
+        ("sweep-lambda", "--grid", " , ", "ramp grid is empty"),
     ],
 )
 def test_grid_values_that_print_alike_write_nothing(tmp_path, small_csv, capsys,

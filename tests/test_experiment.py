@@ -142,6 +142,8 @@ def test_run_data_dispatch(short_series):
     assert run_data(spec_for(), short_series).granularity == "sample"
     batches = microbatches(short_series, 100)
     assert run_data(spec_for(), batches).granularity == "batch"
+    with pytest.raises(ValueError, match="^no batches to run$"):
+        run_data(spec_for(), [])
 
 
 def test_diverged_run_raises(short_series):
@@ -378,6 +380,15 @@ def test_the_kernel_gradient_is_the_doubled_residual_times_f(scale, d):
             assert resid[block].tobytes() == doubled_residual_rows(s, values, starts).tobytes()
 
 
+@pytest.mark.parametrize("bad", [True, np.bool_(False), "0.1", 1j])
+def test_runspec_rates_and_ramps_must_be_real_numbers(bad):
+    shown = re.escape(repr(bad))
+    with pytest.raises(ValueError, match=rf"^learning_rate must be a real number, got {shown}$"):
+        spec_for(lr=bad)
+    with pytest.raises(ValueError, match=rf"^ramp_length must be a real number, got {shown}$"):
+        spec_for(optimizer="combined", ramp=bad)
+
+
 def test_residual_curve_validation():
     idx = np.arange(3)
     with pytest.raises(ValueError, match="granularity"):
@@ -512,6 +523,9 @@ def test_runspec_validation():
         with pytest.raises(ValueError, match=f"combined requires a ramp_length > 0, got {bad}"):
             spec_for(optimizer="combined", ramp=bad)
     assert spec_for(optimizer="combined", ramp=math.inf).ramp_length == math.inf
+    # ints and numpy reals are rates and ramps
+    assert spec_for(lr=1).learning_rate == 1
+    assert spec_for(lr=np.float32(0.05), optimizer="combined", ramp=np.int64(5)).ramp_length == 5
     # another rule has no ramp, so the spec states none
     assert spec_for(ramp=2000.0).ramp_length is None
     assert RunSpec(ModelConfig(mk=3), "basic", 0.05, 2000.0).ramp_length is None

@@ -9,6 +9,7 @@ optimizer that holds runs of several rules against one-run optimizers.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -559,11 +560,36 @@ def test_constructor_validation():
     for bad in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="learning_rate"):
             make_optimizer("basic", 2, bad)
+    with pytest.raises(ValueError, match="^basic takes no ramp_length, got 5.0$"):
+        make_optimizer("basic", 3, LR, ramp_length=5.0)
     # the decay rates and eps are constants; ramp_length is the only keyword
     with pytest.raises(TypeError, match="rho"):
         make_optimizer("adam", 2, LR, rho=0.5)
     with pytest.raises(TypeError, match="momentum"):
         make_optimizer("combined", 2, LR, ramp_length=5.0, momentum=0.5)
+
+
+@pytest.mark.parametrize("bad", [True, False, np.bool_(True), "0.1", None, 1j])
+def test_rates_and_ramps_must_be_real_numbers(bad):
+    # rejected, not converted: float() would take "0.1" and True as rates
+    shown = re.escape(repr(bad))
+    rate = rf"^learning_rate must be a real number, got {shown}$"
+    with pytest.raises(ValueError, match=rate):
+        make_optimizer("basic", 3, bad)
+    with pytest.raises(ValueError, match=rate):
+        Optimizer(3, [("basic", LR, None, 2), ("adam", bad, None, 1)])
+    if bad is not None:  # a missing ramp is combined's range error, see below
+        with pytest.raises(ValueError, match=rf"^ramp_length must be a real number, got {shown}$"):
+            make_optimizer("combined", 3, LR, ramp_length=bad)
+
+
+@pytest.mark.parametrize("rate", [1, np.int64(1), np.float32(1.0), np.float64(1.0)])
+def test_ints_and_numpy_reals_are_rates_and_ramps(rate):
+    g = np.array([0.5, -1.0, 2.0])
+    given_as = make_optimizer("combined", 3, rate, ramp_length=np.int64(5))
+    floats = make_optimizer("combined", 3, 1.0, ramp_length=5.0)
+    for _ in range(3):
+        assert given_as.update_direction(g).tobytes() == floats.update_direction(g).tobytes()
 
 
 def test_constructor_rejects_bad_run_lists():

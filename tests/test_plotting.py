@@ -1,6 +1,7 @@
 """Smoothing and SVG rendering tests."""
 
 import re
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -70,6 +71,25 @@ def test_render_svg_handles_flat_curves():
 def test_render_svg_rejects_empty_input():
     with pytest.raises(ValueError, match="no curves"):
         render_svg({})
+
+
+def test_zero_points_smooth_to_nothing_and_do_not_plot():
+    assert moving_average([], 3).size == 0
+    idx, vals = smooth_curve([], [], 5)
+    assert idx.size == 0 and vals.size == 0
+    with pytest.raises(ValueError, match="^curves contain no points$"):
+        render_svg({"c": (idx, vals)})
+
+
+def test_render_svg_escapes_its_text():
+    x = np.arange(3.0)
+    labels = ["a<b & c", "x > y"]
+    svg = render_svg({label: (x, x) for label in labels}, title="x<y",
+                     x_label="t & u", y_label="<r>")
+    texts = [t.text for t in ET.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")]
+    assert texts[0] == "x<y"
+    assert "t & u" in texts and "<r>" in texts
+    assert texts[-2:] == labels
 
 
 def test_render_svg_gives_each_rule_its_colour():

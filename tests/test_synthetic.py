@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -129,6 +130,18 @@ def test_spec_validation():
         GeneratorSpec(alpha=(0.5,), burn_in=-1)
     with pytest.raises(ValueError, match="shift index"):
         CoefficientShift(at_index=0, alpha=(0.5,), beta=())
+
+
+@pytest.mark.parametrize("bad", [True, False, np.bool_(True), "x", "0.3", None, 1j])
+def test_noise_std_must_be_a_real_number(bad):
+    shown = re.escape(repr(bad))
+    with pytest.raises(ValueError, match=rf"^noise_std must be a real number, got {shown}$"):
+        GeneratorSpec(alpha=(0.5,), length=5, noise_std=bad)
+
+
+@pytest.mark.parametrize("noise_std", [0, 1, np.int64(1), np.float32(0.25), np.float64(0.3)])
+def test_noise_std_takes_ints_and_numpy_reals(noise_std):
+    assert len(generate(GeneratorSpec(alpha=(0.5,), length=5, noise_std=noise_std))) == 5
 
 
 def test_integer_fields_are_checked_at_construction():
