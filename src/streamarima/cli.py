@@ -16,9 +16,10 @@ Relative output paths resolve against $STREAMARIMA_OUT_DIR when it is set.
 
 A curve CSV's t cells are str(int(t)) and its value cells repr(float(v)).
 Its text is built in numpy: an exact array encoder finds repr's shortest
-digits with integer arithmetic (``_shortest_digits``), one gather per block
-of cells spells them in repr's notation, and each cell the encoder cannot
-prove is written with repr itself.
+digits with integer arithmetic (``_shortest_digits``). Each cell is then
+written as three 8-byte words: the 17 digits, some moved down to make room
+for the point, with the rest of repr's notation in the gaps. Each cell the
+encoder cannot prove is written with repr itself.
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ def write_text_atomic(path: Path, text: str) -> None:
 
 # A curve CSV's value cells are the text repr(float(v)) gives: the fewest
 # significant digits that read back as v, the nearest to v among those,
-# with the point placed as _layout shows. _shortest_digits finds them with
+# with the point placed as _form shows. _shortest_digits finds them with
 # integer arithmetic for the positive doubles in [_ARRAY_LO, _ARRAY_HI);
 # the other cells, and the few it cannot prove, are written with repr.
 _ARRAY_LO, _ARRAY_HI = 1e-10, 1e15
@@ -121,6 +122,8 @@ _LOW32 = _U64(0xFFFFFFFF)
 # also where log10 rounds across a power of ten, and 5**27 < 2**64
 _POW5 = np.array([5**k for k in range(28)], dtype=np.uint64)
 _POW10 = np.array([10**k for k in range(18)], dtype=np.uint64)
+# the part of 10**i / 2 below 1, times 2**64
+_HALF_FRAC = np.array([1 << 63] + [0] * 17, dtype=np.uint64)
 # cells that curve_csv encodes at once; twice as many raised the peak RSS
 # of `reproduce 2 --trials 2` by 2 MB
 _CELL_CHUNK = 1 << 13
@@ -138,32 +141,78 @@ def _scaled(m: np.ndarray, p: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np
     carry = (low >> _U64(32)) + (cross & _LOW32)
     lo = (carry << _U64(32)) | (low & _LOW32)
     hi = m1 * p1 + (cross >> _U64(32)) + (carry >> _U64(32))
-    return (hi << (_U64(64) - s)) | (lo >> s), lo << (_U64(64) - s)
+    back = _U64(64) - s
+    return (hi << back) | (lo >> s), lo << back
+
+
+def _midpoints(mid: np.ndarray, mid_frac: np.ndarray, p: np.ndarray, s: np.ndarray,
+               narrow: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """floor((m - k) p / 2**s) and floor((m + 2) p / 2**s), from ``_scaled(m, p, s)``.
+
+    k is 1 where ``narrow`` holds (the gap below is half as wide), else 2.
+    With m p = mid 2**s + r and k p = a 2**s + b, for r, b < 2**s, the
+    lower floor is mid - a, less 1 where r < b; the upper, with 2p in
+    place of k p, is mid + a, plus 1 where r + b >= 2**s. mid_frac is
+    r 2**(64 - s), and b 2**(64 - s) is k p shifted left by 64 - s in
+    uint64, so both tests compare two uint64s. 2p < 2**64, as 5**27 < 2**63.
+    """
+    back = _U64(64) - s
+    up = p << _U64(1)
+    down = up >> narrow
+    lo = mid - (down >> s) - (mid_frac < (down << back))
+    hi = mid + (up >> s) + (mid_frac > ~(up << back))
+    return lo, hi
+
+
+def _places(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The largest i with a multiple of 10**i in (lo, hi], where 0 < hi - lo < 100.
+
+    10**k has a multiple there when hi mod 10**k < hi - lo. That holds for
+    k = 1 and 2 by a test each, and past 2 while hi's digits from the
+    hundreds up are 0, which only the few that pass k = 2 go on to check.
+    """
+    gap = hi - lo
+    tens = hi // _U64(10)
+    hundreds = tens // _U64(10)
+    i = (hi - tens * _U64(10) < gap).astype(np.intp)
+    deep = hi - hundreds * _U64(100) < gap
+    i += deep
+    at = np.flatnonzero(deep)
+    # hi >= 10**15 on the array range, so the loop ends
+    rest = hundreds[at]
+    while at.size:
+        tens = rest // _U64(10)
+        zero = rest == tens * _U64(10)
+        at, rest = at[zero], tens[zero]
+        i[at] += 1
+    return i
 
 
 def _shortest_digits(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The digits and point position of repr(float(x)) for each float64 x of ``v``.
 
-    Returns ``(c, i, decpt, exact)``. Where ``exact`` holds, repr's digits
-    are the 17 - i digits of the integer c, and x rounds to 0.c * 10**decpt.
+    Returns ``(near, i, decpt, exact)``. Where ``exact`` holds, near is in
+    [10**16, 10**17) and a multiple of 10**i, repr's digits are the first
+    17 - i of its 17 digits, and x rounds to 0.near * 10**decpt.
 
     x = M 2**E with an integer M < 2**53. With q = 16 - floor(log10 x), the
     value and the midpoints to its neighbours, (4M + {-2, 0, 2}) 2**(E-2)
     (4M - 1 below when M = 2**52, where the gap below is half as wide), are
-    scaled by 10**q = 5**q 2**q exactly: their products with 5**q are
-    shifted right by 2 - E - q. The scaled value lies in [10**16, 10**17),
-    where the midpoints are more than 1 apart. A midpoint's numerator is
-    odd, so it scales to an integer only when E >= 1, for x >= 2**53: on
-    the array range the integers between the midpoints are those from the
-    lower one's floor + 1 to the upper one's floor. 10**i is the largest
-    power of ten with a multiple among them, and c 10**i is the multiple
-    of 10**i nearest the value.
+    scaled by 10**q = 5**q 2**q exactly: the value's product with 5**q is
+    shifted right by 2 - E - q, and the midpoints' floors follow from it
+    (``_midpoints``). The scaled value lies in [10**16, 10**17), where the
+    midpoints are more than 1 and less than 24 apart. A midpoint's
+    numerator is odd, so it scales to an integer only when E >= 1, for
+    x >= 2**53: on the array range the integers between the midpoints are
+    those from the lower one's floor + 1 to the upper one's floor. 10**i is
+    the largest power of ten with a multiple among them (``_places``), and
+    near is the multiple of 10**i nearest the value.
 
     Not exact, and so written with repr: x off the array range (which
     takes in zero, negatives, subnormals and non-finite values), x midway
-    between two multiples of 10**i, c 10**i outside the midpoints, and a
+    between two multiples of 10**i, near outside the midpoints, and a
     scale that log10 misjudged near a power of ten (the scaled value off
-    [10**16, 10**17), or c 10**i = 10**17).
+    [10**16, 10**17), or near = 10**17).
     """
     # a value off the range is clamped into it, computed, and not exact
     w = np.fmax(np.fmin(v, _ARRAY_HI), _ARRAY_LO)
@@ -171,67 +220,78 @@ def _shortest_digits(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     frac = bits & _U64((1 << 52) - 1)
     m = (frac | _U64(1 << 52)) << _U64(2)
     q = (16.0 - np.floor(np.log10(w))).astype(np.intp)
-    p = _POW5[q]
+    p = _POW5.take(q)
     s = _U64(1077) - (bits >> _U64(52)) - q.astype(np.uint64)
     mid, mid_frac = _scaled(m, p, s)
-    hi = _scaled(m + _U64(2), p, s)[0]
-    lo = _scaled(m - _U64(2) + (frac == 0), p, s)[0]
-    i = np.zeros(v.size, dtype=np.intp)
-    below, top = lo, hi
-    while True:
-        below = below // _U64(10)
-        top = top // _U64(10)
-        more = below != top
-        if not more.any():
-            break
-        i += more
-    unit = _POW10[i]
-    c = mid // unit
-    # the scaled value is c unit + rest + mid_frac / 2**64, and unit / 2 is
-    # half + half_frac / 2**64
-    rest = mid - c * unit
-    half, half_frac = unit >> _U64(1), np.left_shift(i == 0, 63, dtype=np.uint64)
-    tie = (rest == half) & (mid_frac == half_frac)
-    c += (rest > half) | ((rest == half) & (mid_frac > half_frac))
-    near = c * unit
+    lo, hi = _midpoints(mid, mid_frac, p, s, frac == 0)
+    i = _places(lo, hi)
+    # near is the multiple of unit nearest the scaled value, mid + mid_frac /
+    # 2**64: the largest at or below total, the value plus unit / 2 rounded
+    # down, where unit / 2 is unit >> 1 + half_frac / 2**64. It is a tie where
+    # near is total and the fractions are equal.
+    unit, half_frac = _POW10.take(i), _HALF_FRAC.take(i)
+    total = mid + (unit >> _U64(1)) + (mid_frac > ~half_frac)
+    near = total // unit * unit
+    tie = (total == near) & (mid_frac == half_frac)
     exact = ((v >= _ARRAY_LO) & (v < _ARRAY_HI) & ~tie & (near > lo) & (near <= hi)
              & (mid >= _POW10[16]) & (mid < _POW10[17]) & (i < 17))
-    return c, i, 17 - q, exact
+    return near, i, 17 - q, exact
 
 
-# A cell's bytes are gathered from one row per value: the 17 digits of c,
-# zeros in front, then _CONSTANTS, whose last byte, 0, is the padding.
-_CONSTANTS = b",.0123456789e+-\0"
-_PAD = 17 + len(_CONSTANTS) - 1
-_CELL_WIDTH = 25  # "," and the longest repr of a float64
+# A cell is little-endian uint64 words whose 0 bytes are blanks that
+# curve_csv drops. An exact cell is near's 17 digits D0 ... D16, spelled in
+# bytes 7 to 23 of _CELL_WORDS words, then cut to repr's text by its form,
+# which _forms() tabulates for each i and decpt: the digits kept stay or
+# move down 4 or 5 bytes, to make room for "," and ".", and the form's
+# other bytes are written in the gaps. The three forms, blanks left out:
+#     0.000DDD    ",0." and -decpt zeros up to byte 6, then D0 ... in place
+#     DDD.DDD     "," in byte 1, D0 ... D(decpt-1) 5 bytes down, ".", the rest 4 down
+#     D.DDDe-05   "," in byte 1, D0 5 bytes down, ".", the rest 4 down, the exponent
+_WORD = np.dtype("<u8")
+_CELL_WORDS = 3
+_FIRST_DIGIT = 7
+# a form's byte "d" keeps its digit, and a byte "a" or "b" takes the digit
+# that many bytes above it
+_MOVES = {"a": 4, "b": 5}
 
 
-def _layout(n: int, decpt: int) -> list[int]:
-    """The columns of that row that spell "," and repr's text of n digits at decpt."""
-    digits = [17 - n + k for k in range(n)]
+def _form(n: int, decpt: int) -> str:
+    """The bytes of a cell that spell "," and repr's text of n digits at decpt.
 
-    def text(chars: str) -> list[int]:
-        return [17 + _CONSTANTS.index(ch) for ch in chars.encode()]
-
-    if decpt <= -4 or decpt > 16:
-        mantissa = digits[:1] + (text(".") + digits[1:] if n > 1 else [])
-        return text(",") + mantissa + text(f"e{decpt - 1:+03d}")
-    if decpt <= 0:
-        return text(",0." + "0" * -decpt) + digits
-    if decpt < n:
-        return text(",") + digits[:decpt] + text(".") + digits[decpt:]
-    return text(",") + digits + text("0" * (decpt - n) + ".0")
+    "d", "a" and "b" mark digits (see _MOVES) and "\\0" a blank; any other
+    byte is itself.
+    """
+    if -3 <= decpt <= 0:
+        lead = ",0." + "0" * -decpt
+        form = "\0" * (_FIRST_DIGIT - len(lead)) + lead + "d" * n
+    elif decpt <= -4 or decpt > 16:
+        form = "\0,b" + ("." + "a" * (n - 1) if n > 1 else "") + f"e{decpt - 1:+03d}"
+    else:
+        # decpt >= n puts D(n) ... D(decpt), all 0, before and after the point
+        form = "\0," + "b" * decpt + "." + "a" * (max(n, decpt + 1) - decpt)
+    return form + "\0" * (8 * _CELL_WORDS - len(form))
 
 
 @functools.cache
-def _layouts() -> np.ndarray:
-    """Each layout, padded, at [i, decpt + 10] for every i and decpt _shortest_digits returns."""
-    table = np.full((18, 27, _CELL_WIDTH), _PAD, dtype=np.intp)
-    for i in range(18):
-        for decpt in range(-10, 17):
-            cols = _layout(max(17 - i, 1), decpt)
-            table[i, decpt + 10, : len(cols)] = cols
-    return table
+def _forms() -> tuple[np.ndarray, ...]:
+    """The bytes each form spells itself, then the masks of its bytes "d",
+    "a" and "b", as (3, 486) word matrices: a row per word and the form of
+    i and decpt at column 27 i + decpt + 10.
+    """
+    text = "".join(_form(max(17 - i, 1), decpt) for i in range(18) for decpt in range(-10, 17))
+    forms = np.frombuffer(text.encode(), dtype=np.uint8).reshape(-1, 8 * _CELL_WORDS)
+    masks = [forms == ord(mark) for mark in ("d", *_MOVES)]
+    fill = np.where(np.logical_or.reduce(masks), 0, forms)
+    return tuple(np.ascontiguousarray(table.astype(np.uint8).view(_WORD).T).astype(np.uint64)
+                 for table in (fill, *(255 * mask for mask in masks)))
+
+
+@functools.cache
+def _quads() -> np.ndarray:
+    """The 4 digits of each k < 10**4, zeros in front, as the low bytes of a word, at [k]."""
+    k = np.arange(10**4, dtype=np.uint64)
+    return sum((k // _U64(10**(3 - j)) % _U64(10) + _U64(ord("0"))) << _U64(8 * j)
+               for j in range(4))
 
 
 def _ascii_rows(texts: list[str], width: int) -> np.ndarray:
@@ -239,32 +299,71 @@ def _ascii_rows(texts: list[str], width: int) -> np.ndarray:
     return np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(len(texts), width)
 
 
+def _digit_words(x: np.ndarray) -> np.ndarray:
+    """The 17 digits of each uint64 x < 10**17, zeros in front, as the columns of a (3, n) word matrix.
+
+    D0 is byte 7 of word 0, whose other bytes are 0; words 1 and 2 are
+    D1 ... D16, from two uint32 lanes of 8 digits, each spelled by two
+    lookups in _quads().
+    """
+    words = np.empty((_CELL_WORDS, x.size), dtype=_WORD)
+    first = x // _U64(10**16)
+    rest = x - first * _U64(10**16)
+    upper = rest // _U64(10**8)
+    lanes = np.empty((2, x.size), dtype=np.uint32)
+    lanes[0] = upper
+    lanes[1] = rest - upper * _U64(10**8)
+    np.left_shift(first + _U64(ord("0")), _U64(56), out=words[0])
+    quads = _quads()
+    high = lanes // np.uint32(10**4)
+    np.bitwise_or(quads.take(high), quads.take(lanes - high * np.uint32(10**4)) << _U64(32),
+                  out=words[1:])
+    return words
+
+
 def _cells(v: np.ndarray) -> np.ndarray:
     """The cell of each float64 of ``v``, "," and repr(float(x)), as 0-padded matrix rows.
 
-    An exact cell is gathered by its layout, all of them in one call; the
-    others are then overwritten with repr's text.
+    Each cell is near's digit words cut to its form; the cells that are not
+    exact are then overwritten with repr's text, in a fourth word if one
+    needs it.
     """
-    c, i, decpt, exact = _shortest_digits(v)
-    src = np.empty((v.size, 17 + len(_CONSTANTS)), dtype=np.uint8)
-    write_digits(src[:, :17], c, 17)
-    src[:, 17:] = np.frombuffer(_CONSTANTS, dtype=np.uint8)
-    cols = _layouts()[i, decpt + 10]
-    cols += np.arange(0, src.size, src.shape[1])[:, None]
-    text = src.ravel().take(cols)
+    near, i, decpt, exact = _shortest_digits(v)
     slow = np.flatnonzero(~exact)
+    texts = [f",{x!r}" for x in v[slow].tolist()]
+    width = max(_CELL_WORDS, -(-max(map(len, texts), default=0) // 8))
+    cells = np.empty((v.size, width), dtype=_WORD)
+    cells[:, _CELL_WORDS:] = 0
+    fill, *masks = _forms()
+    form = i * 27 + decpt + 10
+    digits = _digit_words(near)
+    words = cells[:, :_CELL_WORDS].T
+    np.bitwise_and(digits, masks[0].take(form, axis=1), out=words)
+    words |= fill.take(form, axis=1)
+    # only the common form, 0.000DDD, keeps its digits in place
+    other = np.flatnonzero(exact & ((decpt < -3) | (decpt > 0)))
+    if other.size:
+        theirs, at = digits.take(other, axis=1), form.take(other)
+        placed = fill.take(at, axis=1)
+        for shift, mask in zip(_MOVES.values(), masks[1:]):
+            moved = theirs >> _U64(8 * shift)
+            moved[:-1] |= theirs[1:] << _U64(64 - 8 * shift)
+            moved &= mask.take(at, axis=1)
+            placed |= moved
+        cells[other, :_CELL_WORDS] = placed.T
     if slow.size:
-        text[slow] = _ascii_rows([f",{x!r}" for x in v[slow].tolist()], _CELL_WIDTH)
-    return text
+        cells[slow] = _ascii_rows(texts, 8 * width).view(_WORD)
+    return cells.view(np.uint8)
 
 
 def curve_csv(curve: ResidualCurve) -> str:
     """The curve as CSV text: t, r_mean and, for T > 1 trials, r_0 ... r_{T-1}.
 
     Every t cell is str(int(t)) and every value cell repr(float(v)). About
-    _CELL_CHUNK cells at a time, the rows are one uint8 matrix: t's digits,
-    the row's cells and a newline per row, padded with 0 that is then
-    dropped.
+    _CELL_CHUNK cells at a time, the rows are one uint8 matrix: a newline
+    and t's digits, then the row's cells, padded with 0 that one
+    ``bytes.translate`` then drops. The header's newline is the first
+    row's, and the last row's is added at the end.
     """
     trials = curve.per_trial.shape[0]
     header = ["t", "r_mean"]
@@ -272,7 +371,7 @@ def curve_csv(curve: ResidualCurve) -> str:
     if trials > 1:
         header += [f"r_{i}" for i in range(trials)]
         columns += list(curve.per_trial)
-    blocks = [",".join(header).encode() + b"\n"]
+    blocks = [",".join(header)]
     t = curve.indices.astype(np.int64)
     values = np.column_stack(columns).astype(np.float64, copy=False)
     t_width = max(len(str(t.min())), len(str(t.max()))) if t.size else 0
@@ -280,17 +379,17 @@ def curve_csv(curve: ResidualCurve) -> str:
     for a in range(0, t.size, step):
         block_t = t[a : a + step]
         text = _cells(values[a : a + step].ravel()).reshape(block_t.size, -1)
-        rows = np.empty((block_t.size, t_width + text.shape[1] + 1), dtype=np.uint8)
-        write_digits(rows[:, :t_width], block_t)
+        rows = np.empty((block_t.size, 1 + t_width + text.shape[1]), dtype=np.uint8)
+        rows[:, 0] = ord("\n")
+        write_digits(rows[:, 1 : t_width + 1], block_t)
         negative = np.flatnonzero(block_t < 0)
         if negative.size:
-            rows[negative, :t_width] = _ascii_rows(list(map(str, block_t[negative].tolist())),
-                                                   t_width)
-        rows[:, t_width:-1] = text
-        rows[:, -1] = ord("\n")
-        flat = rows.ravel()
-        blocks.append(flat[flat != 0].tobytes())
-    return b"".join(blocks).decode("ascii")
+            rows[negative, 1 : t_width + 1] = _ascii_rows(
+                list(map(str, block_t[negative].tolist())), t_width)
+        rows[:, t_width + 1 :] = text
+        blocks.append(rows.tobytes().translate(None, b"\0").decode("ascii"))
+    blocks.append("\n")
+    return "".join(blocks)
 
 
 def series_csv(series: TimeSeries) -> str:

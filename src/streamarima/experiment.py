@@ -44,7 +44,8 @@ class DivergedError(RuntimeError):
 
 @dataclass(frozen=True)
 class RunSpec:
-    """One run, replayable: a ``ramp_length`` given to a rule other than ``combined`` is None."""
+    """One run, replayable: a ``ramp_length`` given to a rule other than ``combined``
+    is checked as ``combined``'s would be, then set to None."""
 
     model: ModelConfig
     optimizer: str

@@ -73,7 +73,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .series import _is_int, _is_real
+from .series import _check_real, _is_int
 
 MU = 0.9  # Momentum and Nesterov velocity decay
 RHO = 0.9  # RMSProp squared-gradient decay
@@ -149,9 +149,9 @@ class Optimizer:
         if not runs:
             raise ValueError("at least one run is required")
         for rule, lr, ramp, rows in runs:
-            _check_settings(rule, lr, ramp)
             if rule.delta != "handover" and ramp is not None:
                 raise ValueError(f"{rule.name} takes no ramp_length, got {ramp}")
+            _check_settings(rule, lr, ramp)
             if rows is not None and not (_is_int(rows) and rows >= 1):
                 raise ValueError(f"a run needs an int rows >= 1, got {rows!r}")
         if None in [rows for *_, rows in runs] and len(runs) != 1:
@@ -396,18 +396,23 @@ def _rule(name: str) -> Rule:
 
 
 def _check_settings(rule: Rule, learning_rate: float, ramp_length: float | None) -> None:
-    """Raise unless the rate is finite and > 0 and, for ``combined``, the ramp length is > 0.
+    """Raise unless the rate is finite and > 0 and a ramp length, which ``combined``
+    requires and another rule may be given, is > 0 (inf included).
 
-    Each is first checked to be a real number: a bool or a str is rejected, not converted.
+    Each is first checked to be a real number that fits a float: a bool or a
+    str is rejected, not converted, and so is an int past the float range.
     """
-    if not _is_real(learning_rate):
-        raise ValueError(f"learning_rate must be a real number, got {learning_rate!r}")
+    _check_real(learning_rate, "learning_rate must be a real number")
     if not (math.isfinite(learning_rate) and learning_rate > 0.0):
         raise ValueError(f"learning_rate must be finite and > 0, got {learning_rate}")
-    if rule.delta == "handover" and ramp_length is not None and not _is_real(ramp_length):
-        raise ValueError(f"ramp_length must be a real number, got {ramp_length!r}")
-    if rule.delta == "handover" and not (ramp_length is not None and ramp_length > 0.0):
-        raise ValueError(f"{rule.name} requires a ramp_length > 0, got {ramp_length}")
+    needed = rule.delta == "handover"
+    if ramp_length is not None:
+        _check_real(ramp_length, "ramp_length must be a real number")
+    elif not needed:
+        return
+    if not (ramp_length is not None and ramp_length > 0.0):
+        rule_text = f"{rule.name} requires a ramp_length" if needed else "ramp_length must be"
+        raise ValueError(f"{rule_text} > 0, got {ramp_length}")
 
 
 # A one-run optimizer's type carries its rule's name, so that a tool that

@@ -24,6 +24,19 @@ def _is_real(value) -> bool:
     return isinstance(value, Real) and not isinstance(value, bool)
 
 
+def _check_real(value, rule: str) -> None:
+    """Raise ``ValueError(f"{rule}, got ...")`` unless ``value`` is a real number that fits a float.
+
+    A bool or a str is rejected, not converted, and so is an int past 1.8e308.
+    """
+    if not _is_real(value):
+        raise ValueError(f"{rule}, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:
+        raise ValueError(f"{rule}, got one too large for a float") from None
+
+
 @dataclass(frozen=True)
 class TimeSeries:
     """Evenly indexed sample sequence; ``values[0]`` is sample 0."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import TimeSeries, _is_int, _is_real, normalize
+from .series import TimeSeries, _check_real, _is_int, normalize
 
 EXPLOSION_LIMIT = 1e6
 # samples per block of the generator's recurrence, see _recur
@@ -33,9 +33,11 @@ def _coefficients(field: str, values, required: bool) -> tuple:
         raise ValueError(f"{field} must be a sequence of coefficients, got {values!r}") from None
     if required and not values:
         raise ValueError(f"{field} needs at least one autoregressive coefficient")
+    rule = f"{field} coefficients must be finite real numbers"
     for value in values:
-        if not (_is_real(value) and math.isfinite(value)):
-            raise ValueError(f"{field} coefficients must be finite real numbers, got {value!r}")
+        _check_real(value, rule)
+        if not math.isfinite(value):
+            raise ValueError(f"{rule}, got {value!r}")
     return values
 
 
@@ -76,8 +78,7 @@ class GeneratorSpec:
         object.__setattr__(self, "beta", _coefficients("beta", self.beta, False))
         if not (_is_int(self.length) and self.length >= 1):
             raise ValueError(f"length must be an int >= 1, got {self.length!r}")
-        if not _is_real(self.noise_std):
-            raise ValueError(f"noise_std must be a real number, got {self.noise_std!r}")
+        _check_real(self.noise_std, "noise_std must be a real number")
         if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
             raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         if not (_is_int(self.burn_in) and self.burn_in >= 0):

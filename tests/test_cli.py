@@ -24,6 +24,10 @@ from streamarima.cli import (
     ALL_OPTIMIZERS,
     CONFIGS,
     _cells,
+    _digit_words,
+    _midpoints,
+    _places,
+    _scaled,
     _shortest_digits,
     curve_csv,
     main,
@@ -473,6 +477,83 @@ def test_a_curve_that_mixes_array_path_and_repr_cells():
     rows = [",".join([str(t), *map(repr, cells)])
             for t, cells in zip(curve.indices.tolist(), table.tolist())]
     assert curve_csv(curve) == "\n".join(["t,r_mean,r_0,r_1,r_2", *rows]) + "\n"
+
+
+def as_u64(*values):
+    return [np.array([value], dtype=np.uint64) for value in values]
+
+
+@given(st.integers(1, 27), st.integers(1, 63), st.booleans(), st.integers(2**54, 2**55 - 1),
+       st.sampled_from(["any", "carry", "borrow"]), st.integers(0, 2**62))
+@settings(max_examples=500, deadline=None)
+def test_midpoints_follow_from_the_values_product(q, s, narrow, m, case, pick):
+    # _shortest_digits takes q in 1..27 and s in 3..62, and m = 4M < 2**55
+    p, modulus = 5**q, 2**s
+    k = 1 if narrow else 2
+    above, below = 2 * p % modulus, k * p % modulus
+    if case == "carry" and above:
+        want = modulus - 1 - pick % above  # m p mod 2**s, so that adding 2p carries
+    elif case == "borrow" and below:
+        want = pick % below  # so that taking k p away borrows
+    else:
+        want = m * p % modulus
+    m = m // modulus * modulus + want * pow(p, -1, modulus) % modulus
+    m += modulus if m < 2 else 0
+    if case == "carry":
+        assert m * p % modulus + above >= modulus or not above
+    if case == "borrow":
+        assert m * p % modulus < below or not below
+    m_, p_, s_ = as_u64(m, p, s)
+    mid, mid_frac = _scaled(m_, p_, s_)
+    lo, hi = _midpoints(mid, mid_frac, p_, s_, np.array([narrow]))
+    assert hi[0] == _scaled(m_ + np.uint64(2), p_, s_)[0][0] == ((m + 2) * p >> s) % 2**64
+    assert lo[0] == _scaled(m_ - np.uint64(k), p_, s_)[0][0] == ((m - k) * p >> s) % 2**64
+
+
+# hi as _shortest_digits makes it, with runs of zeros from the hundreds up
+upper_floors = st.one_of(
+    st.integers(10**15, 10**18),
+    st.builds(lambda head, zeros, tail: head * 10**zeros + tail,
+              st.integers(1, 999), st.integers(2, 15), st.integers(0, 99)),
+)
+
+
+@given(upper_floors, st.integers(1, 99))
+@settings(max_examples=500, deadline=None)
+def test_places_is_the_largest_power_of_ten_with_a_multiple_between(hi, gap):
+    lo = hi - gap
+    i = max(k for k in range(19) if hi // 10**k * 10**k > lo)
+    assert _places(*as_u64(lo, hi))[0] == i
+
+
+@pytest.mark.parametrize("c", [0, 1, 10**9 - 1, 10**9, 10**16, 10**17 - 1,
+                               *np.random.default_rng(5).integers(0, 10**17, 20).tolist()])
+def test_digit_words_spell_seventeen_digits(c):
+    text = _digit_words(np.array([c], dtype=np.uint64)).T.astype("<u8").tobytes()
+    assert text == bytes(7) + f"{c:017d}".encode()
+
+
+@pytest.mark.parametrize("n", range(1, 16))
+def test_every_form_writes_repr(n):
+    # n digits, the last not 0, are repr's digits for n <= 15; decpt spans the array range,
+    # and a leading 7 keeps off powers of ten, where log10 may misjudge the scale
+    digits = "723456789123456"[:n]
+    values = [float(f"0.{digits}e{decpt}") for decpt in range(-9, 16)]
+    assert _shortest_digits(np.array(values))[3].all()
+    assert cell_texts(values) == [repr(v) for v in values]
+
+
+def test_cells_too_long_for_three_words_take_a_fourth():
+    values = [-1.2345678901234567e-100, 0.5, -0.0, math.nan, -math.inf, 1.0e-5]
+    assert _cells(np.array(values)).shape == (6, 32)
+    assert cell_texts(values) == [repr(v) for v in values]
+
+
+def test_curve_csv_writes_t_of_any_width():
+    t = np.array([0, 10**7, 10**8, 10**15, 2**62])
+    per_trial = np.full((1, t.size), 0.25)
+    curve = ResidualCurve(t, per_trial[0], per_trial, "sample")
+    assert curve_csv(curve) == "t,r_mean\n" + "".join(f"{x},0.25\n" for x in t.tolist())
 
 
 # the sha256 of each curve file of `reproduce 2 --trials 2`, as the

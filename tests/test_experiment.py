@@ -526,8 +526,18 @@ def test_runspec_validation():
     # ints and numpy reals are rates and ramps
     assert spec_for(lr=1).learning_rate == 1
     assert spec_for(lr=np.float32(0.05), optimizer="combined", ramp=np.int64(5)).ramp_length == 5
-    # another rule has no ramp, so the spec states none
+    # another rule has no ramp, so the spec states none, but a given one is
+    # checked as combined's would be first
     assert spec_for(ramp=2000.0).ramp_length is None
+    assert spec_for(ramp=math.inf).ramp_length is None
+    for bad, message in (("x", "ramp_length must be a real number, got 'x'"),
+                         (True, "ramp_length must be a real number, got True"),
+                         (-1.0, "ramp_length must be > 0, got -1.0"),
+                         (float("nan"), "ramp_length must be > 0, got nan")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RunSpec(ModelConfig(mk=3), "basic", 0.05, bad)
+    combined = spec_for(optimizer="combined", ramp=5.0)
+    assert replace(combined, optimizer="adam") == spec_for(optimizer="adam")
     assert RunSpec(ModelConfig(mk=3), "basic", 0.05, 2000.0).ramp_length is None
     assert RunSpec(ModelConfig(mk=3), "basic", 0.05, 2000.0) == spec_for()
     # trial seeds are ints >= 0: -1 used to fail in the kernel, after the

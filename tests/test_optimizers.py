@@ -583,6 +583,19 @@ def test_rates_and_ramps_must_be_real_numbers(bad):
             make_optimizer("combined", 3, LR, ramp_length=bad)
 
 
+# an int past the float range used to raise a bare OverflowError from float()
+def test_a_learning_rate_too_large_for_a_float_is_a_value_error():
+    message = "^learning_rate must be a real number, got one too large for a float$"
+    with pytest.raises(ValueError, match=message):
+        make_optimizer("basic", 3, 10**400)
+
+
+def test_a_ramp_length_too_large_for_a_float_is_a_value_error():
+    message = "^ramp_length must be a real number, got one too large for a float$"
+    with pytest.raises(ValueError, match=message):
+        make_optimizer("combined", 3, LR, ramp_length=10**400)
+
+
 @pytest.mark.parametrize("rate", [1, np.int64(1), np.float32(1.0), np.float64(1.0)])
 def test_ints_and_numpy_reals_are_rates_and_ramps(rate):
     g = np.array([0.5, -1.0, 2.0])

@@ -139,6 +139,19 @@ def test_noise_std_must_be_a_real_number(bad):
         GeneratorSpec(alpha=(0.5,), length=5, noise_std=bad)
 
 
+# an int past the float range used to raise a bare OverflowError from math.isfinite
+def test_a_noise_std_too_large_for_a_float_is_a_value_error():
+    message = "^noise_std must be a real number, got one too large for a float$"
+    with pytest.raises(ValueError, match=message):
+        GeneratorSpec(alpha=(0.5,), length=5, noise_std=10**400)
+
+
+def test_a_coefficient_too_large_for_a_float_is_a_value_error():
+    message = "^alpha coefficients must be finite real numbers, got one too large for a float$"
+    with pytest.raises(ValueError, match=message):
+        GeneratorSpec(alpha=(10**400,), length=5)
+
+
 @pytest.mark.parametrize("noise_std", [0, 1, np.int64(1), np.float32(0.25), np.float64(0.3)])
 def test_noise_std_takes_ints_and_numpy_reals(noise_std):
     assert len(generate(GeneratorSpec(alpha=(0.5,), length=5, noise_std=noise_std))) == 5
