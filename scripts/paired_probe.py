@@ -159,6 +159,9 @@ def probe_kernel(sides: dict, rules: list[str]) -> dict:
         if trials == 1:
             keys.update({f"T1.{run[0]}": (preset2, 10, [run]) for run in runs})
         keys[f"T{trials}.all"] = (preset2, 10, runs)
+    # a run that diverges in the first or second interval of every segment,
+    # so the kernel's leave path runs in every call
+    keys["T2.leave"] = (preset2, 10, [*keys["T2.all"][2], ("momentum", 1.0, None, 2)])
     # reproduce 7's ramps scaled to the segment, so that its several ramps
     # end one by one and the last runs alone for the second half of each call
     scale = PAIRED_KERNEL_SAMPLES / 10_000
@@ -171,7 +174,9 @@ def probe_kernel(sides: dict, rules: list[str]) -> dict:
                       f"{PAIRED_KERNEL_SAMPLES}-sample calls per key ("
                       f"{PAIRED_BATCHED_FILES_PAIRS} for batched_files), pair k over the k-th "
                       "segment of the series: T1.<rule>, T1.all, T2.all and T30.all on preset 2 "
-                      "(data seed 7), mk 10, lr 0.05, lambda 2000; T30.sweep, reproduce 7's "
+                      "(data seed 7), mk 10, lr 0.05, lambda 2000; T2.leave, T2.all plus "
+                      "momentum at lr 1, 2 trials, which diverges and leaves the loop at the "
+                      "first or second check of every segment; T30.sweep, reproduce 7's "
                       "ramps scaled by 1/10 plus its 3 baselines, 30 trials; batched_files, "
                       "combined at mk 300, 3 trials, lr 5e-3, lambda 102400 on the demo "
                       "generator's series; microseconds per sample; identical: whether both "

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import compress
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -106,21 +105,20 @@ def _kernel(specs: list[RunSpec], values: np.ndarray, starts) -> tuple[np.ndarra
 
     At d = 0 a sample is four calls besides ``advance()``: the residual is
     written once, by ``np.subtract(gamma @ f, actual, out=column)`` into the
-    sample's column of the live rows' buffer (at d > 0, an ``np.add`` of the
+    sample's column of the interval buffer (at d > 0, an ``np.add`` of the
     integration term comes first); the gradient is that column times the
     lag row of the doubled differences, written into the optimizer's
     ``grad``; and gamma takes the delta. Doubling is exact, so ``r * (2f)``
     and ``(2r) * f`` are one rounding of the same product 2rf, bit for bit,
     for every |r| and |f| below 2**1023.
 
-    Every DIVERGENCE_CHECK_INTERVAL samples, a run whose first trial has
-    diverged leaves the loop: its rows leave the coefficient array and the
-    optimizer, and its later residuals are nan. The live rows' buffer is the
-    residual array itself until a run leaves, and from then on a fresh
-    (live rows, samples left) array, whose columns go back into the
-    residual array at each check and at the end. The verdict at the end
-    names the run's first diverged trial at the same position, so what the
-    run reports does not change.
+    The interval buffer holds the live rows' residuals over one
+    DIVERGENCE_CHECK_INTERVAL samples, and goes into their rows of the
+    residual array, which starts all nan, after each interval. A run whose
+    first trial has diverged in an interval leaves the loop: its rows leave
+    the coefficient array and the optimizer, and its later residuals stay
+    nan. The verdict at the end names the run's first diverged trial at the
+    same position, so what the run reports does not change.
     """
     model = specs[0].model
     window = model.window
@@ -147,17 +145,16 @@ def _kernel(specs: list[RunSpec], values: np.ndarray, starts) -> tuple[np.ndarra
     for spec, block in zip(specs, blocks):
         gamma[block] = [ArimaModel(model, s).gamma for s in spec.trial_seeds]
     n = actual.size
-    resid = np.empty((gamma.shape[0], n))
-    buf, base = resid, 0  # the live rows' residuals, and the column of buf[:, 0]
-    live = list(range(len(specs)))
-    rows = slice(None)  # the residual row of each coefficient row
+    resid = np.full((gamma.shape[0], n), np.nan)
+    buf = np.empty((gamma.shape[0], DIVERGENCE_CHECK_INTERVAL))  # one interval of the live rows
+    rows = np.arange(gamma.shape[0])  # the residual row of each coefficient row
     d = model.d
     with np.errstate(all="ignore"):
         for lo in range(0, n, DIVERGENCE_CHECK_INTERVAL):
             hi = min(lo + DIVERGENCE_CHECK_INTERVAL, n)
             grad, advance = opt.grad, opt.advance
             for j, f, f2, a, col in zip(range(lo, hi), feats[lo:hi], doubled[lo:hi],
-                                        actual[lo:hi], buf.T[lo - base : hi - base]):
+                                        actual[lo:hi], buf.T):
                 if d:
                     np.add(gamma @ f, integ[j], out=col)
                     np.subtract(col, a, out=col)
@@ -165,23 +162,16 @@ def _kernel(specs: list[RunSpec], values: np.ndarray, starts) -> tuple[np.ndarra
                     np.subtract(gamma @ f, a, out=col)
                 np.multiply(col[:, None], f2, out=grad)
                 gamma -= advance()
-            if buf is not resid:
-                resid[rows, lo:hi] = buf[:, lo - base : hi - base]
-            if hi - lo < DIVERGENCE_CHECK_INTERVAL:
+            resid[rows, lo:hi] = buf[:, : hi - lo]
+            if hi == n:
                 break
-            span = slice(lo, hi)
-            firsts = np.abs(resid[[blocks[i].start for i in live], span])
-            left = diverged(firsts, span).any(axis=1)
+            firsts = np.abs(buf[[block.start for block in opt.blocks]])
+            left = diverged(firsts, slice(lo, hi)).any(axis=1)
+            if left.all():
+                break
             if left.any():
-                for i in compress(live, left):
-                    resid[blocks[i], hi:] = np.nan
-                live = list(compress(live, ~left))
-                if not live:
-                    break
                 opt, kept = opt.without(left)
-                gamma = gamma[kept]
-                rows = np.arange(resid.shape[0])[rows][kept]
-                buf, base = np.empty((gamma.shape[0], n - hi)), hi
+                gamma, buf, rows = gamma[kept], buf[kept], rows[kept]
         bad = diverged(np.abs(resid, out=resid))
     messages = [_verdict(spec, bad[block], window, starts) for spec, block in zip(specs, blocks)]
     return resid, blocks, messages

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-from .series import MicroBatch, TimeSeries
+from .series import MicroBatch, TimeSeries, _is_int
 
 FORMATS = ("bearing", "csv")
 
@@ -39,6 +39,8 @@ def parse_batch_file(
     path = Path(path)
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
+    if not _is_int(channel):
+        raise ValueError(f"channel must be an int, got {channel!r}")
     if fmt == "bearing" and channel < 0:
         raise ValueError(f"channel must be >= 0, got {channel}")
     if fmt == "csv" and channel != 0:
@@ -89,6 +91,8 @@ def load_batch_dir(
     if not paths:
         raise ValueError(f"{directory}: no batch files found")
     if limit is not None:
+        if not _is_int(limit):
+            raise ValueError(f"limit must be an int, got {limit!r}")
         if limit < 1:
             raise ValueError(f"limit {limit} selects an empty set of batches")
         paths = paths[:limit]

@@ -35,8 +35,7 @@ velocity plane of ``inc`` is the delta buffer, so ``lr*g`` is computed once.
 While exactly one distinct ramp is still running, its blend weights
 ``w = (t-1)/ramp`` and ``1-w`` are Python floats in 0-d arrays rather than
 full-shape arrays. A lone ``combined`` run on its ramp so makes 14 numpy
-calls per step, down from 21, and the 8-rule bank 25 while its ramp runs,
-down from 27, and 22 after it, as before.
+calls per step, and the 8-rule bank 25 while its ramp runs and 22 after it.
 
 ``make_optimizer`` builds the one-run case, with the checked calls:
 

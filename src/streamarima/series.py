@@ -63,8 +63,8 @@ class MicroBatch:
     batch_index: int = 0
 
     def __post_init__(self):
-        if self.batch_index < 0:
-            raise ValueError(f"batch_index must be >= 0, got {self.batch_index}")
+        if not (_is_int(self.batch_index) and self.batch_index >= 0):
+            raise ValueError(f"batch_index must be an int >= 0, got {self.batch_index!r}")
         if len(self.samples) == 0:
             raise ValueError("micro-batch must contain at least one sample")
 

@@ -166,6 +166,8 @@ def preset(setting: int, seed: int = 0) -> GeneratorSpec:
     3: preset 2 for the first 5,000 samples, then an abrupt switch to a
        different coefficient set with lags and innovations carried over.
     """
+    if not _is_int(setting):
+        raise ValueError(f"preset setting must be an int, got {setting!r}")
     alpha = (0.9, -0.9, 0.9, -0.4, -0.1)
     if setting == 1:
         return GeneratorSpec(alpha=alpha, beta=(), seed=seed)

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -362,6 +363,23 @@ def test_runs_that_leave_at_two_checks_leave_the_others_bitwise_alone():
         assert not np.isnan(resid[block, : caught[-1]]).any()
         assert resid[block, : caught[-1]].tobytes() == alone[0][:, : caught[-1]].tobytes()
     assert caught == [200, 900]
+
+
+def test_a_run_that_leaves_holds_no_second_copy_of_the_residuals():
+    # momentum at rate 1 leaves at the first check; the other twelve rows
+    # run on to the end without a second (rows, samples left) array
+    values = generate(preset(2, seed=7)).values
+    specs = [spec_for(name, mk=10, seeds=(0, 1, 2, 3), lr=lr, ramp=ramp)
+             for name, lr, ramp in (("basic", 0.05, None), ("momentum", 1.0, None),
+                                    ("adagrad", 0.05, None), ("combined", 0.05, 2000.0))]
+    tracemalloc.start()
+    try:
+        resid, _, messages = _kernel(specs, values, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert messages[1].startswith("run diverged at sample 84 ")
+    assert peak <= 1.5 * resid.nbytes
 
 
 @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e154, 1e300])

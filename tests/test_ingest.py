@@ -100,6 +100,24 @@ def test_load_batch_dir_limit(tmp_path):
         load_batch_dir(tmp_path, "bearing", limit=0)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("limit", True, "limit must be an int, got True"),
+        ("limit", 2.5, "limit must be an int, got 2.5"),
+        ("channel", True, "channel must be an int, got True"),
+        ("channel", 1.0, "channel must be an int, got 1.0"),
+    ],
+)
+def test_load_batch_dir_rejects_a_count_that_is_not_an_int(tmp_path, field, value, message):
+    # a bool would read 1 file or column 1, and a float would fail in slicing
+    write(tmp_path / "f0.txt", "1.0 2.0\n3.0 4.0\n")
+    write(tmp_path / "f1.txt", "1.0 2.0\n3.0 4.0\n")
+    with pytest.raises(ValueError) as info:
+        load_batch_dir(tmp_path, "bearing", **{field: value})
+    assert str(info.value) == message
+
+
 def test_load_batch_dir_errors(tmp_path):
     with pytest.raises(ValueError, match="not a directory"):
         load_batch_dir(tmp_path / "missing", "bearing")

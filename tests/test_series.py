@@ -55,6 +55,10 @@ def test_normalize_constant_series_maps_to_midpoint():
 def test_microbatch_validation():
     with pytest.raises(ValueError, match="batch_index"):
         MicroBatch(TimeSeries([1.0]), batch_index=-1)
+    for bad in (True, 1.5):
+        with pytest.raises(ValueError, match=f"batch_index must be an int >= 0, got {bad!r}"):
+            MicroBatch(TimeSeries([1.0]), batch_index=bad)
+    assert MicroBatch(TimeSeries([1.0]), np.int64(2)).batch_index == 2
     with pytest.raises(ValueError, match="at least one sample"):
         MicroBatch(TimeSeries(np.array([])))
     assert len(MicroBatch(TimeSeries([1.0, 2.0]), 3)) == 2

@@ -50,6 +50,10 @@ def test_preset_parameters():
     )
     with pytest.raises(ValueError, match="unknown preset"):
         preset(4)
+    for bad in (True, 2.0):
+        with pytest.raises(ValueError, match=f"preset setting must be an int, got {bad!r}"):
+            preset(bad)
+    assert preset(np.int64(2)) == p2
 
 
 def test_generate_is_deterministic_and_normalized():
