@@ -179,13 +179,15 @@ def probe_kernel(sides: dict, rules: list[str]) -> dict:
                       "first or second check of every segment; T30.sweep, reproduce 7's "
                       "ramps scaled by 1/10 plus its 3 baselines, 30 trials; batched_files, "
                       "combined at mk 300, 3 trials, lr 5e-3, lambda 102400 on the demo "
-                      "generator's series; microseconds per sample; identical: whether both "
-                      "sides computed bitwise the same residuals"}
+                      "generator's series; microseconds per sample, each call including the "
+                      "abs of its residuals; identical: whether both sides computed bitwise "
+                      "the same |residuals|, so that a kernel returning r and one returning "
+                      "|r| compare alike"}
     identical = True
     for key, (values, mk, runs) in keys.items():
         calls = {side: lambda segment, kernel=partial(pkg.experiment._kernel, [
             pkg.RunSpec(pkg.ModelConfig(mk=mk), rule, lr, ramp, tuple(range(trials)))
-            for rule, lr, ramp, trials in runs]): kernel(segment, None)[0]
+            for rule, lr, ramp, trials in runs]): abs(kernel(segment, None)[0])
             for side, pkg in sides.items()}
         size = PAIRED_KERNEL_SAMPLES + mk
         offsets = range(0, values.size - size + 1, PAIRED_KERNEL_SAMPLES)

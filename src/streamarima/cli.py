@@ -264,7 +264,7 @@ def _form(n: int, decpt: int) -> str:
     if -3 <= decpt <= 0:
         lead = ",0." + "0" * -decpt
         form = "\0" * (_FIRST_DIGIT - len(lead)) + lead + "d" * n
-    elif decpt <= -4 or decpt > 16:
+    elif decpt <= -4:
         form = "\0,b" + ("." + "a" * (n - 1) if n > 1 else "") + f"e{decpt - 1:+03d}"
     else:
         # decpt >= n puts D(n) ... D(decpt), all 0, before and after the point
@@ -374,7 +374,7 @@ def curve_csv(curve: ResidualCurve) -> str:
     blocks = [",".join(header)]
     t = curve.indices.astype(np.int64)
     values = np.column_stack(columns).astype(np.float64, copy=False)
-    t_width = max(len(str(t.min())), len(str(t.max()))) if t.size else 0
+    t_width = len(str(t.max())) if t.size else 0
     step = max(1, _CELL_CHUNK // values.shape[1])
     for a in range(0, t.size, step):
         block_t = t[a : a + step]
@@ -382,10 +382,6 @@ def curve_csv(curve: ResidualCurve) -> str:
         rows = np.empty((block_t.size, 1 + t_width + text.shape[1]), dtype=np.uint8)
         rows[:, 0] = ord("\n")
         write_digits(rows[:, 1 : t_width + 1], block_t)
-        negative = np.flatnonzero(block_t < 0)
-        if negative.size:
-            rows[negative, 1 : t_width + 1] = _ascii_rows(
-                list(map(str, block_t[negative].tolist())), t_width)
         rows[:, t_width + 1 :] = text
         blocks.append(rows.tobytes().translate(None, b"\0").decode("ascii"))
     blocks.append("\n")
@@ -470,10 +466,10 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
                         "(frozen first-batch parameters), off for series files")
 
 
-def _add_model_flags(p: argparse.ArgumentParser, trials_default: int) -> None:
+def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mk", type=int, default=10, help="autoregressive window size")
     p.add_argument("--d", type=int, default=0, help="differencing order")
-    p.add_argument("--trials", type=int, default=trials_default,
+    p.add_argument("--trials", type=int, default=1,
                    help="number of coefficient initializations to average")
     p.add_argument("--seed", type=int, default=0, help="base trial seed")
     p.add_argument("--lr", type=float, default=0.05, help="learning rate")
@@ -493,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run one optimizer over a data source")
     _add_data_flags(p)
-    _add_model_flags(p, trials_default=1)
+    _add_model_flags(p)
     p.add_argument("--optimizer", choices=sorted(OPTIMIZERS), required=True)
     p.add_argument("--lambda", dest="ramp", type=float, default=None,
                    help="ramp length for the combined optimizer")
@@ -504,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep-lambda", help="combined ramp sweep, scored by whole-stream mean")
     _add_data_flags(p)
-    _add_model_flags(p, trials_default=1)
+    _add_model_flags(p)
     p.add_argument("--grid", default=LAMBDA_GRID,
                    help="comma-separated ramp lengths")
     p.add_argument("--out", required=True, help="summary CSV: label,mean_residual,diverged")
@@ -513,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grid-search", help="pick the rate with the lowest whole-stream mean")
     _add_data_flags(p)
-    _add_model_flags(p, trials_default=1)
+    _add_model_flags(p)
     p.add_argument("--optimizer", choices=sorted(OPTIMIZERS), required=True)
     p.add_argument("--lambda", dest="ramp", type=float, default=None)
     p.add_argument("--rates", required=True, help="comma-separated learning rates")
@@ -560,6 +556,8 @@ def _parse_floats(text: str, what: str) -> list[float]:
 def _spec_from_args(args, optimizer: str, ramp: float | None) -> RunSpec:
     if ramp is not None and optimizer != "combined":
         raise ValueError(f"--lambda: valid only with --optimizer combined, not {optimizer}")
+    if ramp is None and optimizer == "combined":
+        raise ValueError("--lambda: required with --optimizer combined")
     return RunSpec(
         model=ModelConfig(mk=args.mk, d=args.d),
         optimizer=optimizer,

@@ -7,14 +7,14 @@ identical data. One kernel call advances every trial of every run of a
 comparison, sweep or grid together, over lag features computed once per
 series; a batched run is the same kernel over the concatenated batches,
 and a single run, ``run_data``, is the one-run case of the same call. The
-kernel keeps the residual it computes for the gradient, and residual
-curves are its absolute values, per sample or per batch. Every run is
-scored by one number, the mean of its trial-averaged curve over the whole
-stream; comparisons, sweeps and grid searches rank runs by it. Divergence
-(a non-finite residual, or one past DIVERGENCE_FACTOR times the data's
-largest magnitude) is judged by one rule, in the kernel, and ends a run
-cleanly instead of poisoning downstream aggregation: a diverged run is
-kept as a record, scored infinity.
+kernel returns signed residuals, and residual curves are their absolute
+values, per sample or per batch. Every run is scored by one number, the
+mean of its trial-averaged curve over the whole stream; comparisons,
+sweeps and grid searches rank runs by it. Divergence (a non-finite
+residual, or one past DIVERGENCE_FACTOR times the data's largest
+magnitude) is judged by one rule, in the kernel, and ends a run cleanly
+instead of poisoning downstream aggregation: a diverged run is kept as a
+record, scored infinity.
 """
 
 from __future__ import annotations
@@ -84,10 +84,12 @@ class ResidualCurve:
             raise ValueError("indices and mean lengths differ")
         if self.per_trial.shape[1:] != self.mean.shape:
             raise ValueError("per_trial width does not match curve length")
+        if self.indices.size and self.indices.min() < 0:
+            raise ValueError(f"indices must be >= 0, got {self.indices.min()}")
 
 
 def _kernel(specs: list[RunSpec], values: np.ndarray, starts) -> tuple[np.ndarray, list, list]:
-    """|residuals| past the first mk + d samples of every trial of every run, and each verdict.
+    """Residuals past the first mk + d samples of every trial of every run, and each verdict.
 
     The runs share one model shape. All their trials are the rows of one
     (rows, mk) coefficient array, grouped by rule as ``Optimizer`` orders
@@ -99,7 +101,7 @@ def _kernel(specs: list[RunSpec], values: np.ndarray, starts) -> tuple[np.ndarra
     product, whose per-row sums change with the number of rows, so a run's
     rows would no longer be bitwise those of the run alone. ``starts`` marks
     batch starts (None for a stream); each batch leaves its first mk + d
-    positions unscored. Returns the |residuals| in that row order, each
+    positions unscored. Returns the signed residuals in that row order, each
     run's block of rows, and each run's DivergedError text ("" for a run
     that did not diverge).
 
@@ -114,11 +116,12 @@ def _kernel(specs: list[RunSpec], values: np.ndarray, starts) -> tuple[np.ndarra
 
     The interval buffer holds the live rows' residuals over one
     DIVERGENCE_CHECK_INTERVAL samples, and goes into their rows of the
-    residual array, which starts all nan, after each interval. A run whose
-    first trial has diverged in an interval leaves the loop: its rows leave
-    the coefficient array and the optimizer, and its later residuals stay
-    nan. The verdict at the end names the run's first diverged trial at the
-    same position, so what the run reports does not change.
+    residual array, which starts all nan, after each interval. Then each
+    buffered residual is tested once, and a row records its first diverged
+    column. A run whose first trial has a record leaves the loop: its rows
+    leave the coefficient array and the optimizer, and its later residuals
+    stay nan. The verdict names the run's lowest trial with a record, at
+    that column, so what the run reports does not change.
     """
     model = specs[0].model
     window = model.window
@@ -132,12 +135,6 @@ def _kernel(specs: list[RunSpec], values: np.ndarray, starts) -> tuple[np.ndarra
         scored[s : s + window] = False
     scored = scored[window:]
     bound = DIVERGENCE_FACTOR * np.abs(values).max()
-
-    def diverged(resid, span=slice(None)):
-        """Where |residual| ``resid`` is non-finite or past the bound at a scored position."""
-        # the negated comparison is also true for nan
-        return ~(resid <= bound) & scored[span]
-
     opt = Optimizer(model.mk, [
         (spec.optimizer, spec.learning_rate, spec.ramp_length, spec.trials) for spec in specs])
     blocks = opt.blocks
@@ -146,6 +143,7 @@ def _kernel(specs: list[RunSpec], values: np.ndarray, starts) -> tuple[np.ndarra
         gamma[block] = [ArimaModel(model, s).gamma for s in spec.trial_seeds]
     n = actual.size
     resid = np.full((gamma.shape[0], n), np.nan)
+    first = np.full(gamma.shape[0], -1)  # each row's first diverged column, -1 for none
     buf = np.empty((gamma.shape[0], DIVERGENCE_CHECK_INTERVAL))  # one interval of the live rows
     rows = np.arange(gamma.shape[0])  # the residual row of each coefficient row
     d = model.d
@@ -163,26 +161,27 @@ def _kernel(specs: list[RunSpec], values: np.ndarray, starts) -> tuple[np.ndarra
                 np.multiply(col[:, None], f2, out=grad)
                 gamma -= advance()
             resid[rows, lo:hi] = buf[:, : hi - lo]
-            if hi == n:
-                break
-            firsts = np.abs(buf[[block.start for block in opt.blocks]])
-            left = diverged(firsts, slice(lo, hi)).any(axis=1)
+            bad = ~(np.abs(buf[:, : hi - lo]) <= bound) & scored[lo:hi]  # nan fails <= and counts
+            if not bad.any():
+                continue
+            new = bad.any(axis=1) & (first[rows] < 0)
+            first[rows[new]] = lo + bad[new].argmax(axis=1)
+            left = new[[block.start for block in opt.blocks]]
             if left.all():
                 break
             if left.any():
                 opt, kept = opt.without(left)
                 gamma, buf, rows = gamma[kept], buf[kept], rows[kept]
-        bad = diverged(np.abs(resid, out=resid))
-    messages = [_verdict(spec, bad[block], window, starts) for spec, block in zip(specs, blocks)]
+    messages = [_verdict(spec, first[block], window, starts) for spec, block in zip(specs, blocks)]
     return resid, blocks, messages
 
 
-def _verdict(spec: RunSpec, bad: np.ndarray, window: int, starts) -> str:
-    """The DivergedError text naming a run's first trial with a ``bad`` position, or ""."""
-    if not bad.any():
+def _verdict(spec: RunSpec, first: np.ndarray, window: int, starts) -> str:
+    """The DivergedError text naming a run's lowest trial with a ``first`` column, or ""."""
+    if (first < 0).all():
         return ""
-    trial = int(bad.any(axis=1).argmax())
-    k = int(bad[trial].argmax()) + window
+    trial = int((first >= 0).argmax())
+    k = int(first[trial]) + window
     where = f"at sample {k}"
     if starts is not None:
         pos = int(np.searchsorted(starts, k, side="right")) - 1
@@ -279,6 +278,7 @@ def _run_all(runs, data) -> list[RunRecord]:
     window = runs[0][1].model.window
     values, starts = _source(data, window)
     resid, blocks, messages = _kernel([spec for _, spec in runs], values, starts)
+    np.abs(resid, out=resid)
     records = []
     for (label, spec), block, message in zip(runs, blocks, messages):
         if message:

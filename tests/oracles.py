@@ -197,7 +197,7 @@ def arma_samples(spec):
 
 
 def doubled_residual_rows(spec, values, starts=None):
-    """One run's |residual| rows from a per-sample loop that doubles r, then multiplies f.
+    """One run's signed residual rows from a per-sample loop that doubles r, then multiplies f.
 
     Per sample: r = gamma @ f, plus the integration term when d > 0, minus
     the sample; the gradient is ``(2.0 * r) * f`` and gamma takes
@@ -235,4 +235,4 @@ def doubled_residual_rows(spec, values, starts=None):
                 span = slice(j + 1 - DIVERGENCE_CHECK_INTERVAL, j + 1)
                 if (~(np.abs(resid[0, span]) <= bound) & scored[span]).any():
                     break
-    return np.abs(resid)
+    return resid

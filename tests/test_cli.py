@@ -174,6 +174,16 @@ def test_run_errors_exit_nonzero(tmp_path, small_csv, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cmd, flags", [("run", ()), ("grid-search", ("--rates", "0.01"))])
+def test_combined_without_lambda_names_the_flag(tmp_path, capsys, cmd, flags):
+    # the check comes before the data are read: the data file does not exist
+    out = tmp_path / "x.csv"
+    assert run_cli(cmd, "--data", tmp_path / "missing.csv", "--optimizer", "combined",
+                   *flags, "--out", out) == 1
+    assert capsys.readouterr().err == "error: --lambda: required with --optimizer combined\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_generator_seeds_out_of_range_fail_closed(tmp_path, capsys):
     out = tmp_path / "s.csv"
     assert run_cli("synth", "--preset", 1, "--seed", -1, "--out", out) == 1
@@ -465,12 +475,12 @@ def test_cell_examples(value, text, exact):
 
 
 def test_a_curve_that_mixes_array_path_and_repr_cells():
-    # several blocks of rows, cells off the array range in each, and negative t
+    # several blocks of rows, cells off the array range in each
     rng = np.random.default_rng(3)
     per_trial = rng.random((3, 7000)) ** 4
     per_trial[:, ::997] = [[0.0], [1e-300], [2.5e16]]
     per_trial[1, ::1999] = 199476721919104.375
-    curve = ResidualCurve(np.arange(-20, 6980), per_trial.mean(axis=0), per_trial, "sample")
+    curve = ResidualCurve(np.arange(7000), per_trial.mean(axis=0), per_trial, "sample")
     table = np.vstack((curve.mean, per_trial)).T
     exact = _shortest_digits(table.ravel())[3]
     assert 0 < (~exact).sum() < exact.size // 100

@@ -382,6 +382,61 @@ def test_a_run_that_leaves_holds_no_second_copy_of_the_residuals():
     assert peak <= 1.5 * resid.nbytes
 
 
+def test_the_kernel_judges_each_residual_without_a_full_size_mask():
+    # the batched form of the bank above: each interval's residuals are
+    # judged in the interval buffer, so no (rows, samples) bool array is
+    # made and the traced peak stays near the residual array itself
+    values = generate(preset(2, seed=7)).values
+    starts = np.arange(0, values.size, 250)
+    specs = [spec_for(name, mk=10, seeds=(0, 1, 2, 3), lr=lr, ramp=ramp)
+             for name, lr, ramp in (("basic", 0.05, None), ("momentum", 1.0, None),
+                                    ("adagrad", 0.05, None), ("combined", 0.05, 2000.0))]
+    tracemalloc.start()
+    try:
+        resid, _, messages = _kernel(specs, values, starts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert messages[1].startswith("run diverged in batch 0 at offset 84 ")
+    assert peak <= 1.25 * resid.nbytes
+
+
+def test_a_run_whose_later_trial_diverges_stays_in_the_loop():
+    # at rate 0.27 on these 2,000 samples, momentum from seed 9 diverges at
+    # sample 1305 and from seed 0 stays finite: the run keeps its rows to the
+    # end and is named by seed 9
+    values = generate(preset(3, seed=7)).values[:2000]
+    series = TimeSeries(values)
+    spec = spec_for("momentum", mk=10, seeds=(0, 9), lr=0.27)
+    runs = [("basic", spec_for("basic", mk=10, seeds=(0, 9))), ("momentum", spec)]
+    records = _run_all(runs, series)
+    message = "run diverged at sample 1305 (optimizer momentum, rate 0.27, trial seed 9)"
+    assert [r.message for r in records] == ["", message]
+    assert _alone(spec, series) == message
+    assert _alone(replace(spec, trial_seeds=(9,)), series) == message
+    assert isinstance(_alone(replace(spec, trial_seeds=(0,)), series), ResidualCurve)
+    resid, blocks, _ = _kernel([s for _, s in runs], values, None)
+    assert np.isfinite(resid[blocks[1].start]).all()
+
+
+@pytest.mark.parametrize("length", [200, 2000])
+def test_a_run_whose_trial_1_diverges_first_is_named_by_trial_0(length):
+    # at rate 1, basic from seed 0 diverges at sample 66 and from seed 1 at
+    # 196: the run leaves when trial 0 (seed 1) diverges, in the last
+    # interval of the 200 samples and at the second check of the 2,000, and
+    # is named by trial 0 at its own sample
+    values = generate(preset(2, seed=7)).values[:length]
+    series = TimeSeries(values)
+    spec = spec_for("basic", mk=10, seeds=(1, 0), lr=1.0)
+    runs = [("adagrad", spec_for("adagrad", mk=10, seeds=(1, 0))), ("basic", spec)]
+    records = _run_all(runs, series)
+    message = "run diverged at sample 196 (optimizer basic, rate 1, trial seed 1)"
+    assert [r.message for r in records] == ["", message]
+    assert _alone(spec, series) == message
+    assert _alone(replace(spec, trial_seeds=(1,)), series) == message
+    assert _alone(replace(spec, trial_seeds=(0,)), series).startswith("run diverged at sample 66 ")
+
+
 @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e154, 1e300])
 @pytest.mark.parametrize("d", [0, 1])
 def test_the_kernel_gradient_is_the_doubled_residual_times_f(scale, d):
@@ -415,6 +470,11 @@ def test_residual_curve_validation():
         ResidualCurve(idx, np.zeros(4), np.zeros((1, 4)), "sample")
     with pytest.raises(ValueError, match="per_trial"):
         ResidualCurve(idx, np.zeros(3), np.zeros((1, 4)), "sample")
+
+
+def test_residual_curve_rejects_a_negative_index():
+    with pytest.raises(ValueError, match=r"^indices must be >= 0, got -1$"):
+        ResidualCurve(np.arange(-1, 2), np.zeros(3), np.zeros((1, 3)), "sample")
 
 
 def test_normalize_batches_freezes_first_batch_params():
