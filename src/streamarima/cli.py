@@ -558,6 +558,10 @@ def _spec_from_args(args, optimizer: str, ramp: float | None) -> RunSpec:
         raise ValueError(f"--lambda: valid only with --optimizer combined, not {optimizer}")
     if ramp is None and optimizer == "combined":
         raise ValueError("--lambda: required with --optimizer combined")
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     return RunSpec(
         model=ModelConfig(mk=args.mk, d=args.d),
         optimizer=optimizer,

@@ -93,6 +93,8 @@ class ArimaModel:
     """
 
     def __init__(self, config: ModelConfig, seed: int = 0):
+        if not (_is_int(seed) and seed >= 0):
+            raise ValueError(f"seed must be an int >= 0, got {seed!r}")
         self.config = config
         rng = np.random.default_rng(seed)
         self.gamma = rng.uniform(-INIT_BOUND, INIT_BOUND, config.mk)

@@ -37,19 +37,14 @@ While exactly one distinct ramp is still running, its blend weights
 full-shape arrays. A lone ``combined`` run on its ramp so makes 14 numpy
 calls per step, and the 8-rule bank 25 while its ramp runs and 22 after it.
 
-``make_optimizer`` builds the one-run case, with the checked calls:
-
-* ``update_direction(grad)`` advances the state and returns the delta that a
-  step would subtract from the coefficients, as a fresh array,
-* ``step(coeffs, grad)`` returns ``coeffs - update_direction(grad)``.
-
-Both check that their arguments have the optimizer's ``shape``, fixed at
-construction: ``(dim,)`` for a lone run, ``(rows, dim)`` for a bank. They
-copy the gradient into ``grad``, a buffer of that shape that the optimizer
-owns. ``advance()`` is the same update without the checks, for a caller
-that writes every gradient into ``grad`` itself: the experiment kernel and
-``ArimaModel.learn_step``. The delta it returns is one buffer, the same
-object on every call, valid until the next.
+``make_optimizer`` builds the one-run case. An optimizer's ``shape`` is
+fixed at construction: ``(dim,)`` for a lone run, ``(rows, dim)`` for a
+bank. It owns ``grad``, a buffer of that shape, and ``advance()`` updates
+every row from the gradient a caller wrote there: the experiment kernel and
+``ArimaModel.learn_step`` call it. The delta it returns is one buffer, the
+same object on every call, valid until the next. ``step(coeffs, grad)``
+checks that both have the optimizer's shape, copies the gradient into
+``grad`` and returns ``coeffs - advance()``.
 
 The update is bound once, when the state is allocated, and again when a
 ramp ends or ``without`` builds a copy, so the groups and the blend's
@@ -117,8 +112,6 @@ OPTIMIZERS: dict[str, Rule] = {rule.name: rule for rule in (
     # AMSGrad handing over linearly to Momentum across ramp_length steps
     Rule("combined", "handover", velocity=True, moment=True, squared=ADAM_SQUARED, v_max=True),
 )}
-
-BASELINE_NAMES = tuple(name for name in OPTIMIZERS if name != "combined")
 
 # The recurrences' state, in the order of the planes of an optimizer's buffers
 PLANES = ("velocity", "m", "s")
@@ -369,20 +362,18 @@ class Optimizer:
                 op(*operands)
         return self.delta
 
-    def _checked(self, what: str, array) -> np.ndarray:
-        """``array`` as float64 if it has the optimizer's shape; else raise."""
-        array = np.asarray(array, dtype=np.float64)
-        if array.shape != self.shape:
-            raise ValueError(f"{what} shape {array.shape} is not the optimizer's, {self.shape}")
-        return array
-
-    def update_direction(self, grad) -> np.ndarray:
-        np.copyto(self.grad, self._checked("gradient", grad))
-        return self.advance().copy()
-
     def step(self, coeffs, grad) -> np.ndarray:
-        coeffs = self._checked("coefficient", coeffs)
-        np.copyto(self.grad, self._checked("gradient", grad))
+        """``coeffs - advance()`` after ``grad`` is copied in, both checked for the optimizer's shape.
+
+        No product code calls it; it stays because perfbench's tracer wraps it by name.
+        """
+        coeffs = np.asarray(coeffs, dtype=np.float64)
+        if coeffs.shape != self.shape:
+            raise ValueError(f"coefficient shape {coeffs.shape} is not the optimizer's, {self.shape}")
+        grad = np.asarray(grad, dtype=np.float64)
+        if grad.shape != self.shape:
+            raise ValueError(f"gradient shape {grad.shape} is not the optimizer's, {self.shape}")
+        np.copyto(self.grad, grad)
         return coeffs - self.advance()
 
 

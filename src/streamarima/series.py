@@ -44,7 +44,11 @@ class TimeSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
+        # bools and strings are rejected, not converted
+        arr = np.asarray(self.values)
+        if arr.dtype.kind not in "iuf":
+            raise ValueError(f"samples must be ints or floats, got dtype {arr.dtype}")
+        arr = arr.astype(np.float64, copy=False)
         if arr.ndim != 1:
             raise ValueError(f"expected a 1-d sequence of samples, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):

@@ -9,7 +9,8 @@ residual before it multiplies the lag row.
 ``Recorder`` is an optimizer that keeps every gradient ``learn_step`` writes
 into its ``grad`` buffer and returns a zero delta from ``advance()``, so the
 forecaster's gradient is checked on the path that training uses, and the
-coefficients keep their bits.
+coefficients keep their bits. ``delta_of`` steps a real optimizer on that
+same path, and a test moves coefficients ``c`` by ``c - delta_of(opt, g)``.
 """
 
 import numpy as np
@@ -17,9 +18,23 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from streamarima.experiment import DIVERGENCE_CHECK_INTERVAL, DIVERGENCE_FACTOR
 from streamarima.model import ArimaModel, differences
-from streamarima.optimizers import Optimizer, make_optimizer
+from streamarima.optimizers import OPTIMIZERS, Optimizer, make_optimizer
 from streamarima.plotting import HEIGHT, MARGIN_B, MARGIN_L, MARGIN_R, MARGIN_T, WIDTH
 from streamarima.series import MicroBatch, TimeSeries
+
+
+# the seven rules that the paper's combination is compared against
+BASELINE_NAMES = tuple(name for name in OPTIMIZERS if name != "combined")
+
+
+def delta_of(opt, grad):
+    """The delta of one update of ``opt`` by ``grad``, as a fresh array.
+
+    ``grad`` is copied into the optimizer's ``grad`` buffer, and ``advance()``
+    runs as the kernel and ``learn_step`` run it.
+    """
+    np.copyto(opt.grad, grad)
+    return opt.advance().copy()
 
 
 def forecast(gamma, history, d):
@@ -100,7 +115,7 @@ class WindowOracle:
         value = float(np.dot(self.gamma, feats) + integ)
         residual = value - actual
         grad = (2.0 * residual) * feats
-        self.gamma = optimizer.step(self.gamma, grad)
+        self.gamma = self.gamma - delta_of(optimizer, grad)
         self.window = self.window[1:] + [actual]
         return value, residual, grad
 

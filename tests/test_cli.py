@@ -184,6 +184,26 @@ def test_combined_without_lambda_names_the_flag(tmp_path, capsys, cmd, flags):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("cmd, flags", [
+    ("run", ("--optimizer", "basic", "--out", "{out}/c.csv")),
+    ("sweep-lambda", ("--grid", "5,20", "--out", "{out}/s.csv")),
+    ("grid-search", ("--optimizer", "basic", "--rates", "0.01", "--out", "{out}/g.csv")),
+    ("reproduce", ("--out-dir", "{out}")),
+])
+@pytest.mark.parametrize("flag, value, message", [
+    ("--trials", 0, "--trials must be >= 1, got 0"),
+    ("--trials", -2, "--trials must be >= 1, got -2"),
+    ("--seed", -1, "--seed must be >= 0, got -1"),
+])
+def test_trial_count_and_seed_errors_name_the_flag(tmp_path, capsys, small_csv, cmd, flags,
+                                                    flag, value, message):
+    data = ("2",) if cmd == "reproduce" else ("--data", small_csv, "--mk", 3)
+    argv = [str(a).format(out=tmp_path) for a in (cmd, *data, *flags)]
+    assert main([*argv, f"{flag}={value}"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_generator_seeds_out_of_range_fail_closed(tmp_path, capsys):
     out = tmp_path / "s.csv"
     assert run_cli("synth", "--preset", 1, "--seed", -1, "--out", out) == 1

@@ -5,6 +5,7 @@ optimizer that records the gradient and leaves the coefficients alone.
 """
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -296,6 +297,14 @@ def test_initialization_is_seeded_and_bounded():
     assert a.gamma.tobytes() == want.tobytes()
     config = ModelConfig(mk=3)
     assert ArimaModel(config).gamma.tobytes() == ArimaModel(config, 0).gamma.tobytes()
+    # the seed is checked as RunSpec checks trial seeds; numpy used to raise
+    # its own errors for 1.5 and -1, and took True as 1
+    for bad in (1.5, True, -1, "0"):
+        with pytest.raises(ValueError, match=f"^seed must be an int >= 0, got {re.escape(repr(bad))}$"):
+            ArimaModel(config, bad)
+    for seed in (0, np.int64(3), 2**70):
+        want = np.random.default_rng(seed).uniform(-0.5, 0.5, 3)
+        assert ArimaModel(config, seed).gamma.tobytes() == want.tobytes()
 
 
 def test_config_validation():

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamarima.optimizers import BASELINE_NAMES, OPTIMIZERS, Optimizer, make_optimizer
+from oracles import BASELINE_NAMES, delta_of
+from streamarima.optimizers import OPTIMIZERS, Optimizer, make_optimizer
 
 LR = 0.1
 
@@ -114,11 +115,11 @@ ORACLES = {
 
 
 def deltas(opt, grads):
-    """Observed update directions, recovered through the public step call."""
+    """Observed update directions, recovered from the coefficients they move."""
     out = []
     coeffs = np.zeros(opt.dim)
     for grad in grads:
-        new = opt.step(coeffs, np.asarray(grad))
+        new = coeffs - delta_of(opt, grad)
         out.append(coeffs - new)
         coeffs = new
     return out
@@ -138,40 +139,40 @@ def test_five_step_oracle(name):
 
 def test_momentum_second_step_value():
     opt = make_optimizer("momentum", 1, 0.1)
-    first = opt.update_direction([1.0])
-    second = opt.update_direction([1.0])
+    first = delta_of(opt, [1.0])
+    second = delta_of(opt, [1.0])
     assert first[0] == pytest.approx(0.1, abs=1e-12)
     assert second[0] == pytest.approx(0.19, abs=1e-12)
 
 
 def test_nesterov_first_step_lookahead():
     opt = make_optimizer("nesterov", 1, 0.1)
-    d = opt.update_direction([1.0])
+    d = delta_of(opt, [1.0])
     # v = 0.1, delta = 0.9*0.1 + 0.1
     assert d[0] == pytest.approx(0.19, abs=1e-12)
 
 
 def test_adagrad_first_step_value():
     opt = make_optimizer("adagrad", 1, 0.1)
-    d = opt.update_direction([2.0])
+    d = delta_of(opt, [2.0])
     assert d[0] == pytest.approx(0.1 * 2 / (math.sqrt(4.0) + 1e-8), abs=1e-15)
 
 
 def test_rmsprop_first_step_value():
     opt = make_optimizer("rmsprop", 1, 0.1)
-    d = opt.update_direction([1.0])
+    d = delta_of(opt, [1.0])
     assert d[0] == pytest.approx(0.1 / (math.sqrt(0.1) + 1e-8), abs=1e-15)
     assert d[0] == pytest.approx(0.3162, abs=5e-5)
 
 
 def test_adam_first_step_is_learning_rate_scaled_sign():
     opt = make_optimizer("adam", 1, 0.1)
-    d = opt.update_direction([1.0])
+    d = delta_of(opt, [1.0])
     # both corrections cancel the (1-beta) factors on the first step
     assert d[0] == pytest.approx(0.1, abs=1e-8)
 
     opt = make_optimizer("adam", 1, 0.1)
-    d = opt.update_direction([100.0])
+    d = delta_of(opt, [100.0])
     assert d[0] == pytest.approx(0.1, abs=1e-8)
 
 
@@ -180,11 +181,11 @@ def test_amsgrad_max_never_increases_step():
     # current second moment, so the step is no larger than the same
     # update computed from the current moment alone
     opt = make_optimizer("amsgrad", 1, 0.1)
-    opt.update_direction([10.0])
-    opt.update_direction([0.1])
+    delta_of(opt, [10.0])
+    delta_of(opt, [0.1])
     m_before = opt.m.copy()
     v_before = opt.s.copy()
-    d = opt.update_direction([0.1])
+    d = delta_of(opt, [0.1])
 
     b1, b2 = 0.9, 0.999
     m3 = b1 * m_before[0] + (1 - b1) * 0.1
@@ -198,17 +199,17 @@ def test_zero_gradient_zero_delta():
     for name in ("basic", "adagrad", "adam", "amsgrad"):
         opt = make_optimizer(name, 2, 0.1)
         for _ in range(4):
-            d = opt.update_direction(np.zeros(2))
+            d = delta_of(opt, np.zeros(2))
             assert np.array_equal(d, np.zeros(2)), name
 
 
 def test_velocity_decays_geometrically_after_zero_gradients():
     for name in ("momentum", "nesterov"):
         opt = make_optimizer(name, 2, 0.1)
-        opt.update_direction(np.array([1.0, -2.0]))
-        prev = opt.update_direction(np.zeros(2))
+        delta_of(opt, np.array([1.0, -2.0]))
+        prev = delta_of(opt, np.zeros(2))
         for _ in range(5):
-            cur = opt.update_direction(np.zeros(2))
+            cur = delta_of(opt, np.zeros(2))
             assert np.array_equal(cur, 0.9 * prev), name
             prev = cur
 
@@ -230,7 +231,7 @@ def combined_deltas(t, ramp_length, grad):
     )
     for opt in opts:
         opt.step_count = t
-    return tuple(opt.update_direction(grad) for opt in opts)
+    return tuple(delta_of(opt, grad) for opt in opts)
 
 
 def test_blend_anchor_points():
@@ -275,14 +276,14 @@ def test_combined_first_step_is_pure_amsgrad():
     g = np.array([0.3, -0.7, 1.1])
     c = make_optimizer("combined", 3, LR, ramp_length=2000.0)
     a = make_optimizer("amsgrad", 3, LR)
-    assert np.array_equal(c.update_direction(g), a.update_direction(g))
+    assert np.array_equal(delta_of(c, g), delta_of(a, g))
     # not a blend at weight 0: lr * g overflows here, so the velocity and
     # AMSGrad's direction are inf, and 0 * inf would make the blend nan
     g = np.array([0.3, 1e10, 1.1])
     c = make_optimizer("combined", 3, 1e300, ramp_length=2000.0)
     a = make_optimizer("amsgrad", 3, 1e300)
     with np.errstate(over="ignore"):
-        assert np.array_equal(c.update_direction(g), a.update_direction(g))
+        assert np.array_equal(delta_of(c, g), delta_of(a, g))
 
 
 def test_combined_infinite_ramp_is_amsgrad_bitwise():
@@ -293,8 +294,8 @@ def test_combined_infinite_ramp_is_amsgrad_bitwise():
     coeffs_a = np.zeros(4)
     for _ in range(50):
         g = rng.normal(size=4)
-        coeffs_c = c.step(coeffs_c, g)
-        coeffs_a = a.step(coeffs_a, g)
+        coeffs_c = coeffs_c - delta_of(c, g)
+        coeffs_a = coeffs_a - delta_of(a, g)
         assert np.array_equal(coeffs_c, coeffs_a)
 
 
@@ -308,8 +309,8 @@ def test_combined_past_ramp_is_momentum_bitwise():
     coeffs_m = np.zeros(3)
     for _ in range(20):
         g = rng.normal(size=3)
-        coeffs_c = c.step(coeffs_c, g)
-        coeffs_m = m.step(coeffs_m, g)
+        coeffs_c = coeffs_c - delta_of(c, g)
+        coeffs_m = coeffs_m - delta_of(m, g)
         assert np.array_equal(coeffs_c, coeffs_m)
 
 
@@ -329,10 +330,10 @@ def test_combined_handover_matches_warmed_momentum():
                    for name, ramp in (("combined", 3.0), ("momentum", None), ("amsgrad", None)))
         grads = rng.normal(size=(8, *c.shape))
         for k, g in enumerate(grads):
-            dc = c.update_direction(g)
-            dm = m.update_direction(g)
+            dc = delta_of(c, g)
+            dm = delta_of(m, g)
             if k < 3:
-                a.update_direction(g)
+                delta_of(a, g)
             else:
                 assert np.array_equal(dc, dm)
         assert_amsgrad_state(c, a)
@@ -346,7 +347,7 @@ def test_combined_advances_both_substates_every_step():
     m = make_optimizer("momentum", 2, LR)
     for _ in range(4):
         for opt in (c, a, m):
-            opt.update_direction(np.array([1.0, 1.0]))
+            delta_of(opt, np.array([1.0, 1.0]))
     assert_amsgrad_state(c, a)
     np.testing.assert_array_equal(c.velocity, m.velocity)
     assert c.step_count == 4
@@ -384,8 +385,8 @@ def test_translation_equivariance(name, data):
     b = make_optimizer(name, dim, LR, **hyper)
     xa, xb = coeffs.copy(), coeffs + shift
     for g in grads:
-        xa = a.step(xa, g)
-        xb = b.step(xb, g)
+        xa = xa - delta_of(a, g)
+        xb = xb - delta_of(b, g)
         np.testing.assert_allclose(xb, xa + shift, rtol=1e-12, atol=1e-12)
 
 
@@ -399,24 +400,26 @@ def test_amsgrad_vmax_monotone(data):
     prev = np.zeros(dim)  # the state starts at zero
     for _ in range(steps):
         g = np.array(data.draw(st.lists(finite, min_size=dim, max_size=dim)))
-        opt.update_direction(g)
+        delta_of(opt, g)
         assert np.all(opt.v_max >= prev)
         prev = opt.v_max.copy()
 
 
 @pytest.mark.parametrize("name", tuple(OPTIMIZERS))
 def test_returned_delta_is_not_state(name):
-    # state is updated in place, so a returned delta must be a copy; combined
-    # with a ramp of 2 returns Momentum's direction from its third step on
+    # the state is updated in place, and advance() returns a delta buffer
+    # apart from it: a caller that writes over the delta leaves the next step
+    # as it was; combined with a ramp of 2 returns Momentum's direction from
+    # its third step on
     rng = np.random.default_rng(7)
     hyper = {"ramp_length": 2.0} if name == "combined" else {}
-    opt = make_optimizer(name, 3, LR, **hyper)
-    prev = opt.update_direction(rng.normal(size=3))
-    for _ in range(5):
-        kept = prev.copy()
-        cur = opt.update_direction(rng.normal(size=3))
-        assert np.array_equal(prev, kept), name
-        prev = cur
+    opt, twin = (make_optimizer(name, 3, LR, **hyper) for _ in range(2))
+    for _ in range(6):
+        g = rng.normal(size=3)
+        np.copyto(opt.grad, g)
+        got = opt.advance()
+        assert np.array_equal(got, delta_of(twin, g)), name
+        got.fill(np.nan)
 
 
 def test_update_ignores_coefficient_values():
@@ -426,7 +429,7 @@ def test_update_ignores_coefficient_values():
         b = make_optimizer(name, 2, LR)
         g = np.array([0.5, -1.5])
         for _ in range(3):
-            assert np.array_equal(a.update_direction(g), b.update_direction(g))
+            assert np.array_equal(delta_of(a, g), delta_of(b, g))
 
 
 @pytest.mark.parametrize("name", BASELINE_NAMES + ("combined",))
@@ -440,8 +443,8 @@ def test_rows_step_like_separate_optimizers(name):
     rows = [c.copy() for c in coeffs]
     for _ in range(6):
         grads = rng.normal(size=(4, 3))
-        coeffs = together.step(coeffs, grads)
-        rows = [opt.step(r, g) for opt, r, g in zip(alone, rows, grads)]
+        coeffs = coeffs - delta_of(together, grads)
+        rows = [r - delta_of(opt, g) for opt, r, g in zip(alone, rows, grads)]
         np.testing.assert_array_equal(coeffs, np.stack(rows))
 
     # runs of several rules in one optimizer: this rule at two rates (combined
@@ -459,10 +462,10 @@ def test_rows_step_like_separate_optimizers(name):
     together = coeffs.copy()
     for _ in range(8):
         grads = rng.normal(size=bank.shape)
-        together = bank.step(together, grads)
+        together = together - delta_of(bank, grads)
         for opts, block in zip(alone, bank.blocks):
             for opt, row in zip(opts, range(block.start, block.stop)):
-                coeffs[row] = opt.step(coeffs[row], grads[row])
+                coeffs[row] = coeffs[row] - delta_of(opt, grads[row])
         np.testing.assert_array_equal(together, coeffs)
 
 
@@ -488,7 +491,7 @@ def test_advance_over_the_grad_buffer_is_update_direction(name, rows):
     for k, g in enumerate(grads):
         np.copyto(opt.grad, g)
         got = opt.advance()
-        assert_bitwise(got, twin.update_direction(g), f"{name} step {k}")
+        assert_bitwise(got, delta_of(twin, g), f"{name} step {k}")
         assert got is delta and opt.grad is buffer
     for key in ("velocity", "m", "s", "v_max"):
         assert_bitwise(getattr(opt, key), getattr(twin, key), key)
@@ -528,7 +531,7 @@ def test_advance_over_the_grad_buffer_across_handover_and_without(bank):
         got = opt.advance()
         for opts, block in zip(alone, opt.blocks):
             for row, one in zip(range(block.start, block.stop), opts):
-                assert_bitwise(got[row], one.update_direction(g[row]), f"{bank} step {k} row {row}")
+                assert_bitwise(got[row], delta_of(one, g[row]), f"{bank} step {k} row {row}")
     assert opt.step_count == 12
 
 
@@ -602,7 +605,7 @@ def test_ints_and_numpy_reals_are_rates_and_ramps(rate):
     given_as = make_optimizer("combined", 3, rate, ramp_length=np.int64(5))
     floats = make_optimizer("combined", 3, 1.0, ramp_length=5.0)
     for _ in range(3):
-        assert given_as.update_direction(g).tobytes() == floats.update_direction(g).tobytes()
+        assert delta_of(given_as, g).tobytes() == delta_of(floats, g).tobytes()
 
 
 def test_constructor_rejects_bad_run_lists():
@@ -631,13 +634,13 @@ def test_without_takes_one_flag_per_run_of_a_bank():
 def test_gradient_shape_mismatch():
     opt = make_optimizer("basic", 3, LR)
     with pytest.raises(ValueError, match="shape"):
-        opt.update_direction(np.zeros(2))
+        opt.step(np.zeros(3), np.zeros(2))
     with pytest.raises(ValueError, match="shape"):
         opt.step(np.zeros(2), np.zeros(3))
     # a lone run's shape is (dim,) from the start, and refuses a bank's gradient
     opt = make_optimizer("adam", 3, LR)
     with pytest.raises(ValueError, match=r"gradient shape \(2, 3\) is not the optimizer's, \(3,\)"):
-        opt.update_direction(np.zeros((2, 3)))
+        opt.step(np.zeros(3), np.zeros((2, 3)))
     assert opt.step_count == 0 and opt.m.shape == (3,)
     # the coefficients must have the optimizer's shape too, not only its last axis
     lone, bank = make_optimizer("momentum", 3, LR), Optimizer(3, [("momentum", LR, None, 2)])

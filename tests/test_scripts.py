@@ -1,8 +1,9 @@
-"""Tests of the measuring scripts, ``scripts/paired_probe.py`` and ``scripts/bench_pairs.py``.
+"""Tests of the measuring scripts, ``scripts/paired_probe.py`` and ``scripts/bench_pairs.py``,
+and of the package hooks that the benchmark's tracer, ``perfbench/tracer.py``, wraps.
 
-Both are loaded by path with ``scripts/`` first on ``sys.path``, where
-``bench_pairs`` finds ``paired_probe``; nothing here times real work or
-starts a process.
+The scripts are loaded by path with ``scripts/`` first on ``sys.path``, where
+``bench_pairs`` finds ``paired_probe``, and the tracer by path without being
+installed; nothing here times real work or starts a process.
 """
 
 import importlib.util
@@ -12,11 +13,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+from streamarima.optimizers import OPTIMIZERS, make_optimizer
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
-def load(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+def load(name, folder=SCRIPTS):
+    spec = importlib.util.spec_from_file_location(name, folder / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -118,3 +122,17 @@ def test_bench_pairs_summarize_gives_medians_quartiles_and_pairs_won(scripts):
         "parent": {"attempted": 20, "failed": 0, "all_correct": True},
         "change": {"attempted": 20, "failed": 1, "all_correct": False},
     }
+
+
+def test_the_benchmark_tracer_finds_every_hook_it_wraps():
+    # a traced run wraps each of these by name, and tags optimizer calls by
+    # type(optimizer).name, so a hook renamed or deleted in the package breaks it
+    tracer = load("tracer", ROOT / "perfbench")
+    for _, home, attr in tracer.FUNCTIONS:
+        assert callable(getattr(importlib.import_module(home), attr)), (home, attr)
+    for _, home, cls, attr in tracer.METHODS:
+        assert callable(getattr(getattr(importlib.import_module(home), cls), attr)), (cls, attr)
+    assert set(tracer.OPTIMIZER_NAMES) == set(OPTIMIZERS)
+    for rule in OPTIMIZERS:
+        opt = make_optimizer(rule, 3, 0.1, 2.0 if rule == "combined" else None)
+        assert type(opt).name == rule

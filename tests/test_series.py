@@ -22,6 +22,18 @@ def test_timeseries_validation():
         TimeSeries(np.array([1.0, np.nan]))
     assert len(TimeSeries([1, 2, 3])) == 3
     assert TimeSeries([1, 2, 3]).values.dtype == np.float64
+    # only int and float samples: bools and strings used to be converted silently
+    for bad, dtype in (([True, False], "bool"), (["1", "2"], "<U1"), ([1j], "complex128"),
+                       ([1.0, None], "object")):
+        with pytest.raises(ValueError, match=f"^samples must be ints or floats, got dtype {dtype}$"):
+            TimeSeries(bad)
+    for good in ([1, 2], np.array([1, 2], dtype=np.uint8), np.array([0.5, 1.5], dtype=np.float32),
+                 [np.float64(0.5), 2]):
+        values = TimeSeries(good).values
+        assert values.dtype == np.float64
+        assert values.tobytes() == np.asarray(good, dtype=np.float64).tobytes()
+    floats = np.array([0.25, -1.0])
+    assert TimeSeries(floats).values is floats
 
 
 def test_normalize_hits_target_endpoints_exactly():
