@@ -199,11 +199,9 @@ def _source(data, window: int):
     data = list(data)
     if not data:
         raise ValueError("no batches to run")
-    for b in data:
+    for k, b in enumerate(data):
         if len(b) <= window:
-            raise ValueError(
-                f"batch {b.batch_index} has {len(b)} samples, need more than mk + d = {window}"
-            )
+            raise ValueError(f"batch {k} has {len(b)} samples, need more than mk + d = {window}")
     starts = np.cumsum([0] + [len(b) for b in data[:-1]])
     return np.concatenate([b.samples.values for b in data]), starts
 
@@ -240,22 +238,16 @@ def normalize_batches(batches: list[MicroBatch]) -> list[MicroBatch]:
     Freezing the map keeps later batches on a consistent scale without
     letting future data leak into earlier normalization. A constant first
     batch has no range to fit, and would map every later batch to 0, so it
-    is an error.
+    is an error naming it as batch 0, its position in the list.
     """
     if not batches:
         raise ValueError("no batches to normalize")
     first = batches[0].samples.values
     lo, hi = first.min(), first.max()
     if lo == hi:
-        raise ValueError(f"first batch (batch {batches[0].batch_index}) is constant at "
-                         f"{lo:g}: it gives no range to normalize by")
-    return [
-        MicroBatch(
-            samples=TimeSeries(normalize(b.samples.values, lo, hi)),
-            batch_index=b.batch_index,
-        )
-        for b in batches
-    ]
+        raise ValueError(f"first batch (batch 0) is constant at {lo:g}: "
+                         "it gives no range to normalize by")
+    return [MicroBatch(TimeSeries(normalize(b.samples.values, lo, hi))) for b in batches]
 
 
 @dataclass(frozen=True)

@@ -32,9 +32,7 @@ def _whole_row(line: str) -> list[str]:
     return [text] if text else []
 
 
-def parse_batch_file(
-    path, fmt: str, channel: int = 0, batch_index: int = 0
-) -> MicroBatch:
+def parse_batch_file(path, fmt: str, channel: int = 0) -> MicroBatch:
     """Read one batch file into a MicroBatch."""
     path = Path(path)
     if fmt not in FORMATS:
@@ -73,13 +71,16 @@ def parse_batch_file(
         raise ValueError(f"{path}: not ASCII text (byte 0x{exc.object[exc.start]:02x})") from None
     if not values:
         raise ValueError(f"{path}: file contains no samples")
-    return MicroBatch(samples=TimeSeries(values), batch_index=batch_index)
+    return MicroBatch(TimeSeries(values))
 
 
 def load_batch_dir(
     directory, fmt: str, channel: int = 0, limit: int | None = None
 ) -> list[MicroBatch]:
     """Read a directory of batch files, sorted by filename.
+
+    A batch is named by its 0-based position in the list, so the file that
+    sorts first is batch 0.
 
     ``limit`` keeps only the first ``limit`` files after sorting; asking for
     zero batches is an error rather than a silently empty run.
@@ -96,7 +97,4 @@ def load_batch_dir(
         if limit < 1:
             raise ValueError(f"limit {limit} selects an empty set of batches")
         paths = paths[:limit]
-    return [
-        parse_batch_file(p, fmt, channel=channel, batch_index=k)
-        for k, p in enumerate(paths)
-    ]
+    return [parse_batch_file(p, fmt, channel=channel) for p in paths]

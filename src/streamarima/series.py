@@ -46,6 +46,18 @@ class TimeSeries:
     def __post_init__(self):
         # bools and strings are rejected, not converted
         arr = np.asarray(self.values)
+        if isinstance(self.values, (list, tuple)) and arr.dtype.kind in "iufO":
+            # asarray reads a bool beside a number as 1, and keeps an int
+            # past 64 bits as an object
+            kinds = set(map(type, self.values))
+            if bool in kinds or np.bool_ in kinds:
+                raise ValueError("samples must be ints or floats, got a bool")
+            if arr.dtype == object and all(issubclass(t, Real) for t in kinds):
+                try:
+                    arr = np.array([float(v) for v in self.values])
+                except OverflowError:
+                    raise ValueError("samples must be ints or floats, "
+                                     "got an int too large for a float") from None
         if arr.dtype.kind not in "iuf":
             raise ValueError(f"samples must be ints or floats, got dtype {arr.dtype}")
         arr = arr.astype(np.float64, copy=False)
@@ -61,14 +73,15 @@ class TimeSeries:
 
 @dataclass(frozen=True)
 class MicroBatch:
-    """One contiguous chunk of a stream, delivered as a unit."""
+    """One contiguous chunk of a stream, delivered as a unit.
+
+    A batch carries no name of its own: errors, divergence messages and
+    curves name it by its 0-based position in the run's batch list.
+    """
 
     samples: TimeSeries
-    batch_index: int = 0
 
     def __post_init__(self):
-        if not (_is_int(self.batch_index) and self.batch_index >= 0):
-            raise ValueError(f"batch_index must be an int >= 0, got {self.batch_index!r}")
         if len(self.samples) == 0:
             raise ValueError("micro-batch must contain at least one sample")
 

@@ -129,10 +129,7 @@ def batch_residual(predictions, actuals, window):
 def microbatches(series, size):
     """Consecutive batches of ``size`` samples; a shorter remainder is dropped."""
     starts = range(0, len(series) - size + 1, size)
-    return [
-        MicroBatch(TimeSeries(series.values[s : s + size]), k)
-        for k, s in enumerate(starts)
-    ]
+    return [MicroBatch(TimeSeries(series.values[s : s + size])) for s in starts]
 
 
 def learn_step_forecasts(spec, values):

@@ -125,8 +125,7 @@ def test_batched_scoring_skips_window_positions_every_batch(short_series):
     sizes = (50, 37, 61, 252)
     starts = np.cumsum((0,) + sizes[:-1])
     batches = [
-        MicroBatch(TimeSeries(short_series.values[s : s + n]), k)
-        for k, (s, n) in enumerate(zip(starts, sizes))
+        MicroBatch(TimeSeries(short_series.values[s : s + n])) for s, n in zip(starts, sizes)
     ]
     curve = run_data(spec, batches)
     want = np.stack([stream[:, s : s + n - 4].mean(axis=1) for s, n in zip(starts, sizes)], axis=1)
@@ -134,9 +133,16 @@ def test_batched_scoring_skips_window_positions_every_batch(short_series):
 
 
 def test_batched_run_rejects_batch_shorter_than_window():
-    tiny = [MicroBatch(TimeSeries(np.zeros(3)), 0)]
+    tiny = [MicroBatch(TimeSeries(np.zeros(3)))]
     with pytest.raises(ValueError, match="batch 0 has 3 samples"):
         run_data(spec_for(mk=3), tiny)
+
+
+def test_a_short_batch_is_named_by_its_position_in_the_list(short_series):
+    # repeated batches are distinct positions; the first short one names the error
+    ok, short = MicroBatch(short_series), MicroBatch(TimeSeries(np.zeros(3)))
+    with pytest.raises(ValueError, match="^batch 1 has 3 samples"):
+        run_data(spec_for(mk=3), [ok, short] * 2)
 
 
 def test_run_data_dispatch(short_series):
@@ -210,10 +216,7 @@ def test_kernel_matches_per_sample_learn_step(data):
     np.testing.assert_allclose(got.per_trial, resid, rtol=1e-12, atol=1e-12)
 
     starts = np.cumsum([0] + sizes[:-1])
-    batches = [
-        MicroBatch(TimeSeries(values[s : s + n]), k)
-        for k, (s, n) in enumerate(zip(starts, sizes))
-    ]
+    batches = [MicroBatch(TimeSeries(values[s : s + n])) for s, n in zip(starts, sizes)]
     per_batch = [resid[:, s : s + n - window].mean(axis=1) for s, n in zip(starts, sizes)]
     curve = run_data(spec, batches)
     np.testing.assert_allclose(curve.per_trial, np.stack(per_batch, axis=1), rtol=1e-12, atol=1e-12)
@@ -282,10 +285,7 @@ def test_every_run_of_one_kernel_call_matches_the_run_alone(data):
     )
     values = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).normal(size=sum(sizes))
     starts = np.cumsum([0] + sizes[:-1])
-    batches = [
-        MicroBatch(TimeSeries(values[s : s + n]), k)
-        for k, (s, n) in enumerate(zip(starts, sizes))
-    ]
+    batches = [MicroBatch(TimeSeries(values[s : s + n])) for s, n in zip(starts, sizes)]
     for source in (TimeSeries(values), batches):
         for record in _run_all(runs, source):
             alone = _alone(record.spec, source)
@@ -478,8 +478,8 @@ def test_residual_curve_rejects_a_negative_index():
 
 
 def test_normalize_batches_freezes_first_batch_params():
-    b0 = MicroBatch(TimeSeries(np.array([0.0, 4.0, 2.0])), 0)
-    b1 = MicroBatch(TimeSeries(np.array([4.0, 8.0, 6.0])), 1)
+    b0 = MicroBatch(TimeSeries(np.array([0.0, 4.0, 2.0])))
+    b1 = MicroBatch(TimeSeries(np.array([4.0, 8.0, 6.0])))
     n0, n1 = normalize_batches([b0, b1])
     np.testing.assert_allclose(n0.samples.values, [-1.0, 1.0, 0.0], atol=1e-15)
     # same affine map, so the second batch escapes [-1, 1]
@@ -490,14 +490,14 @@ def test_normalize_batches_freezes_first_batch_params():
 
 def test_a_constant_first_batch_is_an_error():
     # its zero range would map this batch and every later one to 0
-    b0 = MicroBatch(TimeSeries(np.zeros(4)), 0)
-    b1 = MicroBatch(TimeSeries(np.array([1.0, 2.0])), 1)
+    b0 = MicroBatch(TimeSeries(np.zeros(4)))
+    b1 = MicroBatch(TimeSeries(np.array([1.0, 2.0])))
     with pytest.raises(ValueError) as info:
         normalize_batches([b0, b1])
     assert str(info.value) == (
         "first batch (batch 0) is constant at 0: it gives no range to normalize by")
     # a constant later batch is fine: the map comes from the first
-    _, n1 = normalize_batches([b1, MicroBatch(TimeSeries(np.full(3, 2.0)), 2)])
+    _, n1 = normalize_batches([b1, MicroBatch(TimeSeries(np.full(3, 2.0)))])
     np.testing.assert_array_equal(n1.samples.values, [1.0, 1.0, 1.0])
 
 

@@ -15,9 +15,8 @@ def write(path, text):
 
 def test_bearing_channel_selection(tmp_path):
     f = write(tmp_path / "b.txt", "0.1 1.0 -3\n0.2 2.0 -4\n0.3 3.0 -5\n")
-    batch = parse_batch_file(f, "bearing", channel=1, batch_index=4)
+    batch = parse_batch_file(f, "bearing", channel=1)
     np.testing.assert_array_equal(batch.samples.values, [1.0, 2.0, 3.0])
-    assert batch.batch_index == 4
 
 
 def test_bearing_tab_separated_and_blank_lines(tmp_path):
@@ -89,7 +88,6 @@ def test_load_batch_dir_sorts_lexicographically(tmp_path):
         write(tmp_path / name, f"{v} 0\n{v} 0\n")
     batches = load_batch_dir(tmp_path, "bearing")
     assert [b.samples.values[0] for b in batches] == [1.0, 10.0, 2.0]
-    assert [b.batch_index for b in batches] == [0, 1, 2]
 
 
 def test_load_batch_dir_limit(tmp_path):

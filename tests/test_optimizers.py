@@ -478,7 +478,7 @@ def assert_bitwise(got, want, msg=""):
 
 @pytest.mark.parametrize("name", tuple(OPTIMIZERS))
 @pytest.mark.parametrize("rows", [None, 3])
-def test_advance_over_the_grad_buffer_is_update_direction(name, rows):
+def test_advance_reuses_its_buffers_built_at_the_final_shape(name, rows):
     # a lone run and a bank are both built at their final shape
     rng = np.random.default_rng(8)
     ramp = 4.0 if name == "combined" else None
