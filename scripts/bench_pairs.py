@@ -28,13 +28,16 @@ on the 40 bearing batch files that its own ``scripts/make_demo_batches.py
 --batches 40`` writes, and ``reproduce 6 --trials 2`` on the 40 csv batch
 files of ``--format csv``, so that both layouts' reader and the d = 1 path
 over batches are byte-checked, and ``synth --preset <k> --seed 7`` for
-k = 1, 2, 3. It keeps the output files, the demo batch files (named
-``<dir>/<file>``) and a log of each command's stdout, stderr and exit
-status, so that the generator's bytes are checked too. The JSON records the
-sha256 of each of those files per side, by name, whether the two sides
-wrote the same files with the same bytes, and the names that differ, so
-that a deliberate change to one file does not hide whether the others
-held; and the same for the streams' digests. These are records of the
+k = 1, 2, 3. Then ``run``, ``sweep-lambda`` and ``grid-search`` each run
+once on ``out/synth2.csv`` (``HANDLER_COMMANDS``), so that every command's
+stdout and files are byte-checked; the grid's rate 1e12 diverges, so a
+``diverged`` row and stdout line are covered. It keeps the output files,
+the demo batch files (named ``<dir>/<file>``) and a log of each command's
+stdout, stderr and exit status, so that the generator's bytes are checked
+too. The JSON records the sha256 of each of those files per side, by name,
+whether the two sides wrote the same files with the same bytes, and the
+names that differ, so that a deliberate change to one file does not hide
+whether the others held; and the same for the streams' digests. These are records of the
 outputs' bytes, not gates: the script writes the JSON either way.
 
 The JSON written holds every run's metrics and, for each workload and
@@ -70,6 +73,16 @@ DEMO_BATCHES = "40"
 OUTPUT_TRIALS = "2"
 SYNTH_PRESETS = ("1", "2", "3")
 SYNTH_SEED = "7"
+HANDLER_DATA = "out/synth2.csv"
+# the other handlers, each run on HANDLER_DATA after the synth commands
+HANDLER_COMMANDS = (
+    ("run", "--optimizer", "combined", "--lambda", "2000", "--mk", "10", "--trials", "2",
+     "--out", "out/run.csv", "--svg", "out/run.svg"),
+    ("sweep-lambda", "--grid", "100,2000", "--mk", "10", "--trials", "2",
+     "--out", "out/sweep.csv", "--svg", "out/sweep.svg"),
+    ("grid-search", "--optimizer", "basic", "--mk", "10", "--trials", "2",
+     "--rates", "0.01,0.05,1e12", "--out", "out/grid.csv"),
+)
 
 
 def run_bench(tree: Path, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
@@ -98,13 +111,21 @@ def paired(trees: dict[str, Path]) -> dict:
 
 
 def output_digests(tree: Path) -> dict[str, str]:
-    """The sha256 of each file and log that ``reproduce`` and ``synth`` write from ``tree``.
+    """The sha256 of each file and log that the CLI commands write from ``tree``.
 
     Also of each demo batch file, named ``<dir>/<file>``.
     """
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     with tempfile.TemporaryDirectory(prefix="bench_outputs-") as tmp:
         out = Path(tmp) / "out"
+
+        def logged(log: str, *argv: str) -> None:
+            """Run ``streamarima <argv>`` and log its stdout, stderr and exit status."""
+            proc = subprocess.run([sys.executable, "-m", "streamarima", *argv],
+                                  cwd=tmp, env=env, capture_output=True, text=True)
+            (out / f"{log}.log").write_text(
+                f"{proc.stdout}{proc.stderr}exit {proc.returncode}\n", encoding="utf-8")
+
         # paths are relative to the temporary directory, so that stdout names
         # the same paths on both sides
         for demo, fmt in DEMO_FORMATS.items():
@@ -113,17 +134,13 @@ def output_digests(tree: Path) -> dict[str, str]:
                            cwd=tmp, env=env, capture_output=True, check=True)
         for config in OUTPUT_CONFIGS + tuple(BATCHED_CONFIGS):
             data = ("--data", BATCHED_CONFIGS[config]) if config in BATCHED_CONFIGS else ()
-            cmd = [sys.executable, "-m", "streamarima", "reproduce", config,
-                   "--trials", OUTPUT_TRIALS, *data, "--out-dir", "out"]
-            proc = subprocess.run(cmd, cwd=tmp, env=env, capture_output=True, text=True)
-            (out / f"reproduce{config}.log").write_text(
-                f"{proc.stdout}{proc.stderr}exit {proc.returncode}\n", encoding="utf-8")
+            logged(f"reproduce{config}", "reproduce", config, "--trials", OUTPUT_TRIALS, *data,
+                   "--out-dir", "out")
         for k in SYNTH_PRESETS:
-            cmd = [sys.executable, "-m", "streamarima", "synth", "--preset", k,
-                   "--seed", SYNTH_SEED, "--out", f"out/synth{k}.csv"]
-            proc = subprocess.run(cmd, cwd=tmp, env=env, capture_output=True, text=True)
-            (out / f"synth{k}.log").write_text(
-                f"{proc.stdout}{proc.stderr}exit {proc.returncode}\n", encoding="utf-8")
+            logged(f"synth{k}", "synth", "--preset", k, "--seed", SYNTH_SEED,
+                   "--out", f"out/synth{k}.csv")
+        for argv in HANDLER_COMMANDS:
+            logged(argv[0], argv[0], "--data", HANDLER_DATA, *argv[1:])
         files = [(path.name, path) for path in sorted(out.iterdir())]
         files += [(f"{demo}/{path.name}", path) for demo in DEMO_FORMATS
                   for path in sorted((Path(tmp) / demo).iterdir())]
@@ -250,7 +267,9 @@ def main() -> int:
                        f"scripts/make_demo_batches.py --batches {DEMO_BATCHES} --format <format> "
                        f"--out-dir <dir> for format (dir) in {demo_formats}; and "
                        f"python3 -m streamarima synth --preset <k> --seed {SYNTH_SEED} --out "
-                       f"out/synth<k>.csv for k in {' '.join(SYNTH_PRESETS)}",
+                       f"out/synth<k>.csv for k in {' '.join(SYNTH_PRESETS)}; then "
+                       + "; ".join(f"python3 -m streamarima {argv[0]} --data {HANDLER_DATA} "
+                                   + " ".join(argv[1:]) for argv in HANDLER_COMMANDS),
             "digest": "per side, the sha256 of each output file, each demo batch file (as "
                       "<dir>/<file>) and a log per command (stdout, stderr, exit status), by "
                       "name; differing: the names whose bytes differ or that only one side "

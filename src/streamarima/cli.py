@@ -571,18 +571,19 @@ def _spec_from_args(args, optimizer: str, ramp: float | None) -> RunSpec:
     )
 
 
-def _write_outputs(args, files: dict, curves: dict[str, ResidualCurve],
+def _write_outputs(args, files: dict, curves: dict[str, ResidualCurve] | None = None,
                    title: str = "") -> list[Path]:
     """Write ``files`` (path to a function that renders its text) and, when
     ``args.svg`` is set, the plot of ``curves``; return the paths, the plot's last.
 
-    Every path is resolved and checked, and the plot rendered, before the
-    first write, so a bad path, a path named for two outputs, or a plot that
-    cannot be drawn leaves no file behind. Each file's text is rendered just
-    before it is written, so only one is held at a time.
+    Every command checks all its flags, then reads or generates its data,
+    runs, writes its files here and prints last. All paths are checked, and
+    the plot rendered, before the first write: a bad path, a path named for
+    two outputs or a plot that cannot be drawn leaves no file and no stdout.
+    Each text is rendered just before it is written, so one is held at a time.
     """
     outputs = list(files.items())
-    if args.svg:
+    if getattr(args, "svg", None):
         svg = _svg_from_curves(curves, args.smooth, title)
         outputs.append((args.svg, lambda: svg))
     paths = [_resolve_out(p) for p, _ in outputs]
@@ -597,8 +598,7 @@ def _write_outputs(args, files: dict, curves: dict[str, ResidualCurve],
 
 def _cmd_synth(args) -> int:
     series = generate(preset(args.preset, seed=args.seed))
-    out = _resolve_out(args.out)
-    write_text_atomic(out, series_csv(series))
+    (out,) = _write_outputs(args, {args.out: partial(series_csv, series)})
     print(f"wrote {len(series)} samples to {out}")
     return 0
 
@@ -614,12 +614,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    return _sweep(args, _load_data(args), title="")
+    return _sweep(args, partial(_load_data, args), title="")
 
 
-def _sweep(args, data, title: str) -> int:
+def _sweep(args, load, title: str) -> int:
     grid = _parse_floats(args.grid, "ramp grid")
-    records = sweep_lambda(_spec_from_args(args, "combined", grid[0]), data, grid)
+    records = sweep_lambda(_spec_from_args(args, "combined", grid[0]), load(), grid)
     curves = {r.label: r.curve for r in records if not r.diverged}
     paths = _write_outputs(args, {args.out: partial(sweep_csv, records)}, curves, title)
     print(f"wrote {len(records)} sweep entries to {paths[0]}")
@@ -630,17 +630,15 @@ def _sweep(args, data, title: str) -> int:
 
 def _cmd_grid(args) -> int:
     spec = _spec_from_args(args, args.optimizer, args.ramp)
-    data = _load_data(args)
     rates = _parse_floats(args.rates, "rate grid")
-    best, records = grid_search(spec, data, rates)
+    best, records = grid_search(spec, _load_data(args), rates)
+    paths = _write_outputs(args, {args.out: partial(grid_csv, best, records)} if args.out else {})
     for r in records:
         status = "diverged" if r.diverged else f"mean={r.score:.6g}"
         print(f"rate {r.spec.learning_rate:g}: {status}")
     print(f"best rate: {best:g}")
-    if args.out:
-        out = _resolve_out(args.out)
-        write_text_atomic(out, grid_csv(best, records))
-        print(f"wrote grid results to {out}")
+    if paths:
+        print(f"wrote grid results to {paths[0]}")
     return 0
 
 
@@ -655,21 +653,23 @@ def _cmd_reproduce(args) -> int:
     run = argparse.Namespace(**{**vars(args), **cfg}, svg=f"{base}.svg",
                              normalize=False if args.no_normalize else None)
     if "preset" in cfg:
-        _reject_batch_flags(run)
         given = [flag for flag, on in (("--data", args.data is not None),
+                                       ("--channel", args.channel != 0),
+                                       ("--limit", args.limit is not None),
                                        ("--no-normalize", args.no_normalize)) if on]
         if given:
             raise ValueError(f"{', '.join(given)}: configuration {fid} generates its series")
-        data = generate(preset(cfg["preset"], seed=args.data_seed))
+        load = partial(generate, preset(cfg["preset"], seed=args.data_seed))
     elif args.data is None or not Path(args.data).is_dir():
         raise ValueError(f"configuration {fid} needs --data pointing at a batch directory")
     else:
-        data = _load_data(run)
+        load = partial(_load_data, run)
     title = f"configuration {fid}"
     if run.grid:
         run.out = f"{base}_sweep.csv"
-        return _sweep(run, data, title)
-    records = compare_optimizers(_spec_from_args(run, "combined", run.ramp), data, ALL_OPTIMIZERS)
+        return _sweep(run, load, title)
+    spec = _spec_from_args(run, "combined", run.ramp)
+    records = compare_optimizers(spec, load(), ALL_OPTIMIZERS)
     curves = {r.label: r.curve for r in records if not r.diverged}
     files = {f"{base}_{name}.csv": partial(curve_csv, curve) for name, curve in curves.items()}
     paths = _write_outputs(run, files, curves, title)

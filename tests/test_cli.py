@@ -154,8 +154,10 @@ def test_run_errors_exit_nonzero(tmp_path, small_csv, capsys):
         "run", "--data", small_csv, "--optimizer", "basic", "--format", "bearing", "--out", out,
     ) == 1
     assert "--format: valid only when --data is a batch directory" in capsys.readouterr().err
-    # and so are --data and --no-normalize for a configuration that generates its series
-    for flags in (["--data", tmp_path / "missing"], ["--no-normalize"]):
+    # and so are --data, --no-normalize and the batch flags for a configuration
+    # that generates its series
+    for flags in (["--data", tmp_path / "missing"], ["--no-normalize"], ["--limit", 5],
+                  ["--channel", 2]):
         assert run_cli("reproduce", 7, "--out-dir", tmp_path / "r", *flags) == 1
         err = capsys.readouterr().err
         assert err == f"error: {flags[0]}: configuration 7 generates its series\n"
@@ -195,13 +197,26 @@ def test_combined_without_lambda_names_the_flag(tmp_path, capsys, cmd, flags):
     ("--trials", -2, "--trials must be >= 1, got -2"),
     ("--seed", -1, "--seed must be >= 0, got -1"),
 ])
-def test_trial_count_and_seed_errors_name_the_flag(tmp_path, capsys, small_csv, cmd, flags,
-                                                    flag, value, message):
-    data = ("2",) if cmd == "reproduce" else ("--data", small_csv, "--mk", 3)
+def test_trial_count_and_seed_errors_name_the_flag(tmp_path, capsys, cmd, flags, flag, value,
+                                                    message):
+    # the data file does not exist: the flag is refused before the data are read
+    data = ("2",) if cmd == "reproduce" else ("--data", tmp_path / "missing.csv", "--mk", 3)
     argv = [str(a).format(out=tmp_path) for a in (cmd, *data, *flags)]
     assert main([*argv, f"{flag}={value}"]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_reproduce_refuses_its_flags_before_it_reads_a_batch(tmp_path, capsys):
+    data = tmp_path / "batches"
+    data.mkdir()
+    (data / "a.txt").write_text("not a number\n", encoding="ascii")
+    out = tmp_path / "out"
+    assert run_cli("reproduce", 4, "--data", data, "--out-dir", out) == 1
+    assert capsys.readouterr().err == f"error: {data / 'a.txt'}: malformed value 'not' in row 1\n"
+    assert run_cli("reproduce", 4, "--trials", 0, "--data", data, "--out-dir", out) == 1
+    assert capsys.readouterr() == ("", "error: --trials must be >= 1, got 0\n")
+    assert not out.exists()
 
 
 def test_generator_seeds_out_of_range_fail_closed(tmp_path, capsys):
@@ -223,6 +238,10 @@ def test_an_output_path_that_is_a_directory_writes_nothing(tmp_path, small_csv, 
         assert list(tmp_path.iterdir()) == [taken]
     assert run_cli("synth", "--preset", 1, "--out", taken) == 1
     assert capsys.readouterr().err == f"error: {taken}: is a directory\n"
+    # grid-search checks its path before it prints its results
+    assert run_cli("grid-search", "--data", small_csv, "--optimizer", "basic", "--mk", 3,
+                   "--rates", "0.01,0.05", "--out", taken) == 1
+    assert capsys.readouterr() == ("", f"error: {taken}: is a directory\n")
     # reproduce checks all nine of its paths before it writes the first
     out = tmp_path / "r"
     (out / "config1_adam.csv").mkdir(parents=True)
@@ -255,6 +274,9 @@ def test_an_output_path_under_a_file_writes_nothing(tmp_path, small_csv, capsys)
         assert capsys.readouterr().err == f"error: {bad}: {afile} is not a directory\n"
     assert run_cli("synth", "--preset", 1, "--out", afile / "s.csv") == 1
     assert capsys.readouterr().err == f"error: {afile / 's.csv'}: {afile} is not a directory\n"
+    assert run_cli("grid-search", "--data", small_csv, "--optimizer", "basic", "--mk", 3,
+                   "--rates", "0.01,0.05", "--out", afile / "g.csv") == 1
+    assert capsys.readouterr() == ("", f"error: {afile / 'g.csv'}: {afile} is not a directory\n")
     assert list(tmp_path.iterdir()) == [afile]
     assert afile.read_text() == "kept\n"
 
@@ -344,15 +366,17 @@ def test_a_file_that_is_not_ascii_names_itself(tmp_path, capsys):
          "rate grid: '1000000' and '1000001' both print as 1e+06"),
         # and values that do not parse, or none at all
         ("grid-search", "--rates", "0.01,abc", "could not parse rate grid: '0.01,abc'"),
+        ("sweep-lambda", "--grid", "x", "could not parse ramp grid: 'x'"),
         ("sweep-lambda", "--grid", " , ", "ramp grid is empty"),
     ],
 )
-def test_grid_values_that_print_alike_write_nothing(tmp_path, small_csv, capsys,
-                                                    command, flag, grid, message):
-    # labels and reports print each value with %g, so two such values would collide
+def test_grid_values_that_print_alike_write_nothing(tmp_path, capsys, command, flag, grid,
+                                                    message):
+    # labels and reports print each value with %g, so two such values would collide;
+    # the data file does not exist, as the grid is parsed before the data are read
     out = tmp_path / "x.csv"
     extra = ("--optimizer", "basic") if command == "grid-search" else ()
-    assert run_cli(command, "--data", small_csv, *extra, flag, grid, "--mk", 3,
+    assert run_cli(command, "--data", tmp_path / "missing.csv", *extra, flag, grid, "--mk", 3,
                    "--out", out) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert list(tmp_path.iterdir()) == []

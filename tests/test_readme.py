@@ -1,20 +1,38 @@
-"""The README's Python example runs as written, and its configuration table is current."""
+"""The README's Quick start runs as written, and its configuration table is current."""
 
 import contextlib
 import io
 import re
+import shlex
 from pathlib import Path
 
-from streamarima.cli import CONFIGS
+from streamarima.cli import CONFIGS, OUT_DIR_ENV, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def test_quick_start_python_example_runs():
+def quick_start_block(language):
     text = README.read_text(encoding="utf-8")
     quick_start = text[text.index("## Quick start") :]
     quick_start = quick_start[: quick_start.index("\n## ", 1)]
-    (example,) = re.findall(r"```python\n(.*?)```", quick_start, flags=re.S)
+    (block,) = re.findall(rf"```{language}\n(.*?)```", quick_start, flags=re.S)
+    return block
+
+
+def test_quick_start_shell_commands_run(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(OUT_DIR_ENV, raising=False)
+    lines = quick_start_block("sh").replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line) for line in lines if line and not line.startswith("#")]
+    assert [argv[:2] for argv in commands] == [["streamarima", "synth"], ["streamarima", "run"]]
+    for argv in commands:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv[1:]) == 0, argv
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["curve.csv", "curve.svg", "s1.csv"]
+
+
+def test_quick_start_python_example_runs():
+    example = quick_start_block("python")
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(compile(example, str(README), "exec"), {})
